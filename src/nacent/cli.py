@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .classify import full_report
 from .config import order_guard
 from .corpus import build, builtin_catalog, file_group_id, load_group, spec_id
-from .errors import NacentError
+from .errors import InvalidParams, NacentError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -178,7 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_run_config(args) -> str | None:
-    limit = order_guard()
+    try:
+        limit = order_guard()
+    except InvalidParams as exc:
+        return str(exc)
     max_order = getattr(args, "max_order", None)
     if max_order is not None and max_order > limit:
         return (f"--max-order {max_order} exceeds the global order guard {limit} "

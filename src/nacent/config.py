@@ -4,24 +4,21 @@ from __future__ import annotations
 
 import os
 
+from .errors import InvalidParams
+
 DEFAULT_ORDER_GUARD = 5000
 ORDER_GUARD_ENV = "NACENT_MAX_ORDER"
 
-# When set (to anything non-empty), normality checks use the definitional
-# all-elements conjugation scan instead of the generating-set fast path.
-EXHAUSTIVE_NORMALITY_ENV = "NACENT_EXHAUSTIVE_NORMALITY"
-
 
 def order_guard() -> int:
-    """Maximum group order any constructor will materialize by default."""
+    """Maximum group order any constructor will materialize by default.
+
+    Raises InvalidParams when NACENT_MAX_ORDER is set to anything but a
+    positive integer.
+    """
     raw = os.environ.get(ORDER_GUARD_ENV)
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_ORDER_GUARD
-
-
-def exhaustive_normality() -> bool:
-    return bool(os.environ.get(EXHAUSTIVE_NORMALITY_ENV))
+    if not raw:
+        return DEFAULT_ORDER_GUARD
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise InvalidParams(f"{ORDER_GUARD_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)

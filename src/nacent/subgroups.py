@@ -3,8 +3,9 @@
 Subgroups are bitsets (arbitrary-width Python ints) over the parent's
 element indices, so equality, intersection and deduplication are plain
 integer operations. All functions here are pure; derived structures that
-are expensive to recompute (center, centralizer classes, generators,
-conjugacy classes) are memoized on the parent group.
+are expensive to recompute (center, centralizer classes, conjugacy
+classes) are memoized on the parent group; its generating set is found
+when its table is validated.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import exhaustive_normality
 from .errors import NotNormal, ParentMismatch
 from .groups import FiniteGroup
 
@@ -217,18 +217,9 @@ def cyclic_span_mask(G: FiniteGroup, x: int) -> int:
 
 
 def generators(G: FiniteGroup) -> tuple[int, ...]:
-    """A small generating set, grown greedily by least uncovered element."""
-    def compute():
-        gens: list[int] = []
-        covered = 1
-        while covered.bit_count() < G.order:
-            x = 0
-            while (covered >> x) & 1:
-                x += 1
-            gens.append(x)
-            covered = generated_mask(G, gens)
-        return tuple(gens)
-    return _cached(G, "generators", compute)
+    """A small generating set, grown greedily by least ungenerated element
+    (found while validating the table)."""
+    return G.generators
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +238,39 @@ def conjugate_subgroup(G: FiniteGroup, H: Subgroup, g: int) -> Subgroup:
     return Subgroup(G, conjugate_mask(G, H.mask, g))
 
 
-def is_normal(G: FiniteGroup, H: Subgroup, exhaustive: bool | None = None) -> bool:
+def is_normal(G: FiniteGroup, H: Subgroup, exhaustive: bool = False) -> bool:
     """True iff g^-1 H g = H for all g.
 
-    Checked on a cached generating set of G; `exhaustive` (or the
-    NACENT_EXHAUSTIVE_NORMALITY environment variable) forces the
-    definitional scan over every element.
+    Checks the conjugates of H by the generators of G only, which suffices
+    because the elements normalizing H form a subgroup; `exhaustive=True`
+    forces the definitional scan over every element.
     """
-    if exhaustive is None:
-        exhaustive = exhaustive_normality()
     if H.mask == 1 or H.is_whole():
         return True
     scan = range(G.order) if exhaustive else generators(G)
     return all(conjugate_mask(G, H.mask, g) == H.mask for g in scan)
+
+
+def _normal_closure_mask(G: FiniteGroup, seeds) -> int:
+    """Bitset of the smallest normal subgroup containing the seed elements.
+
+    Keeps a generating list for the closure N and adds each conjugate, by a
+    generator of G, of a generator of N that N does not contain, until the
+    newest generators have no such conjugate (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005, ch. 3).
+    """
+    t = G.table
+    g_gens = np.asarray(generators(G), dtype=np.int64)
+    n_gens = np.unique(np.asarray(list(seeds), dtype=np.int64))
+    member = bool_of(generated_mask(G, n_gens), G.order)
+    fresh = n_gens
+    while fresh.size and g_gens.size:
+        conj = t[t[G.inverses[g_gens][:, None], fresh[None, :]], g_gens[:, None]]
+        fresh = np.unique(conj[~member[conj]])
+        if fresh.size:
+            n_gens = np.concatenate([n_gens, fresh])
+            member = bool_of(generated_mask(G, n_gens), G.order)
+    return mask_of_bool(member)
 
 
 def normalizer_mask(G: FiniteGroup, mask: int) -> int:
@@ -295,18 +306,16 @@ def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 # commutators
 
 
-def commutator_values(G: FiniteGroup, right_mask: int | None = None,
-                      left_mask: int | None = None) -> np.ndarray:
+def commutator_values(G: FiniteGroup, right_mask: int, left_mask: int) -> np.ndarray:
     """Distinct values [x, y] = x^-1 y^-1 x y with x in left, y in right.
 
-    Defaults cover the whole group on both sides. Computed in row blocks
-    to bound memory on large tables.
+    Computed in row blocks to bound memory on large tables.
     """
     t = G.table
     n = G.order
     inv = G.inverses
-    left = np.arange(n) if left_mask is None else indices_of(left_mask, n)
-    right = np.arange(n) if right_mask is None else indices_of(right_mask, n)
+    left = indices_of(left_mask, n)
+    right = indices_of(right_mask, n)
     if left.size == 0 or right.size == 0:
         return np.array([0], dtype=np.int64)
     inv_right = inv[right]
@@ -322,9 +331,11 @@ def commutator_values(G: FiniteGroup, right_mask: int | None = None,
 
 
 def commutator_subgroup(G: FiniteGroup) -> Subgroup:
-    """Subgroup generated by all commutators."""
+    """Subgroup generated by all commutators: the normal closure of the
+    commutators [x, y] of pairs of generators of G."""
     def compute():
-        return generated_mask(G, commutator_values(G))
+        gens = mask_of(generators(G))
+        return _normal_closure_mask(G, commutator_values(G, gens, gens))
     return Subgroup(G, _cached(G, "commutator_mask", compute))
 
 
@@ -364,7 +375,7 @@ class QuotientMap:
         return Subgroup(self.quotient, self.image_mask(H))
 
 
-def quotient(G: FiniteGroup, N: Subgroup, exhaustive: bool | None = None) -> QuotientMap:
+def quotient(G: FiniteGroup, N: Subgroup, exhaustive: bool = False) -> QuotientMap:
     """Quotient of G by a normal subgroup, cosets labeled by least member."""
     if N.parent is not G:
         raise ParentMismatch("kernel is not a subgroup of the given group")

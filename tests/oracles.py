@@ -1,10 +1,14 @@
 """Naive reference implementations used to cross-check the library.
 
-Everything here is definitional pure Python over a raw multiplication
-table (list of lists); nothing reuses the package's bitset machinery.
+Everything here is definitional and works over a raw multiplication table
+(list of lists); nothing reuses the package's bitset machinery. All of it
+is pure Python except the all-triples associativity scan, which uses numpy
+slices because n^3 interpreted steps are out of reach at order 1029.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def table_of(G) -> list[list[int]]:
@@ -195,3 +199,55 @@ def naive_fitting(table) -> frozenset[int]:
     for H in nn:
         seed |= H
     return naive_closure(table, seed)
+
+
+def naive_is_associative(table) -> tuple[int, int, int] | None:
+    """The least triple (i, j, k) with (i*j)*k != i*(j*k), or None.
+
+    Every one of the n^3 triples is checked, one i at a time.
+    """
+    t = np.asarray(table, dtype=np.intp)
+    for i in range(t.shape[0]):
+        left, right = t[t[i]], np.take(t[i], t)   # (i*j)*k and i*(j*k) over (j, k)
+        if not np.array_equal(left, right):
+            bad = np.nonzero(left != right)
+            return i, int(bad[0][0]), int(bad[1][0])
+    return None
+
+
+def naive_sylow(table, p: int) -> frozenset[int]:
+    """A Sylow p-subgroup: a maximal p-subgroup, grown by one pass over
+    the elements (every maximal p-subgroup is a Sylow subgroup)."""
+    def is_p_power(m: int) -> bool:
+        while m % p == 0:
+            m //= p
+        return m == 1
+
+    gens: list[int] = []
+    H = frozenset([0])
+    for x in range(len(table)):
+        if x in H:
+            continue
+        H2 = naive_closure(table, gens + [x])
+        if is_p_power(len(H2)):
+            gens.append(x)
+            H = H2
+    return H
+
+
+def naive_p_core(table, p: int) -> frozenset[int]:
+    """Intersection of all conjugates g^-1 P g of a Sylow p-subgroup P."""
+    inv = naive_inverses(table)
+    P = naive_sylow(table, p)
+    core = set(P)
+    for g in range(len(table)):
+        core &= naive_conjugate(table, inv, P, g)
+    return frozenset(core)
+
+
+def naive_commutator_subgroup(table) -> frozenset[int]:
+    """Closure of every commutator [x, y] = x^-1 y^-1 x y."""
+    inv = naive_inverses(table)
+    n = len(table)
+    comms = {table[table[table[inv[x]][inv[y]]][x]][y] for x in range(n) for y in range(n)}
+    return naive_closure(table, comms)

@@ -140,6 +140,16 @@ def test_max_order_capped_by_guard(capsys, monkeypatch):
     assert "heisenberg_frobenius(13,3)" in out.splitlines()
 
 
+@pytest.mark.parametrize("raw", ["abc", "7000x", "0", "-5"])
+def test_bad_order_guard_env_is_input_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("NACENT_MAX_ORDER", raw)
+    for argv in (["verify", "--max-order", "4"], ["analyze", "cyclic(3)"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_INPUT and out == ""
+        assert "NACENT_MAX_ORDER must be a positive integer" in err and repr(raw) in err
+        assert "exceeds the global order guard" not in err
+
+
 def test_parallelism_must_be_positive(capsys):
     code, _, err = run_cli(["verify", "--max-order", "4", "--parallelism", "0"],
                            capsys)

@@ -208,8 +208,12 @@ def test_order_guard_env(monkeypatch):
     assert order_guard() == 80
     with pytest.raises(OrderLimitExceeded):
         build("cyclic(100)")
-    monkeypatch.setenv("NACENT_MAX_ORDER", "not-a-number")
-    assert order_guard() == 5000
+    for bad in ["not-a-number", "7000x", "0", "-3"]:
+        monkeypatch.setenv("NACENT_MAX_ORDER", bad)
+        with pytest.raises(InvalidParams, match="positive integer"):
+            order_guard()
+        with pytest.raises(InvalidParams):
+            build("cyclic(4)")
 
 
 def test_catalog_contract_small():

@@ -16,7 +16,7 @@ from nacent import (
     is_abelian,
     is_cyclic,
 )
-from oracles import naive_orders, table_of
+from oracles import naive_is_associative, naive_orders, table_of
 
 
 def test_trivial_group():
@@ -63,6 +63,22 @@ def test_rejects_broken_latin_square():
     assert exc.value.law in ("latin-square", "identity", "associativity")
 
 
+def test_latin_square_witness():
+    t = build("cyclic(5)").table.copy()
+    t[3, 1], t[3, 2] = t[3, 2], t[3, 1]          # rows stay permutations
+    with pytest.raises(NotAGroup) as exc:
+        FiniteGroup(t)
+    assert (exc.value.law, exc.value.witness) == ("latin-square", (1,))
+    assert "column 1" in str(exc.value)
+    for bad in (1, -1, 5, 2**31 - 1):
+        t2 = t.copy()
+        t2[2, 3] = bad                            # row 2 (= 2 3 4 0 1) breaks first
+        with pytest.raises(NotAGroup) as exc:
+            FiniteGroup(t2)
+        assert (exc.value.law, exc.value.witness) == ("latin-square", (2,)), bad
+        assert "row 2" in str(exc.value)
+
+
 # a loop of order 5: latin square with two-sided identity, not associative
 NONASSOC_LOOP = [
     [0, 1, 2, 3, 4],
@@ -78,6 +94,38 @@ def test_rejects_broken_associativity():
         from_cayley_table(NONASSOC_LOOP)
     assert exc.value.law in ("associativity", "inverse", "lagrange", "element-order")
     assert "fails" in str(exc.value)
+
+
+def loop_times_cyclic(loop, m):
+    """Direct product of a loop with Z_m on indices a*m + b; identity stays 0."""
+    n = len(loop)
+    return [[loop[a1][a2] * m + (b1 + b2) % m for a2 in range(n) for b2 in range(m)]
+            for a1 in range(n) for b1 in range(m)]
+
+
+@pytest.mark.parametrize("m", [1, 7, 103, 120])
+def test_associativity_exact_past_old_sample_limit(m):
+    # orders 5 to 600: the check is exact at every order, not sampled
+    table = loop_times_cyclic(NONASSOC_LOOP, m)
+    with pytest.raises(NotAGroup) as exc:
+        from_cayley_table(table, max_order=1000)
+    assert exc.value.law == "associativity"
+    i, j, k = exc.value.witness
+    assert table[table[i][j]][k] != table[i][table[j][k]]
+    assert naive_is_associative(table) is not None
+
+
+def test_associativity_exact_on_one_intercalate():
+    # Z_600 with one 2x2 subsquare {1, 301} x {2, 302} swapped: still a loop,
+    # and only triples through those four cells fail
+    table = table_of(build("cyclic(600)"))
+    for a in (1, 301):
+        table[a][2], table[a][302] = table[a][302], table[a][2]
+    with pytest.raises(NotAGroup) as exc:
+        from_cayley_table(table, max_order=1000)
+    assert exc.value.law == "associativity"
+    i, j, k = exc.value.witness
+    assert table[table[i][j]][k] != table[i][table[j][k]]
 
 
 def test_rejects_no_identity():
