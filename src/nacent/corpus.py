@@ -194,13 +194,12 @@ def semidirect_product(K: FiniteGroup, H: FiniteGroup,
 
     n = nk * nh
     table = np.empty((n, n), dtype=np.int32)
-    kt = K.table.astype(np.int64)
-    hcols = np.arange(nh, dtype=np.int64)
-    rows_base = np.arange(nk, dtype=np.int64) * nh
+    # view[k1, h1, k2, h2] is the product (k1, h1) * (k2, h2); each h1 block
+    # is written in place, with no wider temporary than one nk x nk slice
+    view = table.reshape(nk, nh, nk, nh)
     for h1 in range(nh):
-        kpart = kt[:, phi[h1]]                      # k1 * phi_h1(k2)
-        block = kpart[:, :, None] * nh + H.table[h1].astype(np.int64)[None, None, :]
-        table[rows_base + h1] = block.reshape(nk, n)
+        kpart = K.table[:, phi[h1]] * np.int32(nh)  # k1 * phi_h1(k2), scaled
+        np.add(kpart[:, :, None], H.table[h1], out=view[:, h1])
     return FiniteGroup(table, name=name or f"semidirect({K.name},{H.name})")
 
 

@@ -30,14 +30,14 @@ class FiniteGroup:
 
     def __init__(self, table: np.ndarray, name: str = "group"):
         table = np.ascontiguousarray(table, dtype=np.int32)
-        gens = _validate_table(table)
+        gens, inverses = _validate_table(table)
         n = table.shape[0]
         self.order = n
         self.table = table
         self.table.setflags(write=False)
         self.name = name
         self.generators = gens
-        self.inverses = _inverses(table)
+        self.inverses = inverses
         self.inverses.setflags(write=False)
         self.orders = _element_orders(table)
         self.orders.setflags(write=False)
@@ -168,9 +168,17 @@ def _find_identity(arr: np.ndarray) -> int:
     raise NotAGroup("identity", (), "no two-sided identity element")
 
 
-def _validate_table(table: np.ndarray) -> tuple[int, ...]:
+def _validate_table(table: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
     """Check the group laws that need the whole table; return the generators
-    found on the way (see `_loop_generators`)."""
+    found on the way (see `_loop_generators`) and the inverses.
+
+    An identity at 0, associativity (Light's test) and a right inverse for
+    every element make a finite monoid in which every element has a right
+    inverse, which is a group, so its table is a Latin square and that is not
+    scanned. When any of these checks fails, `_check_latin_square` runs first,
+    so a rejected table names the first law it breaks in the order identity,
+    Latin square, associativity, inverse.
+    """
     n = table.shape[0]
     idx = np.arange(n, dtype=np.int32)
     if not (table[0] == idx).all():
@@ -179,14 +187,24 @@ def _validate_table(table: np.ndarray) -> tuple[int, ...]:
     if not (table[:, 0] == idx).all():
         i = int(np.nonzero(table[:, 0] != idx)[0][0])
         raise NotAGroup("identity", (i, 0), f"{i}*0 = {table[i, 0]}")
-    _check_latin_square(table)
-    gens = _loop_generators(table)
-    _check_associativity(table, gens)
-    return gens
+    try:
+        # negative entries wrap to large unsigned values
+        if table.view(np.uint32).max() >= n:
+            raise NotAGroup("entry-range", (), f"an entry lies outside 0..{n - 1}")
+        gens = _loop_generators(table)
+        _check_associativity(table, gens)
+        return gens, _inverses(table)
+    except NotAGroup:
+        _check_latin_square(table)
+        raise
 
 
 def _check_latin_square(table: np.ndarray) -> None:
     """Every row, then every column, is a permutation of 0..n-1.
+
+    Runs only on a table another check has rejected, so that the table is
+    reported under the Latin-square law with its first bad row or column
+    when it breaks that law.
 
     Each block of lines is scattered into a "seen" bitmap with one spare
     column n, which takes the entries outside 0..n-1 (negative ones wrap
@@ -208,12 +226,28 @@ def _check_latin_square(table: np.ndarray) -> None:
                 raise NotAGroup("latin-square", (i,), f"{kind} {i} is not a permutation")
 
 
+def _extend_closure(table: np.ndarray, reached: np.ndarray, gens, new) -> None:
+    """Grow `reached` in place to its closure under right multiplication by
+    `gens` and `new`, given that it is closed under `gens` alone.
+
+    Only what is new needs the old generators: `reached` is multiplied by
+    `new`, then each newly reached element by all of them. No group law is
+    assumed; in a group the closure of {0} is the subgroup generated.
+    """
+    frontier, cols = np.nonzero(reached)[0], np.asarray(new, dtype=np.int64)
+    every = np.concatenate([np.asarray(gens, dtype=np.int64), cols])
+    while frontier.size and cols.size:
+        prods = table[np.ix_(frontier, cols)].ravel()
+        frontier = np.unique(prods[~reached[prods]])
+        reached[frontier] = True
+        cols = every
+
+
 def _loop_generators(table: np.ndarray) -> tuple[int, ...]:
     """A generating set grown greedily by least unreached element.
 
-    Reached means in the closure of {0} and the generators under right
-    multiplication by the generators. Only the identity at 0 is assumed,
-    not the group laws; for a group the closure is the subgroup generated.
+    Reached means in the closure of {0} under right multiplication by the
+    generators; only the identity at 0 is assumed, not the group laws.
     """
     n = table.shape[0]
     reached = np.zeros(n, dtype=bool)
@@ -221,15 +255,8 @@ def _loop_generators(table: np.ndarray) -> tuple[int, ...]:
     gens: list[int] = []
     while not reached.all():
         x = int(np.argmin(reached))
+        _extend_closure(table, reached, gens, [x])
         gens.append(x)
-        # the old closure is closed under the old generators: extend by x,
-        # then close what is new under all of them
-        frontier, cols = np.nonzero(reached)[0], [x]
-        while frontier.size:
-            prods = table[np.ix_(frontier, cols)].ravel()
-            frontier = np.unique(prods[~reached[prods]])
-            reached[frontier] = True
-            cols = gens
     return tuple(gens)
 
 
@@ -257,14 +284,13 @@ def _check_associativity(table: np.ndarray, gens: tuple[int, ...]) -> None:
 
 
 def _inverses(table: np.ndarray) -> np.ndarray:
-    n = table.shape[0]
-    inv = np.empty(n, dtype=np.int32)
-    rows, cols = np.nonzero(table == 0)
-    inv[rows] = cols
-    bad = np.nonzero(table[inv, np.arange(n)] != 0)[0]
+    """The right inverse of every element: the first 0 in its row (entries
+    are known to be in range, so a row holds a 0 iff its least entry is 0)."""
+    inv = table.argmin(axis=1).astype(np.int32)
+    bad = np.nonzero(table[np.arange(table.shape[0]), inv] != 0)[0]
     if bad.size:
         i = int(bad[0])
-        raise NotAGroup("inverse", (i,), f"right inverse of {i} is not a left inverse")
+        raise NotAGroup("inverse", (i,), f"{i} has no right inverse")
     return inv
 
 

@@ -18,6 +18,7 @@ from .predicates import is_abelian, is_p_group, is_prime, primes_dividing
 from .subgroups import (
     QuotientMap,
     Subgroup,
+    _normal_closure_mask,
     center,
     centralizer_table,
     conjugacy_classes,
@@ -143,7 +144,9 @@ def normal_closure_mask(G: FiniteGroup, mask: int) -> int:
 
     Memoized by the set of conjugacy classes the elements touch, so the
     many conjugate subgroups arising in partition scans share one closure
-    computation.
+    computation. A miss closes one representative per touched class with
+    `subgroups._normal_closure_mask`: a normal subgroup containing an
+    element contains its whole class.
     """
     classes = conjugacy_classes(G)
     class_of = _class_lookup(G)
@@ -151,10 +154,7 @@ def normal_closure_mask(G: FiniteGroup, mask: int) -> int:
     memo = G._cache.setdefault("normal_closures", {})
     got = memo.get(touched)
     if got is None:
-        seeds: set[int] = set()
-        for ci in touched:
-            seeds.update(classes[ci])
-        got = generated_mask(G, seeds)
+        got = _normal_closure_mask(G, [classes[ci][0] for ci in touched])
         memo[touched] = got
     return got
 

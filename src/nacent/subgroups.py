@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNormal, ParentMismatch
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _extend_closure
 
 # ---------------------------------------------------------------------------
 # bitset helpers
@@ -118,9 +118,10 @@ def centralizer(G: FiniteGroup, x: int) -> Subgroup:
 
 
 def center_mask(G: FiniteGroup) -> int:
+    """Bitset of the center: the elements whose centralizer is G, read from
+    `centralizer_table` (the class of the identity)."""
     def compute():
-        t = G.table
-        return mask_of_bool((t == t.T).all(axis=1))
+        return mask_of_bool(centralizer_table(G).elem_class == 0)
     return _cached(G, "center_mask", compute)
 
 
@@ -145,35 +146,47 @@ class CentralizerTable:
 
 
 def centralizer_table(G: FiniteGroup) -> CentralizerTable:
+    """Every C(x), deduplicated, from one pass over the commuting relation.
+
+    The relation t == t.T is symmetric, so its rows packed into bitsets are
+    the centralizers. C(x) is abelian iff it lies inside C(y) for each of its
+    members y; members of one class share their centralizer, and y lies in
+    C(x) iff the witness of y's class does, so the test runs over pairs of
+    classes whose witnesses commute, in blocks of packed rows.
+    """
     def compute():
         t = G.table
         n = G.order
-        commutes = (t == t.T)  # commutes[g, x]: g commutes with x
-        packed = np.packbits(commutes, axis=0, bitorder="little")
-        class_of: dict[int, int] = {}
+        commutes = (t == t.T)  # commutes[x, g]: g commutes with x
+        packed = np.packbits(commutes, axis=1, bitorder="little")
+        class_of: dict[bytes, int] = {}
         elem_class = np.empty(n, dtype=np.int32)
-        masks: list[int] = []
         witnesses: list[int] = []
         for x in range(n):
-            m = int.from_bytes(packed[:, x].tobytes(), "little")
-            cid = class_of.get(m)
+            key = packed[x].tobytes()
+            cid = class_of.get(key)
             if cid is None:
-                cid = len(masks)
-                class_of[m] = cid
-                masks.append(m)
+                cid = len(witnesses)
+                class_of[key] = cid
                 witnesses.append(x)
             elem_class[x] = cid
-        abelian = []
-        for m in masks:
-            mem = indices_of(m, n)
-            sub = t[np.ix_(mem, mem)]
-            abelian.append(bool((sub == sub.T).all()))
+        wit = np.asarray(witnesses, dtype=np.int64)
+        rows = packed[wit]
+        # (c, e): the witness of class e lies in C(witness of c)
+        cs, es = np.nonzero(commutes[np.ix_(wit, wit)])
+        abelian = np.ones(wit.size, dtype=bool)
+        block = max(1, 4_000_000 // rows.shape[1])
+        for start in range(0, cs.size, block):
+            c, e = cs[start:start + block], es[start:start + block]
+            outside = (rows[c] & ~rows[e]).any(axis=1)  # C(x_c) not inside C(x_e)
+            abelian[c[outside]] = False
+        masks = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
         return CentralizerTable(
             elem_class=elem_class,
-            masks=tuple(masks),
+            masks=masks,
             witnesses=tuple(witnesses),
             sizes=tuple(m.bit_count() for m in masks),
-            abelian=tuple(abelian),
+            abelian=tuple(bool(a) for a in abelian),
         )
     return _cached(G, "centralizer_table", compute)
 
@@ -183,22 +196,12 @@ def centralizer_table(G: FiniteGroup) -> CentralizerTable:
 
 
 def generated_mask(G: FiniteGroup, seeds) -> int:
-    """Bitset of the smallest subgroup containing the seed elements."""
-    t = G.table
-    n = G.order
-    seed_arr = np.unique(np.asarray(list(seeds), dtype=np.int64)) if seeds is not None else np.empty(0, np.int64)
-    member = np.zeros(n, dtype=bool)
+    """Bitset of the smallest subgroup containing the seed elements: the
+    closure of the identity under right multiplication by them (in a finite
+    group powers supply inverses)."""
+    member = np.zeros(G.order, dtype=bool)
     member[0] = True
-    if seed_arr.size == 0:
-        return 1
-    frontier = seed_arr[~member[seed_arr]]
-    member[frontier] = True
-    # right-multiplication closure; in a finite group powers supply inverses
-    while frontier.size:
-        prods = np.unique(t[np.ix_(frontier, seed_arr)])
-        new = prods[~member[prods]]
-        member[new] = True
-        frontier = new
+    _extend_closure(G.table, member, (), np.unique(np.asarray(list(seeds), dtype=np.int64)))
     return mask_of_bool(member)
 
 
@@ -257,19 +260,20 @@ def _normal_closure_mask(G: FiniteGroup, seeds) -> int:
     Keeps a generating list for the closure N and adds each conjugate, by a
     generator of G, of a generator of N that N does not contain, until the
     newest generators have no such conjugate (Holt, Eick and O'Brien,
-    Handbook of Computational Group Theory, 2005, ch. 3).
+    Handbook of Computational Group Theory, 2005, ch. 3). N grows in place
+    by the newest generators only.
     """
     t = G.table
     g_gens = np.asarray(generators(G), dtype=np.int64)
-    n_gens = np.unique(np.asarray(list(seeds), dtype=np.int64))
-    member = bool_of(generated_mask(G, n_gens), G.order)
-    fresh = n_gens
-    while fresh.size and g_gens.size:
+    member = np.zeros(G.order, dtype=bool)
+    member[0] = True
+    n_gens = np.empty(0, dtype=np.int64)
+    fresh = np.unique(np.asarray(list(seeds), dtype=np.int64))
+    while fresh.size:
+        _extend_closure(t, member, n_gens, fresh)
+        n_gens = np.concatenate([n_gens, fresh])
         conj = t[t[G.inverses[g_gens][:, None], fresh[None, :]], g_gens[:, None]]
         fresh = np.unique(conj[~member[conj]])
-        if fresh.size:
-            n_gens = np.concatenate([n_gens, fresh])
-            member = bool_of(generated_mask(G, n_gens), G.order)
     return mask_of_bool(member)
 
 
@@ -376,7 +380,12 @@ class QuotientMap:
 
 
 def quotient(G: FiniteGroup, N: Subgroup, exhaustive: bool = False) -> QuotientMap:
-    """Quotient of G by a normal subgroup, cosets labeled by least member."""
+    """Quotient of G by a normal subgroup, cosets labeled by least member.
+
+    A trivial kernel gives the identity map onto G itself; any other
+    projection is checked by `_validate_quotient`. The projection is
+    read-only.
+    """
     if N.parent is not G:
         raise ParentMismatch("kernel is not a subgroup of the given group")
     if not is_normal(G, N, exhaustive=exhaustive):
@@ -384,11 +393,11 @@ def quotient(G: FiniteGroup, N: Subgroup, exhaustive: bool = False) -> QuotientM
     n = G.order
     if N.mask == 1:
         proj = np.arange(n, dtype=np.int32)
-        qm = QuotientMap(G, N, G, proj)
-    elif N.is_whole():
+        proj.setflags(write=False)
+        return QuotientMap(G, N, G, proj)
+    if N.is_whole():
         proj = np.zeros(n, dtype=np.int32)
         q = FiniteGroup(np.zeros((1, 1), dtype=np.int32), name=f"{G.name}/G")
-        qm = QuotientMap(G, N, q, proj)
     else:
         t = G.table
         mem = N.members()
@@ -401,25 +410,30 @@ def quotient(G: FiniteGroup, N: Subgroup, exhaustive: bool = False) -> QuotientM
         reps_arr = np.asarray(reps, dtype=np.int64)
         qtable = proj[t[np.ix_(reps_arr, reps_arr)]]
         q = FiniteGroup(qtable, name=f"{G.name}/{N.size}")
-        qm = QuotientMap(G, N, q, proj)
+    qm = QuotientMap(G, N, q, proj)
     _validate_quotient(qm)
-    qm.projection.setflags(write=False)
+    proj.setflags(write=False)
     return qm
 
 
 def _validate_quotient(qm: QuotientMap) -> None:
+    """Check that the projection is a homomorphism onto the quotient with the
+    given kernel, raising NotNormal otherwise.
+
+    proj(x*s) = proj(x)*proj(s) is compared for every x and each generator s
+    of the parent. By induction on the length of a word in the generators
+    this gives proj(x*y) = proj(x)*proj(y) for all x, y, since the quotient
+    table is itself a validated group.
+    """
     t = qm.parent.table
     proj = qm.projection
     qt = qm.quotient.table
     n = qm.parent.order
     if qm.quotient.order * qm.kernel.size != n:
         raise NotNormal("quotient size does not multiply back to the parent order")
-    # homomorphism property, in row blocks
-    block = max(1, 8_000_000 // n)
-    for start in range(0, n, block):
-        rows = slice(start, min(n, start + block))
-        if not np.array_equal(proj[t[rows]], qt[proj[rows]][:, proj]):
-            raise NotNormal("projection is not a homomorphism")
+    gens = np.asarray(qm.parent.generators, dtype=np.int64)
+    if not np.array_equal(proj[t[:, gens]], qt[proj[:, None], proj[gens]]):
+        raise NotNormal("projection is not a homomorphism")
     if mask_of_bool(proj == 0) != qm.kernel.mask:
         raise NotNormal("projection kernel differs from the given subgroup")
 

@@ -251,3 +251,36 @@ def naive_commutator_subgroup(table) -> frozenset[int]:
     n = len(table)
     comms = {table[table[table[inv[x]][inv[y]]][x]][y] for x in range(n) for y in range(n)}
     return naive_closure(table, comms)
+
+
+def naive_normal_closure(table, members) -> frozenset[int]:
+    """Closure of every conjugate g^-1 m g of the given elements."""
+    inv = naive_inverses(table)
+    conj: set[int] = set()
+    for g in range(len(table)):
+        conj |= naive_conjugate(table, inv, members, g)
+    return naive_closure(table, conj)
+
+
+def naive_semidirect_table(k_table, h_table, action) -> list[list[int]]:
+    """Table of K x| H on pairs (k, h) encoded k * |H| + h, by definition:
+    (k1, h1)(k2, h2) = (k1 * phi_h1(k2), h1 * h2).
+
+    `action` maps generators of H to permutations of K's elements; phi is
+    extended to all of H by phi_(h*g)(k) = phi_h(phi_g(k)).
+    """
+    nk, nh = len(k_table), len(h_table)
+    phi = {0: list(range(nk))}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g, perm in action.items():
+                hg = h_table[h][g]
+                if hg not in phi:
+                    phi[hg] = [phi[h][perm[k]] for k in range(nk)]
+                    nxt.append(hg)
+        frontier = nxt
+    return [[k_table[k1][phi[h1][k2]] * nh + h_table[h1][h2]
+             for k2 in range(nk) for h2 in range(nh)]
+            for k1 in range(nk) for h1 in range(nh)]

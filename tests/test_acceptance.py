@@ -8,6 +8,7 @@ consume it.
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -28,10 +29,13 @@ from nacent import (
     load_group,
     save_group,
 )
-from nacent.cli import _run_all
+from nacent.cli import _run_all, _summary_record
 from oracles import naive_centralizer_sets, table_of
 
 FLAGSHIPS = [("heisenberg_frobenius(7,3)", 1100), ("heisenberg_frobenius(13,3)", 7000)]
+# committed outputs of `nacent verify --max-order 200` and
+# `nacent analyze heisenberg_frobenius(13,3)`; read only
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 
 def report_line(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -221,3 +225,23 @@ def test_criterion_8_roundtrip_and_validation(tmp_path):
                 ok, f"{stable}/{len(fixtures)} stable, law={law!r}")
     assert stable == len(fixtures)
     assert rejected and law
+
+
+def test_criterion_9_reference_outputs_byte_identical(sweep):
+    records, _ = sweep
+    ids = {s.name for s in builtin_catalog(200)}
+    catalog = [r for r in records if r["group_id"] in ids]
+    expected = {
+        "sweep200.jsonl": catalog + [_summary_record(catalog)],
+        "hf13_3.jsonl": [r for r in records if r["group_id"] == "heisenberg_frobenius(13,3)"],
+    }
+    bad = []
+    for name, recs in expected.items():
+        want = (REFERENCE / name).read_text(encoding="utf-8").splitlines()
+        got = [json.dumps(r, sort_keys=True) for r in recs]
+        if len(got) != len(want):
+            bad.append(f"{name}: {len(got)} lines, reference has {len(want)}")
+        bad += [r["group_id"] for r, line, ref in zip(recs, got, want) if line != ref]
+    report_line(9, "records equal the committed reference outputs byte for byte",
+                not bad, f"{len(catalog) + 2} lines")
+    assert not bad, bad

@@ -1,13 +1,27 @@
-"""The generator-driven kernels against their definitional oracles: the
-associativity check, p-cores and the commutator subgroup, on every catalog
-group of order <= 48 and on the order-1029 flagship."""
+"""The fast kernels against their definitional oracles: the associativity
+check, p-cores, the commutator subgroup, the centralizer table and center,
+normal closures and semidirect-product tables, on every catalog group of
+order <= 48 and on the order-1029 flagship."""
 
 from nacent import build, builtin_catalog, commutator_subgroup, from_cayley_table, p_core
+from nacent.partitions import normal_closure_mask
 from nacent.predicates import primes_dividing
+from nacent.subgroups import (
+    center_mask,
+    centralizer_table,
+    conjugacy_classes,
+    conjugate_mask,
+    indices_of,
+)
 from oracles import (
+    naive_center,
+    naive_centralizer,
     naive_commutator_subgroup,
+    naive_is_abelian_subset,
     naive_is_associative,
+    naive_normal_closure,
     naive_p_core,
+    naive_semidirect_table,
     table_of,
 )
 
@@ -42,3 +56,58 @@ def test_commutator_subgroup_matches_oracle(flagship):
     for spec, G in groups(flagship):
         want = naive_commutator_subgroup(table_of(G))
         assert members(commutator_subgroup(G)) == want, spec
+
+
+def test_centralizer_table_and_center_match_oracle(flagship):
+    for spec, G in groups(flagship):
+        table = table_of(G)
+        ct = centralizer_table(G)
+        for mask, x, abelian in zip(ct.masks, ct.witnesses, ct.abelian):
+            mem = frozenset(int(v) for v in indices_of(mask, G.order))
+            assert mem == naive_centralizer(table, x), (spec, x)
+            assert abelian == naive_is_abelian_subset(table, mem), (spec, x)
+        center = frozenset(int(v) for v in indices_of(center_mask(G), G.order))
+        assert center == naive_center(table), spec
+
+
+def test_normal_closure_matches_oracle(flagship):
+    for spec, G in groups(flagship):
+        table = table_of(G)
+        ct = centralizer_table(G)
+        limit = None if G.order <= 48 else 6
+        masks = list(ct.masks[:limit])
+        masks += [1 << cls[0] for cls in conjugacy_classes(G)[:limit]]
+        # a conjugate touches the same classes, so it is answered from the memo
+        masks += [conjugate_mask(G, m, G.generators[-1]) for m in masks if G.generators]
+        for m in masks:
+            mem = [int(v) for v in indices_of(m, G.order)]
+            got = frozenset(int(v) for v in indices_of(normal_closure_mask(G, m), G.order))
+            assert got == naive_normal_closure(table, mem), (spec, mem[:4])
+
+
+def cyclic_table(n):
+    return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
+def heisenberg_triples(p):
+    return [(i // (p * p), i // p % p, i % p) for i in range(p ** 3)]
+
+
+def heisenberg_table(p):
+    """(x, y, z)(x', y', z') = (x + x', y + y', z + z' + x y') on (x p + y) p + z."""
+    triples = heisenberg_triples(p)
+    return [[((x1 + x2) % p * p + (y1 + y2) % p) * p + (z1 + z2 + x1 * y2) % p
+             for x2, y2, z2 in triples] for x1, y1, z1 in triples]
+
+
+def test_semidirect_tables_match_oracle(flagship):
+    # 2 has order 3 mod 7; the flagship's C3 acts by (x, y, z) -> (2x, 2y, 4z)
+    scale = [(2 * x % 7 * 7 + 2 * y % 7) * 7 + 4 * z % 7 for x, y, z in heisenberg_triples(7)]
+    cases = [
+        (build("agl1(5)"), cyclic_table(5), cyclic_table(4), {1: [k * 2 % 5 for k in range(5)]}),
+        (build("semidirect_cyclic(9,3)"), cyclic_table(9), cyclic_table(3),
+         {1: [k * 4 % 9 for k in range(9)]}),
+        (flagship, heisenberg_table(7), cyclic_table(3), {1: scale}),
+    ]
+    for G, k_table, h_table, action in cases:
+        assert table_of(G) == naive_semidirect_table(k_table, h_table, action), G.name

@@ -79,6 +79,14 @@ def test_latin_square_witness():
         assert "row 2" in str(exc.value)
 
 
+def test_monoid_without_inverses_names_latin_square():
+    # associative with identity 0, but 1 has no inverse: row 1 breaks first
+    with pytest.raises(NotAGroup) as exc:
+        FiniteGroup(np.array([[0, 1], [1, 1]]))
+    assert (exc.value.law, exc.value.witness) == ("latin-square", (1,))
+    assert "row 1" in str(exc.value)
+
+
 # a loop of order 5: latin square with two-sided identity, not associative
 NONASSOC_LOOP = [
     [0, 1, 2, 3, 4],

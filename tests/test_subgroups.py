@@ -22,7 +22,8 @@ from nacent import (
     trivial_subgroup,
     whole_subgroup,
 )
-from nacent.subgroups import generators, generated_mask
+from nacent.partitions import normal_subgroups
+from nacent.subgroups import QuotientMap, _validate_quotient, generators, generated_mask
 from oracles import (
     naive_center,
     naive_centralizer,
@@ -179,8 +180,9 @@ def test_conjugate_moves_transposition_span(s3):
 
 def test_quotient_by_trivial(s3):
     qm = quotient(s3, trivial_subgroup(s3))
-    assert qm.quotient.order == 6
+    assert qm.quotient is s3
     assert qm.projection.tolist() == list(range(6))
+    assert not qm.projection.flags.writeable
 
 
 def test_quotient_by_whole(s3):
@@ -205,6 +207,16 @@ def test_quotient_homomorphism(s4):
     qm = quotient(s4, d)
     t, proj, qt = s4.table, qm.projection, qm.quotient.table
     assert np.array_equal(proj[t], qt[proj[:, None], proj[None, :]])
+
+
+def test_validate_quotient_rejects_tampered_projection(s4):
+    v4 = next(N for N in normal_subgroups(s4) if N.size == 4)
+    qm = quotient(s4, v4)
+    proj = qm.projection.copy()
+    x = next(g for g in range(s4.order) if proj[g] != 0)
+    proj[x] = next(c for c in range(1, qm.quotient.order) if c != proj[x])
+    with pytest.raises(NotNormal, match="not a homomorphism"):
+        _validate_quotient(QuotientMap(s4, v4, qm.quotient, proj))
 
 
 def test_preimage_trivial_and_whole(q8):
