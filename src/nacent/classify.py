@@ -3,9 +3,15 @@ its consequence checks.
 
 `cent_stats` computes the set of distinct element centralizers and its
 non-abelian subset. `classify` sorts a group into abelian / CA /
-two-nacent (with a structural case) / many-nacent. For two-nacent groups
-`verify_consequences` checks the derived structural facts, and
-`verify_iff` checks both directions of the case characterization.
+two-nacent (with a structural case) / many-nacent.
+
+Reports come from one pipeline: a base report with `classify` applied once,
+then the steps that check both directions of the case characterization
+(`_check_iff`), the derived structural facts of a two-nacent group
+(`_check_consequences`) and the centralizer partition of G/Z
+(`partition_diagnostics`), each writing into that same report.
+`full_report` runs every step; `verify_iff` and `verify_consequences` run
+the base report and one step each.
 """
 
 from __future__ import annotations
@@ -16,9 +22,8 @@ from typing import Any
 import numpy as np
 
 from .errors import NotNilpotent, TheoremViolation
-from .groups import FiniteGroup, exponent
+from .groups import FiniteGroup, exponent, memoized
 from .partitions import (
-    Partition,
     center_quotient,
     centralizer_partition,
     find_frobenius_structure,
@@ -55,11 +60,6 @@ CATEGORY_TWO_NACENT = "two_nacent"
 CATEGORY_MANY_NACENT = "many_nacent"
 
 CASES = ("A", "B", "C")
-
-# Above this many distinct outside centralizers, the pairwise
-# intersection check is derived from partition disjointness instead of
-# the quadratic scan (the two are equivalent).
-PAIRWISE_SCAN_LIMIT = 600
 
 
 @dataclass(frozen=True)
@@ -118,27 +118,18 @@ class CaseCheck:
     data: dict[str, Any]
 
 
+@memoized
 def _standalone(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
-    key = ("standalone", H.mask)
-    try:
-        return G._cache[key]
-    except KeyError:
-        sub, _ = subgroup_as_group(H)
-        G._cache[key] = sub
-        return sub
+    return subgroup_as_group(H)[0]
 
 
+@memoized
 def _ca_flag(G: FiniteGroup, H: Subgroup) -> bool:
-    key = ("is_ca", H.mask)
-    try:
-        return G._cache[key]
-    except KeyError:
-        flag = is_ca_group(_standalone(G, H))
-        G._cache[key] = flag
-        return flag
+    return is_ca_group(_standalone(G, H))
 
 
-def evaluate_cases(G: FiniteGroup, stats: CentStats, a: int) -> tuple[CaseCheck, ...]:
+@memoized
+def evaluate_cases(G: FiniteGroup, a: int) -> tuple[CaseCheck, ...]:
     """Test the three structural hypothesis sets against candidate a.
 
     The candidate's centralizer must be proper; each case's full
@@ -146,12 +137,7 @@ def evaluate_cases(G: FiniteGroup, stats: CentStats, a: int) -> tuple[CaseCheck,
     centralizers the group actually has, so the same evaluation serves
     both directions of the characterization.
     """
-    key = ("cases", a)
-    try:
-        return G._cache[key]
-    except KeyError:
-        pass
-
+    stats = cent_stats(G)
     Ca = stats.centralizer_of(a)
     qm = center_quotient(G)
     Q = qm.quotient
@@ -231,9 +217,7 @@ def evaluate_cases(G: FiniteGroup, stats: CentStats, a: int) -> tuple[CaseCheck,
     results.append(CaseCheck("C", bool(checks.get("frobenius_kernel_is_ca_image"))
                              and all(checks.values()), checks, data))
 
-    out = tuple(results)
-    G._cache[key] = out
-    return out
+    return tuple(results)
 
 
 def _cyclic_complement_witness(G, stats, qm, img_ca, Ca) -> int | None:
@@ -292,6 +276,13 @@ class Classification:
         }
 
 
+def _candidates(stats: CentStats) -> list[tuple[Subgroup, int]]:
+    """Witnesses of proper non-abelian centralizers."""
+    return [(c, w) for c, w, ab in zip(stats.cent, stats.witnesses, stats.abelian)
+            if not ab and not c.is_whole()]
+
+
+@memoized
 def classify(G: FiniteGroup) -> Classification:
     """Sort G into abelian / CA / two-nacent (case A, B or C) / many-nacent.
 
@@ -299,23 +290,7 @@ def classify(G: FiniteGroup) -> Classification:
     exist but no structural case matches: that would contradict the
     verified characterization, so it is an error, not a category.
     """
-    try:
-        return G._cache["classification"]
-    except KeyError:
-        pass
     stats = cent_stats(G)
-    result = _classify_from_stats(G, stats)
-    G._cache["classification"] = result
-    return result
-
-
-def _candidates(stats: CentStats) -> list[tuple[Subgroup, int]]:
-    """Witnesses of proper non-abelian centralizers."""
-    return [(c, w) for c, w, ab in zip(stats.cent, stats.witnesses, stats.abelian)
-            if not ab and not c.is_whole()]
-
-
-def _classify_from_stats(G: FiniteGroup, stats: CentStats) -> Classification:
     nac = stats.nacent_count
     if is_abelian(G):
         return Classification(category=CATEGORY_ABELIAN, nacent_count=0)
@@ -325,7 +300,7 @@ def _classify_from_stats(G: FiniteGroup, stats: CentStats) -> Classification:
         # converse guard: a fully matching case hypothesis would force
         # exactly two non-abelian centralizers
         for _, a in _candidates(stats):
-            for check in evaluate_cases(G, stats, a):
+            for check in evaluate_cases(G, a):
                 if check.matched:
                     raise TheoremViolation(
                         f"{G.name!r}: case {check.name} hypothesis holds for "
@@ -339,7 +314,7 @@ def _classify_from_stats(G: FiniteGroup, stats: CentStats) -> Classification:
         raise TheoremViolation(
             f"{G.name!r}: two non-abelian centralizers but no proper one")
     Ca, a = proper[0]
-    cases = evaluate_cases(G, stats, a)
+    cases = evaluate_cases(G, a)
     matched = tuple(c.name for c in cases if c.matched)
     if not matched:
         raise TheoremViolation(
@@ -377,36 +352,23 @@ def _two_nacent_validation(G: FiniteGroup, stats: CentStats,
     out["inner_centralizers_inside_ca"] = all(
         stats.cent[c].mask & ~Ca.mask == 0 for c in inner_classes)
 
-    outside_classes = sorted({int(stats.elem_class[x])
-                              for x in np.nonzero(~Ca.member_bool())[0]})
-    out["outside_meet_ca_in_center"] = all(
-        stats.cent[c].mask & Ca.mask == z for c in outside_classes)
-
-    if len(outside_classes) <= PAIRWISE_SCAN_LIMIT:
-        ok = True
-        for i, c1 in enumerate(outside_classes):
-            m1 = stats.cent[c1].mask
-            for c2 in outside_classes[i + 1:]:
-                if m1 & stats.cent[c2].mask != z:
-                    ok = False
-                    break
-            if not ok:
-                break
-        out["outside_pairwise_meet_in_center"] = ok
-    else:
-        # equivalent to the quotient images partitioning G/Z, checked there
-        part = _partition_or_none(G)
-        out["outside_pairwise_meet_in_center"] = part is not None
+    outside = [stats.cent[c].mask for c in np.unique(stats.elem_class[~Ca.member_bool()])]
+    out["outside_meet_ca_in_center"] = all(m & Ca.mask == z for m in outside)
+    out["outside_pairwise_meet_in_center"] = _meet_pairwise_in(z, outside)
     return out
 
 
-def _partition_or_none(G: FiniteGroup) -> Partition | None:
-    try:
-        return G._cache["centralizer_partition"]
-    except KeyError:
-        part = centralizer_partition(G)
-        G._cache["centralizer_partition"] = part
-        return part
+def _meet_pairwise_in(z: int, masks) -> bool:
+    """True iff every two of the bitsets meet in exactly z, given that each
+    contains z: their parts outside z are pairwise disjoint, which is checked
+    against their running union in one pass."""
+    union = 0
+    for m in masks:
+        m &= ~z
+        if union & m:
+            return False
+        union |= m
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +412,10 @@ class VerificationReport:
 _CONSEQUENCE_KEYS = ("a", "b", "c", "d", "e", "f", "normal_ca", "ca_group")
 
 
-def _base_report(G: FiniteGroup, group_id: str | None) -> tuple[VerificationReport, CentStats]:
+def _classified_report(G: FiniteGroup,
+                       group_id: str | None) -> tuple[VerificationReport, Classification | None]:
+    """The base report with `classify` applied: category, case data and
+    failed validations, or the TheoremViolation it raised as a violation."""
     stats = cent_stats(G)
     report = VerificationReport(
         group_id=group_id or G.name,
@@ -461,20 +426,16 @@ def _base_report(G: FiniteGroup, group_id: str | None) -> tuple[VerificationRepo
         category="",
         case=None,
     )
-    return report, stats
-
-
-def _apply_classification(report: VerificationReport, G: FiniteGroup) -> Classification | None:
     try:
         cls = classify(G)
     except TheoremViolation as exc:
         report.category = (CATEGORY_TWO_NACENT if report.nacent_count == 2
                            else CATEGORY_MANY_NACENT)
         report.violations.append(f"{exc.direction}: {exc}")
-        return None
+        return report, None
     report.category = cls.category
     report.case = cls.case
-    report.case_data.update(cls.to_dict()["case_data"])
+    report.case_data.update(cls.case_data)
     if cls.category == CATEGORY_TWO_NACENT:
         report.case_data["witness_a"] = cls.witness_a
         report.case_data["matched_cases"] = list(cls.matched_cases)
@@ -482,27 +443,24 @@ def _apply_classification(report: VerificationReport, G: FiniteGroup) -> Classif
         for name, flag in cls.validation.items():
             if not flag:
                 report.violations.append(f"validation: {name} failed")
-    return cls
+    return report, cls
 
 
-def verify_iff(G: FiniteGroup, group_id: str | None = None) -> VerificationReport:
-    """Check both directions of the two-nacent characterization.
+def _check_iff(G: FiniteGroup, report: VerificationReport) -> None:
+    """Both directions of the characterization, into ``case_data["iff"]``.
 
     Forward: exactly two non-abelian centralizers implies one of the
-    structural cases matches. Converse: a full case hypothesis holding
-    for any candidate (a witness of a proper non-abelian centralizer)
-    implies exactly two non-abelian centralizers. Violations are
-    recorded in the report, never raised.
+    structural cases matches (`classify` raised otherwise). Converse: a full
+    case hypothesis holding for any candidate (a witness of a proper
+    non-abelian centralizer) implies exactly two non-abelian centralizers.
     """
-    report, stats = _base_report(G, group_id)
-    _apply_classification(report, G)
+    stats = cent_stats(G)
     forward_ok = not any(v.startswith("forward:") for v in report.violations)
-
     converse_ok = not any(v.startswith("converse:") for v in report.violations)
     matched_candidates: list[dict[str, Any]] = []
     candidates = _candidates(stats)
     for _, a in candidates:
-        for check in evaluate_cases(G, stats, a):
+        for check in evaluate_cases(G, a):
             if check.matched:
                 matched_candidates.append({"a": a, "case": check.name})
                 if stats.nacent_count != 2 and converse_ok:
@@ -516,27 +474,23 @@ def verify_iff(G: FiniteGroup, group_id: str | None = None) -> VerificationRepor
         "candidates_checked": len(candidates),
         "matched": matched_candidates,
     }
-    return report
 
 
-def verify_consequences(G: FiniteGroup, group_id: str | None = None) -> VerificationReport:
-    """Check the derived structural facts for a two-nacent group.
-
-    For other categories every consequence entry is None (not
-    applicable). Failures are recorded as report violations.
-    """
-    report, stats = _base_report(G, group_id)
-    cls = _apply_classification(report, G)
+def _check_consequences(G: FiniteGroup, report: VerificationReport,
+                        cls: Classification | None) -> None:
+    """The derived structural facts of a two-nacent group, into
+    ``consequences`` and ``case_data["counting"]``. For other categories
+    every consequence is None (not applicable) and there is no counting.
+    Failures are recorded as report violations."""
     report.consequences = {k: None for k in _CONSEQUENCE_KEYS}
     if cls is None or cls.category != CATEGORY_TWO_NACENT:
-        return report
+        return
 
-    a = cls.witness_a
-    Ca = stats.centralizer_of(a)
+    stats = cent_stats(G)
+    Ca = stats.centralizer_of(cls.witness_a)
     qm = center_quotient(G)
     Q = qm.quotient
     img_ca = qm.image(Ca)
-    zsize = center_mask(G).bit_count()
     cons = report.consequences
 
     # (a) counting: |Cent(G)| equals |Cent(C(a))| plus the number of
@@ -591,6 +545,22 @@ def verify_consequences(G: FiniteGroup, group_id: str | None = None) -> Verifica
     for key in _CONSEQUENCE_KEYS:
         if cons[key] is False:
             report.violations.append(f"consequence {key} failed")
+
+
+def verify_iff(G: FiniteGroup, group_id: str | None = None) -> VerificationReport:
+    """The classified report with both directions of the two-nacent
+    characterization checked (see `_check_iff`). Violations are recorded in
+    the report, never raised."""
+    report, _ = _classified_report(G, group_id)
+    _check_iff(G, report)
+    return report
+
+
+def verify_consequences(G: FiniteGroup, group_id: str | None = None) -> VerificationReport:
+    """The classified report with the derived structural facts of a
+    two-nacent group checked (see `_check_consequences`)."""
+    report, cls = _classified_report(G, group_id)
+    _check_consequences(G, report, cls)
     return report
 
 
@@ -601,7 +571,7 @@ def partition_diagnostics(G: FiniteGroup) -> dict[str, Any]:
         diag["applicable"] = False
         return diag
     diag["applicable"] = True
-    part = _partition_or_none(G)
+    part = centralizer_partition(G)
     diag["exists"] = part is not None
     if part is None:
         return diag
@@ -631,13 +601,10 @@ def partition_diagnostics(G: FiniteGroup) -> dict[str, Any]:
 
 def full_report(G: FiniteGroup, group_id: str | None = None) -> VerificationReport:
     """Classification, both characterization directions, consequences and
-    partition diagnostics in one report."""
-    report = verify_iff(G, group_id)
-    cons = verify_consequences(G, group_id)
-    report.consequences = cons.consequences
-    for v in cons.violations:
-        if v not in report.violations:
-            report.violations.append(v)
-    report.case_data["counting"] = cons.case_data.get("counting")
+    partition diagnostics in one report, from one classification."""
+    report, cls = _classified_report(G, group_id)
+    _check_iff(G, report)
+    _check_consequences(G, report, cls)
+    report.case_data.setdefault("counting", None)
     report.case_data["partition"] = partition_diagnostics(G)
     return report

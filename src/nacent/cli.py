@@ -13,10 +13,11 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from .classify import full_report
 from .config import order_guard
-from .corpus import build, builtin_catalog, file_group_id, load_group, spec_id
+from .corpus import GroupSpec, build, builtin_catalog, spec_id
 from .errors import InvalidParams, NacentError
 
 EXIT_OK = 0
@@ -27,21 +28,17 @@ REPORT_FIELDS = ("group_id", "order", "center_order", "cent_count", "nacent_coun
                  "category", "case", "case_data", "consequences", "violations")
 
 
-def _run_one(task: tuple[str, str, str, int | None]) -> dict:
-    group_id, source, ref, max_order = task
-    if source == "file":
-        G = load_group(ref, max_order=max_order)
-    else:
-        G = build(ref, max_order=max_order)
-    return full_report(G, group_id=group_id).to_dict()
+def _run_one(spec: GroupSpec, max_order: int | None) -> dict:
+    return full_report(build(spec, max_order=max_order), group_id=spec_id(spec)).to_dict()
 
 
-def _run_all(tasks, parallelism: int) -> list[dict]:
-    if parallelism <= 1 or len(tasks) <= 1:
-        results = [_run_one(t) for t in tasks]
+def _run_all(specs: list[GroupSpec], max_order: int | None, parallelism: int) -> list[dict]:
+    run = partial(_run_one, max_order=max_order)
+    if parallelism <= 1 or len(specs) <= 1:
+        results = [run(s) for s in specs]
     else:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(_run_one, tasks, chunksize=4))
+            results = list(pool.map(run, specs, chunksize=4))
     return sorted(results, key=lambda r: r["group_id"])
 
 
@@ -98,14 +95,10 @@ def _summary_record(records: list[dict]) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    tasks = []
     try:
-        for ref in args.inputs:
-            if os.path.exists(ref):
-                tasks.append((file_group_id(ref), "file", ref, args.max_order))
-            else:
-                tasks.append((spec_id(ref), "spec", ref, args.max_order))
-        records = _run_all(tasks, args.parallelism)
+        specs = [GroupSpec(ref, kind="file", path=ref) if os.path.exists(ref)
+                 else GroupSpec(ref) for ref in args.inputs]
+        records = _run_all(specs, args.max_order, args.parallelism)
     except NacentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -115,16 +108,15 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
+        # the catalog is already bounded by --max-order; explicit corpus
+        # files are only subject to the global guard
         specs = builtin_catalog(args.max_order)
-        tasks = [(spec_id(s), "spec", s.name, args.max_order) for s in specs]
         if args.corpus:
-            # explicit corpus files are only subject to the global guard,
-            # not the catalog sweep bound
             paths = sorted(p for p in os.listdir(args.corpus) if p.endswith(".json"))
             for p in paths:
                 full = os.path.join(args.corpus, p)
-                tasks.append((file_group_id(full), "file", full, None))
-        records = _run_all(tasks, args.parallelism)
+                specs.append(GroupSpec(full, kind="file", path=full))
+        records = _run_all(specs, None, args.parallelism)
     except NacentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

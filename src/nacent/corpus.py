@@ -27,7 +27,7 @@ from .errors import (
 from .groups import FiniteGroup, from_cayley_table, from_permutations
 from .predicates import is_prime
 
-KINDS = ("construction", "cayley-file", "permutation-file")
+KINDS = ("construction", "file")
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,8 @@ class GroupSpec:
 
     For constructions, `name` is the spec string ("heisenberg(7)", nested
     products allowed) and is checked against the registered constructors;
-    `params` optionally carries the flat parameters by name.
+    `params` optionally carries the flat parameters by name. A file is any
+    group file `load_group` reads, at `path`.
     """
 
     name: str

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -9,6 +10,9 @@ import numpy as np
 
 from .config import order_guard
 from .errors import InvalidPermutation, NotAGroup, OrderLimitExceeded
+
+# Whole-table passes work in row blocks of at most this many cells.
+BLOCK_CELLS = 4_000_000
 
 # Associativity is verified exactly at every order by Light's test: the
 # elements s with (x*s)*y = x*(s*y) for all x, y form a submagma, so checking
@@ -65,6 +69,28 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
+
+
+def memoized(fn):
+    """Memoize ``fn(G, *args)`` on the group G itself.
+
+    The value is kept in ``G._cache`` under the key ``(fn.__name__, *args)``
+    (keyword arguments follow as (name, value) pairs), so it lives as long
+    as G and ``G._cache.clear()`` resets it. Arguments after G must be
+    hashable. The wrapper is a plain function.
+    """
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def wrapper(G, *args, **kwargs):
+        key = (name, *args, *kwargs.items())
+        try:
+            return G._cache[key]
+        except KeyError:
+            value = G._cache[key] = fn(G, *args, **kwargs)
+            return value
+
+    return wrapper
 
 
 def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray,
@@ -212,7 +238,7 @@ def _check_latin_square(table: np.ndarray) -> None:
     of 0..n-1. Columns are read in slabs of a transposed view, not a copy.
     """
     n = table.shape[0]
-    block = max(1, min(n, 4_000_000 // n))
+    block = max(1, min(n, BLOCK_CELLS // n))
     seen = np.zeros((block, n + 1), dtype=bool)
     for kind, lines_of in (("row", table), ("column", table.T)):
         for start in range(0, n, block):
@@ -268,7 +294,7 @@ def _check_associativity(table: np.ndarray, gens: tuple[int, ...]) -> None:
     exact. Compared in row blocks, with no transposed copy of the table.
     """
     n = table.shape[0]
-    block = max(1, 4_000_000 // n)
+    block = max(1, BLOCK_CELLS // n)
     for s in gens:
         col_s, row_s = table[:, s], table[s]
         for start in range(0, n, block):

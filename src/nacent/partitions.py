@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
 from .errors import AbelianGroup, NotApplicable, OrderLimitExceeded
-from .groups import FiniteGroup
+from .groups import FiniteGroup, memoized
 from .predicates import is_abelian, is_p_group, is_prime, primes_dividing
 from .subgroups import (
     QuotientMap,
@@ -22,7 +23,7 @@ from .subgroups import (
     center,
     centralizer_table,
     conjugacy_classes,
-    conjugate_mask,
+    conjugation_rows,
     cyclic_span_mask,
     generated_mask,
     generators,
@@ -71,14 +72,10 @@ def _sorted_components(comps) -> tuple[Subgroup, ...]:
     return tuple(sorted(comps, key=lambda c: (c.size, tuple(c.members()))))
 
 
+@memoized
 def center_quotient(G: FiniteGroup) -> QuotientMap:
     """The quotient of G by its center (cached on G)."""
-    try:
-        return G._cache["center_quotient"]
-    except KeyError:
-        qm = quotient(G, center(G))
-        G._cache["center_quotient"] = qm
-        return qm
+    return quotient(G, center(G))
 
 
 # ---------------------------------------------------------------------------
@@ -93,50 +90,36 @@ def normal_subgroups(G: FiniteGroup, cap: int = NORMAL_ENUM_CAP) -> tuple[Subgro
     closures under pairwise join enumerates them all. Raises
     OrderLimitExceeded above `cap`.
     """
-    try:
-        return G._cache["normal_subgroups"]
-    except KeyError:
-        pass
     if G.order > cap:
         raise OrderLimitExceeded(
             f"normal-subgroup enumeration capped at order {cap}, group has {G.order}")
-
-    def compute():
-        atoms = []
-        for cls in conjugacy_classes(G):
-            atoms.append(generated_mask(G, cls))
-        join_memo: dict[int, int] = {1: 1}
-
-        def join(m1: int, m2: int) -> int:
-            key = m1 | m2
-            got = join_memo.get(key)
-            if got is None:
-                got = generated_mask(G, indices_of(key, G.order))
-                join_memo[key] = got
-            return got
-
-        found = {1}
-        for atom in atoms:
-            new = {join(m, atom) for m in found}
-            found |= new
-        subs = [Subgroup(G, m) for m in found]
-        return tuple(sorted(subs, key=lambda s: (s.size, s.mask)))
-
-    result = compute()
-    G._cache["normal_subgroups"] = result
-    return result
+    return _normal_subgroups(G)
 
 
+@memoized
+def _normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
+    atoms = [generated_mask(G, cls) for cls in conjugacy_classes(G)]
+    join_memo: dict[int, int] = {1: 1}
+
+    def join(m1: int, m2: int) -> int:
+        key = m1 | m2
+        got = join_memo.get(key)
+        if got is None:
+            got = generated_mask(G, indices_of(key, G.order))
+            join_memo[key] = got
+        return got
+
+    found = {1}
+    for atom in atoms:
+        new = {join(m, atom) for m in found}
+        found |= new
+    subs = [Subgroup(G, m) for m in found]
+    return tuple(sorted(subs, key=lambda s: (s.size, s.mask)))
+
+
+@memoized
 def _class_lookup(G: FiniteGroup) -> dict[int, int]:
-    try:
-        return G._cache["class_of"]
-    except KeyError:
-        class_of: dict[int, int] = {}
-        for ci, cls in enumerate(conjugacy_classes(G)):
-            for x in cls:
-                class_of[x] = ci
-        G._cache["class_of"] = class_of
-        return class_of
+    return {x: ci for ci, cls in enumerate(conjugacy_classes(G)) for x in cls}
 
 
 def normal_closure_mask(G: FiniteGroup, mask: int) -> int:
@@ -148,15 +131,15 @@ def normal_closure_mask(G: FiniteGroup, mask: int) -> int:
     `subgroups._normal_closure_mask`: a normal subgroup containing an
     element contains its whole class.
     """
-    classes = conjugacy_classes(G)
     class_of = _class_lookup(G)
-    touched = frozenset(class_of[int(x)] for x in indices_of(mask, G.order))
-    memo = G._cache.setdefault("normal_closures", {})
-    got = memo.get(touched)
-    if got is None:
-        got = _normal_closure_mask(G, [classes[ci][0] for ci in touched])
-        memo[touched] = got
-    return got
+    return _class_closure(G, frozenset(class_of[int(x)] for x in indices_of(mask, G.order)))
+
+
+@memoized
+def _class_closure(G: FiniteGroup, touched: frozenset[int]) -> int:
+    """Normal closure of the conjugacy classes numbered in `touched`."""
+    classes = conjugacy_classes(G)
+    return _normal_closure_mask(G, [classes[ci][0] for ci in touched])
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +160,7 @@ def is_partition(Q: FiniteGroup, components) -> bool:
     return acc == full & ~1
 
 
+@memoized
 def centralizer_partition(G: FiniteGroup) -> Partition | None:
     """The maximal centralizer images in G/Z(G), if they partition it.
 
@@ -201,7 +185,8 @@ def centralizer_partition(G: FiniteGroup) -> Partition | None:
     kept: list[tuple[int, int]] = []  # (size, mask), descending size
     for m in by_size:
         size = m.bit_count()
-        if any(m & ~km == 0 for ks, km in kept if ks > size):
+        # kept is in descending size, so the larger images are a prefix
+        if any(m & ~km == 0 for _, km in takewhile(lambda k: k[0] > size, kept)):
             continue
         kept.append((size, m))
     comps = _sorted_components(Subgroup(qm.quotient, m) for _, m in kept)
@@ -213,35 +198,29 @@ def centralizer_partition(G: FiniteGroup) -> Partition | None:
 def is_normal_partition(Q: FiniteGroup, partition: Partition) -> bool:
     """True iff conjugation permutes the component set."""
     masks = partition.component_masks
-    for g in generators(Q):
-        for m in masks:
-            if conjugate_mask(Q, m, g) not in masks:
-                return False
-    return True
+    return all(mask_of(row) in masks for comp in partition.components
+               for row in conjugation_rows(Q, comp.members(), by=generators(Q)))
 
 
 def _candidate_normals(Q: FiniteGroup, partition: Partition, extra=None) -> list[Subgroup]:
     """Proper non-trivial normal candidates, deterministically ordered."""
-    key = ("candidate_normals", partition.component_masks,
-           frozenset(s.mask for s in extra) if extra else frozenset())
-    try:
-        return Q._cache[key]
-    except KeyError:
-        pass
-    masks: set[int] = set()
-    for comp in partition.components:
-        masks.add(comp.mask)
-        masks.add(normal_closure_mask(Q, comp.mask))
-    if extra:
-        masks.update(s.mask for s in extra)
+    return _normal_candidates(Q, partition.component_masks,
+                              frozenset(s.mask for s in extra or ()))
+
+
+@memoized
+def _normal_candidates(Q: FiniteGroup, comp_masks: frozenset[int],
+                       extra_masks: frozenset[int]) -> list[Subgroup]:
+    masks = set(extra_masks)
+    for m in comp_masks:
+        masks.add(m)
+        masks.add(normal_closure_mask(Q, m))
     if Q.order <= NORMAL_ENUM_CAP:
         masks.update(s.mask for s in normal_subgroups(Q))
     full = (1 << Q.order) - 1
     out = [Subgroup(Q, m) for m in masks if 1 < m < full]
     out = [s for s in out if is_normal(Q, s)]
-    out = sorted(out, key=lambda s: (s.size, tuple(s.members())))
-    Q._cache[key] = out
-    return out
+    return sorted(out, key=lambda s: (s.size, tuple(s.members())))
 
 
 def is_nonsimple_partition(Q: FiniteGroup, partition: Partition,
@@ -311,12 +290,7 @@ def miller_check(Q: FiniteGroup, partition: Partition) -> bool:
 
 def _distinct_conjugate_masks(Q: FiniteGroup, mask: int) -> tuple[list[int], np.ndarray]:
     """Distinct conjugates of a subgroup bitset, plus per-element sorted rows."""
-    t = Q.table
-    n = Q.order
-    mem = indices_of(mask, n).astype(np.int64)
-    lifted = t[np.ix_(Q.inverses.astype(np.int64), mem)]
-    conj = t[lifted, np.arange(n, dtype=np.int64)[:, None]]
-    rows = np.sort(conj, axis=1)
+    rows = np.sort(conjugation_rows(Q, indices_of(mask, Q.order)), axis=1)
     distinct = np.unique(rows, axis=0)
     return [mask_of(row) for row in distinct], rows
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotNilpotent, PrimeDoesNotDivide
-from .groups import FiniteGroup
+from .groups import FiniteGroup, memoized
 from .subgroups import (
     Subgroup,
     centralizer_table,
@@ -101,6 +101,7 @@ def _p_part(n: int, p: int) -> int:
     return part
 
 
+@memoized
 def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     """A subgroup of order the full p-part of |G|, by normalizer growth.
 
@@ -109,11 +110,6 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     """
     if G.order % p != 0:
         raise PrimeDoesNotDivide(f"{p} does not divide group order {G.order}")
-    key = ("sylow", p)
-    try:
-        return G._cache[key]
-    except KeyError:
-        pass
     part = _p_part(G.order, p)
     orders = np.asarray(G.orders)
     # p-elements: order is a non-trivial power of p
@@ -136,11 +132,10 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
             raise AssertionError("normalizer growth stalled below the full p-part")
         seeds = list(indices_of(mask, G.order)) + [int(ext[0])]
         mask = generated_mask(G, seeds)
-    result = Subgroup(G, mask)
-    G._cache[key] = result
-    return result
+    return Subgroup(G, mask)
 
 
+@memoized
 def p_core(G: FiniteGroup, p: int) -> Subgroup:
     """Largest normal p-subgroup: the core of a Sylow p-subgroup P.
 
@@ -151,11 +146,6 @@ def p_core(G: FiniteGroup, p: int) -> Subgroup:
     """
     if G.order % p != 0:
         return trivial_subgroup(G)
-    key = ("p_core", p)
-    try:
-        return G._cache[key]
-    except KeyError:
-        pass
     core = sylow_subgroup(G, p).mask
     while True:
         prev = core
@@ -163,9 +153,7 @@ def p_core(G: FiniteGroup, p: int) -> Subgroup:
             core &= conjugate_mask(G, core, g)
         if core == prev:
             break
-    result = Subgroup(G, core)
-    G._cache[key] = result
-    return result
+    return Subgroup(G, core)
 
 
 def is_nilpotent(x: GroupLike) -> bool:
@@ -182,18 +170,13 @@ def is_nilpotent(x: GroupLike) -> bool:
     return True
 
 
+@memoized
 def fitting_subgroup(G: FiniteGroup) -> Subgroup:
     """Largest normal nilpotent subgroup: join of the p-cores."""
-    try:
-        return G._cache["fitting"]
-    except KeyError:
-        pass
     seeds: list[int] = []
     for p in primes_dividing(G.order) if G.order > 1 else []:
         seeds.extend(int(v) for v in p_core(G, p).members())
-    result = Subgroup(G, generated_mask(G, seeds))
-    G._cache["fitting"] = result
-    return result
+    return Subgroup(G, generated_mask(G, seeds))
 
 
 def hughes_subgroup(G: FiniteGroup, p: int) -> Subgroup:

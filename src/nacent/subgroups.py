@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNormal, ParentMismatch
-from .groups import FiniteGroup, _extend_closure
+from .groups import BLOCK_CELLS, FiniteGroup, _extend_closure, memoized
 
 # ---------------------------------------------------------------------------
 # bitset helpers
@@ -94,15 +94,6 @@ def _check_same_parent(H1: Subgroup, H2: Subgroup) -> None:
             f"subgroups of {H1.parent.name!r} and {H2.parent.name!r} cannot be combined")
 
 
-def _cached(G: FiniteGroup, key: str, compute):
-    try:
-        return G._cache[key]
-    except KeyError:
-        value = compute()
-        G._cache[key] = value
-        return value
-
-
 # ---------------------------------------------------------------------------
 # centralizers and center
 
@@ -117,12 +108,11 @@ def centralizer(G: FiniteGroup, x: int) -> Subgroup:
     return Subgroup(G, centralizer_mask(G, x))
 
 
+@memoized
 def center_mask(G: FiniteGroup) -> int:
     """Bitset of the center: the elements whose centralizer is G, read from
     `centralizer_table` (the class of the identity)."""
-    def compute():
-        return mask_of_bool(centralizer_table(G).elem_class == 0)
-    return _cached(G, "center_mask", compute)
+    return mask_of_bool(centralizer_table(G).elem_class == 0)
 
 
 def center(G: FiniteGroup) -> Subgroup:
@@ -145,6 +135,7 @@ class CentralizerTable:
     abelian: tuple[bool, ...]
 
 
+@memoized
 def centralizer_table(G: FiniteGroup) -> CentralizerTable:
     """Every C(x), deduplicated, from one pass over the commuting relation.
 
@@ -154,41 +145,39 @@ def centralizer_table(G: FiniteGroup) -> CentralizerTable:
     C(x) iff the witness of y's class does, so the test runs over pairs of
     classes whose witnesses commute, in blocks of packed rows.
     """
-    def compute():
-        t = G.table
-        n = G.order
-        commutes = (t == t.T)  # commutes[x, g]: g commutes with x
-        packed = np.packbits(commutes, axis=1, bitorder="little")
-        class_of: dict[bytes, int] = {}
-        elem_class = np.empty(n, dtype=np.int32)
-        witnesses: list[int] = []
-        for x in range(n):
-            key = packed[x].tobytes()
-            cid = class_of.get(key)
-            if cid is None:
-                cid = len(witnesses)
-                class_of[key] = cid
-                witnesses.append(x)
-            elem_class[x] = cid
-        wit = np.asarray(witnesses, dtype=np.int64)
-        rows = packed[wit]
-        # (c, e): the witness of class e lies in C(witness of c)
-        cs, es = np.nonzero(commutes[np.ix_(wit, wit)])
-        abelian = np.ones(wit.size, dtype=bool)
-        block = max(1, 4_000_000 // rows.shape[1])
-        for start in range(0, cs.size, block):
-            c, e = cs[start:start + block], es[start:start + block]
-            outside = (rows[c] & ~rows[e]).any(axis=1)  # C(x_c) not inside C(x_e)
-            abelian[c[outside]] = False
-        masks = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
-        return CentralizerTable(
-            elem_class=elem_class,
-            masks=masks,
-            witnesses=tuple(witnesses),
-            sizes=tuple(m.bit_count() for m in masks),
-            abelian=tuple(bool(a) for a in abelian),
-        )
-    return _cached(G, "centralizer_table", compute)
+    t = G.table
+    n = G.order
+    commutes = (t == t.T)  # commutes[x, g]: g commutes with x
+    packed = np.packbits(commutes, axis=1, bitorder="little")
+    class_of: dict[bytes, int] = {}
+    elem_class = np.empty(n, dtype=np.int32)
+    witnesses: list[int] = []
+    for x in range(n):
+        key = packed[x].tobytes()
+        cid = class_of.get(key)
+        if cid is None:
+            cid = len(witnesses)
+            class_of[key] = cid
+            witnesses.append(x)
+        elem_class[x] = cid
+    wit = np.asarray(witnesses, dtype=np.int64)
+    rows = packed[wit]
+    # (c, e): the witness of class e lies in C(witness of c)
+    cs, es = np.nonzero(commutes[np.ix_(wit, wit)])
+    abelian = np.ones(wit.size, dtype=bool)
+    block = max(1, BLOCK_CELLS // rows.shape[1])
+    for start in range(0, cs.size, block):
+        c, e = cs[start:start + block], es[start:start + block]
+        outside = (rows[c] & ~rows[e]).any(axis=1)  # C(x_c) not inside C(x_e)
+        abelian[c[outside]] = False
+    masks = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
+    return CentralizerTable(
+        elem_class=elem_class,
+        masks=masks,
+        witnesses=tuple(witnesses),
+        sizes=tuple(m.bit_count() for m in masks),
+        abelian=tuple(bool(a) for a in abelian),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +218,16 @@ def generators(G: FiniteGroup) -> tuple[int, ...]:
 # conjugation and normality
 
 
-def conjugate_mask(G: FiniteGroup, mask: int, g: int) -> int:
+def conjugation_rows(G: FiniteGroup, elems, by=None) -> np.ndarray:
+    """The len(by) x len(elems) array of g^-1 h g, for g in `by` (all of G
+    when None) down the rows and h in `elems` across the columns."""
     t = G.table
-    mem = indices_of(mask, G.order)
-    conj = t[t[G.inverses[g], mem], g]
-    return mask_of(conj)
+    by = (np.arange(G.order) if by is None else np.asarray(by, dtype=np.int64))[:, None]
+    return t[t[G.inverses[by], elems], by]
+
+
+def conjugate_mask(G: FiniteGroup, mask: int, g: int) -> int:
+    return mask_of(conjugation_rows(G, indices_of(mask, G.order), [g])[0])
 
 
 def conjugate_subgroup(G: FiniteGroup, H: Subgroup, g: int) -> Subgroup:
@@ -246,12 +240,14 @@ def is_normal(G: FiniteGroup, H: Subgroup, exhaustive: bool = False) -> bool:
 
     Checks the conjugates of H by the generators of G only, which suffices
     because the elements normalizing H form a subgroup; `exhaustive=True`
-    forces the definitional scan over every element.
+    forces the definitional scan over every element. A conjugate has the
+    size of H, so it equals H iff it lies inside H.
     """
     if H.mask == 1 or H.is_whole():
         return True
-    scan = range(G.order) if exhaustive else generators(G)
-    return all(conjugate_mask(G, H.mask, g) == H.mask for g in scan)
+    inside = H.member_bool()
+    rows = conjugation_rows(G, np.nonzero(inside)[0], by=None if exhaustive else generators(G))
+    return bool(inside[rows].all())
 
 
 def _normal_closure_mask(G: FiniteGroup, seeds) -> int:
@@ -263,47 +259,48 @@ def _normal_closure_mask(G: FiniteGroup, seeds) -> int:
     Handbook of Computational Group Theory, 2005, ch. 3). N grows in place
     by the newest generators only.
     """
-    t = G.table
-    g_gens = np.asarray(generators(G), dtype=np.int64)
+    g_gens = generators(G)
     member = np.zeros(G.order, dtype=bool)
     member[0] = True
     n_gens = np.empty(0, dtype=np.int64)
     fresh = np.unique(np.asarray(list(seeds), dtype=np.int64))
     while fresh.size:
-        _extend_closure(t, member, n_gens, fresh)
+        _extend_closure(G.table, member, n_gens, fresh)
         n_gens = np.concatenate([n_gens, fresh])
-        conj = t[t[G.inverses[g_gens][:, None], fresh[None, :]], g_gens[:, None]]
+        conj = conjugation_rows(G, fresh, by=g_gens)
         fresh = np.unique(conj[~member[conj]])
     return mask_of_bool(member)
 
 
 def normalizer_mask(G: FiniteGroup, mask: int) -> int:
     """Bitset of { g : g^-1 (mask) g = mask }."""
-    t = G.table
-    n = G.order
-    mem = indices_of(mask, n)
-    inside = bool_of(mask, n)
-    t1 = t[np.ix_(G.inverses, mem)]              # inv(g) * h
-    t2 = t[t1, np.arange(n, dtype=np.int64)[:, None]]  # (inv(g) * h) * g
-    return mask_of_bool(inside[t2].all(axis=1))
+    inside = bool_of(mask, G.order)
+    return mask_of_bool(inside[conjugation_rows(G, indices_of(mask, G.order))].all(axis=1))
 
 
+@memoized
 def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Conjugacy classes as ascending index tuples, ordered by least member."""
-    def compute():
-        t = G.table
-        n = G.order
-        inv = G.inverses
-        seen = np.zeros(n, dtype=bool)
-        classes = []
-        for x in range(n):
-            if seen[x]:
-                continue
-            orbit = np.unique(t[t[inv, x], np.arange(n)])
-            seen[orbit] = True
-            classes.append(tuple(int(v) for v in orbit))
-        return tuple(classes)
-    return _cached(G, "conjugacy_classes", compute)
+    """Conjugacy classes as ascending index tuples, ordered by least member.
+
+    A class is an orbit of conjugation by the generators of G, grown from
+    its least member by applying each generator's conjugation permutation.
+    """
+    perms = conjugation_rows(G, np.arange(G.order), by=generators(G)).tolist()
+    seen = [False] * G.order
+    classes = []
+    for x in range(G.order):
+        if seen[x]:
+            continue
+        seen[x] = True
+        orbit = [x]
+        for y in orbit:
+            for perm in perms:
+                z = perm[y]
+                if not seen[z]:
+                    seen[z] = True
+                    orbit.append(z)
+        classes.append(tuple(sorted(orbit)))
+    return tuple(classes)
 
 
 # ---------------------------------------------------------------------------
@@ -313,34 +310,27 @@ def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 def commutator_values(G: FiniteGroup, right_mask: int, left_mask: int) -> np.ndarray:
     """Distinct values [x, y] = x^-1 y^-1 x y with x in left, y in right.
 
-    Computed in row blocks to bound memory on large tables.
+    Computed in row blocks of x to bound memory on large tables.
     """
-    t = G.table
-    n = G.order
-    inv = G.inverses
-    left = indices_of(left_mask, n)
-    right = indices_of(right_mask, n)
+    left = indices_of(left_mask, G.order)
+    right = indices_of(right_mask, G.order)
     if left.size == 0 or right.size == 0:
         return np.array([0], dtype=np.int64)
-    inv_right = inv[right]
+    inv_right = G.inverses[right]
     out: set[int] = set()
-    block = max(1, 4_000_000 // max(1, right.size))
+    block = max(1, BLOCK_CELLS // right.size)
     for start in range(0, left.size, block):
-        xs = left[start:start + block]
-        a = t[np.ix_(inv[xs], inv_right)]          # x^-1 y^-1
-        b = t[a, xs[:, None]]                      # x^-1 y^-1 x
-        c = t[b, right[None, :]]                   # x^-1 y^-1 x y
-        out.update(int(v) for v in np.unique(c))
+        conj = conjugation_rows(G, inv_right, by=left[start:start + block])  # x^-1 y^-1 x
+        out.update(int(v) for v in np.unique(G.table[conj, right]))
     return np.array(sorted(out), dtype=np.int64)
 
 
+@memoized
 def commutator_subgroup(G: FiniteGroup) -> Subgroup:
     """Subgroup generated by all commutators: the normal closure of the
     commutators [x, y] of pairs of generators of G."""
-    def compute():
-        gens = mask_of(generators(G))
-        return _normal_closure_mask(G, commutator_values(G, gens, gens))
-    return Subgroup(G, _cached(G, "commutator_mask", compute))
+    gens = mask_of(generators(G))
+    return Subgroup(G, _normal_closure_mask(G, commutator_values(G, gens, gens)))
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,13 @@ def naive_conjugate(table, inv, members, g) -> frozenset[int]:
     return frozenset(table[table[inv[g]][m]][g] for m in members)
 
 
+def naive_normalizer(table, members) -> frozenset[int]:
+    """Every g with g^-1 H g = H."""
+    inv = naive_inverses(table)
+    H = frozenset(members)
+    return frozenset(g for g in range(len(table)) if naive_conjugate(table, inv, H, g) == H)
+
+
 def naive_normal_subgroups(table) -> set[frozenset[int]]:
     inv = naive_inverses(table)
     n = len(table)

@@ -21,6 +21,7 @@ from nacent.classify import (
     CATEGORY_CA,
     CATEGORY_MANY_NACENT,
     CATEGORY_TWO_NACENT,
+    _meet_pairwise_in,
     evaluate_cases,
 )
 from oracles import naive_centralizer_sets, naive_is_abelian_subset, table_of
@@ -132,6 +133,38 @@ def test_two_nacent_proof_invariants(flagship):
             assert cx.mask & Ca.mask == z.mask
 
 
+def naive_meet_pairwise_in(z, masks):
+    """Every two of the bitsets meet in exactly z, pair by pair."""
+    return all(m1 & m2 == z for i, m1 in enumerate(masks) for m2 in masks[i + 1:])
+
+
+def test_pairwise_meet_check_matches_definition(flagship):
+    st = cent_stats(flagship)
+    Ca = st.centralizer_of(classify(flagship).witness_a)
+    z = center(flagship).mask
+    outside = sorted({st.centralizer_of(x).mask for x in range(flagship.order)
+                      if not Ca.contains(x)})
+    assert len(outside) == 343
+    assert _meet_pairwise_in(z, outside) is True
+    assert naive_meet_pairwise_in(z, outside) is True
+    # fabricated: give one centralizer an element of another outside the center
+    for i, j in ((0, 1), (0, 342), (341, 342), (200, 17)):
+        extra = (outside[j] & ~z) & -(outside[j] & ~z)  # least such element
+        bad = list(outside)
+        bad[i] |= extra
+        assert naive_meet_pairwise_in(z, bad) is False
+        assert _meet_pairwise_in(z, bad) is False, (i, j)
+
+
+def test_pairwise_meet_check_with_a_center():
+    z = 0b11
+    assert _meet_pairwise_in(z, [0b00111, 0b01011, 0b10011])
+    assert _meet_pairwise_in(z, [])
+    for masks in ([0b00111, 0b01111], [0b00111, 0b01011, 0b10111]):
+        assert naive_meet_pairwise_in(z, masks) is False
+        assert _meet_pairwise_in(z, masks) is False
+
+
 def test_case_evaluation_vacuous_for_ca(s3):
     st = cent_stats(s3)
     candidates = [(c, w) for c, w, ab in zip(st.cent, st.witnesses, st.abelian)
@@ -201,9 +234,8 @@ def test_report_fields(s3):
 
 
 def test_evaluate_cases_shapes(flagship):
-    st = cent_stats(flagship)
     cls = classify(flagship)
-    cases = evaluate_cases(flagship, st, cls.witness_a)
+    cases = evaluate_cases(flagship, cls.witness_a)
     assert [c.name for c in cases] == ["A", "B", "C"]
     assert not cases[0].matched and cases[1].matched and cases[2].matched
 
@@ -228,13 +260,13 @@ def test_classify_converse_guard(monkeypatch):
     G = build("symmetric(4)")
     fake = (CaseCheck("A", False, {}, {}), CaseCheck("B", False, {}, {}),
             CaseCheck("C", True, {"forced": True}, {}))
-    monkeypatch.setattr(mod, "evaluate_cases", lambda g, s, a: fake)
-    G._cache.pop("classification", None)
+    monkeypatch.setattr(mod, "evaluate_cases", lambda g, a: fake)
+    G._cache.pop(("classify",), None)
     with pytest.raises(TheoremViolation) as exc:
         mod.classify(G)
     assert exc.value.direction == "converse"
 
-    G._cache.pop("classification", None)
+    G._cache.pop(("classify",), None)
     rep = mod.verify_iff(G)
     assert not rep.ok
     assert any(v.startswith("converse:") for v in rep.violations)

@@ -259,7 +259,7 @@ def test_group_spec_validation():
     with pytest.raises(InvalidParams):
         GroupSpec(name="x", kind="mystery-kind")
     with pytest.raises(InvalidParams):
-        GroupSpec(name="x", kind="cayley-file")  # path required
+        GroupSpec(name="x", kind="file")  # path required
 
 
 def test_save_load_round_trip(tmp_path, s3):

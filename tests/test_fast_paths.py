@@ -1,25 +1,33 @@
 """The fast kernels against their definitional oracles: the associativity
 check, p-cores, the commutator subgroup, the centralizer table and center,
-normal closures and semidirect-product tables, on every catalog group of
-order <= 48 and on the order-1029 flagship."""
+normal closures, conjugation (classes, normalizers, distinct conjugates) and
+semidirect-product tables, on every catalog group of order <= 48 and on the
+order-1029 flagship."""
 
 from nacent import build, builtin_catalog, commutator_subgroup, from_cayley_table, p_core
-from nacent.partitions import normal_closure_mask
+from nacent.partitions import _distinct_conjugate_masks, normal_closure_mask
 from nacent.predicates import primes_dividing
 from nacent.subgroups import (
     center_mask,
     centralizer_table,
     conjugacy_classes,
     conjugate_mask,
+    conjugation_rows,
+    cyclic_span_mask,
     indices_of,
+    normalizer_mask,
 )
 from oracles import (
     naive_center,
     naive_centralizer,
     naive_commutator_subgroup,
+    naive_conjugacy_classes,
+    naive_conjugate,
+    naive_inverses,
     naive_is_abelian_subset,
     naive_is_associative,
     naive_normal_closure,
+    naive_normalizer,
     naive_p_core,
     naive_semidirect_table,
     table_of,
@@ -83,6 +91,28 @@ def test_normal_closure_matches_oracle(flagship):
             mem = [int(v) for v in indices_of(m, G.order)]
             got = frozenset(int(v) for v in indices_of(normal_closure_mask(G, m), G.order))
             assert got == naive_normal_closure(table, mem), (spec, mem[:4])
+
+
+def test_conjugation_matches_oracle(flagship):
+    for spec, G in groups(flagship):
+        table = table_of(G)
+        inv = naive_inverses(table)
+        n = G.order
+        assert [frozenset(c) for c in conjugacy_classes(G)] == naive_conjugacy_classes(table), spec
+        rows = conjugation_rows(G, [n - 1, 0, 1 % n], by=G.generators)
+        assert rows.tolist() == [[table[table[inv[g]][h]][g] for h in (n - 1, 0, 1 % n)]
+                                 for g in G.generators], spec
+        # centralizers (normal and not) and the cyclic subgroups of the generators
+        limit = None if n <= 48 else 6
+        masks = list(centralizer_table(G).masks[:limit])
+        masks += [cyclic_span_mask(G, g) for g in G.generators]
+        for m in masks:
+            mem = frozenset(int(v) for v in indices_of(m, n))
+            got = frozenset(int(v) for v in indices_of(normalizer_mask(G, m), n))
+            assert got == naive_normalizer(table, mem), (spec, sorted(mem)[:4])
+            conj, _ = _distinct_conjugate_masks(G, m)
+            want = {naive_conjugate(table, inv, mem, g) for g in range(n)}
+            assert {frozenset(int(v) for v in indices_of(c, n)) for c in conj} == want, spec
 
 
 def cyclic_table(n):

@@ -67,6 +67,9 @@ def test_sylow_sizes(s3, s4, z6):
     a5 = build("alternating(5)")
     assert sylow_subgroup(a5, 2).size == 4
     assert sylow_subgroup(a5, 5).size == 5
+    # memoized on the group, by keyword as well as by position
+    assert sylow_subgroup(a5, p=5) == sylow_subgroup(a5, 5)
+    assert p_core(s4, p=2) == p_core(s4, 2)
 
 
 def test_sylow_rejects_bad_prime(s3):
