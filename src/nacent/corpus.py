@@ -24,7 +24,7 @@ from .errors import (
     OrderLimitExceeded,
     ParseError,
 )
-from .groups import FiniteGroup, from_cayley_table, from_permutations
+from .groups import BLOCK_CELLS, FiniteGroup, from_cayley_table, from_permutations
 from .predicates import is_prime
 
 KINDS = ("construction", "file")
@@ -195,12 +195,22 @@ def semidirect_product(K: FiniteGroup, H: FiniteGroup,
 
     n = nk * nh
     table = np.empty((n, n), dtype=np.int32)
-    # view[k1, h1, k2, h2] is the product (k1, h1) * (k2, h2); each h1 block
-    # is written in place, with no wider temporary than one nk x nk slice
-    view = table.reshape(nk, nh, nk, nh)
+    # view[k1, h1] is the row of (k1, h1); across it, column (k2, h2) holds
+    # (k1 * phi_h1(k2)) * |H| + h1 * h2. Rows are filled whole, in blocks of
+    # k1 of at most BLOCK_CELLS cells, each gathered from K's rows into one
+    # reused buffer (`mode="clip"` changes no index, phi_h1 being a checked
+    # permutation, and keeps `np.take` from buffering `out`).
+    view = table.reshape(nk, nh, n)
+    rows = max(1, min(nk, BLOCK_CELLS // n))
+    kbuf = np.empty((rows, n), dtype=np.int32)
     for h1 in range(nh):
-        kpart = K.table[:, phi[h1]] * np.int32(nh)  # k1 * phi_h1(k2), scaled
-        np.add(kpart[:, :, None], H.table[h1], out=view[:, h1])
+        cols = np.repeat(phi[h1], nh)          # column (k2, h2) -> phi_h1(k2)
+        hpart = np.tile(H.table[h1], nk)       # column (k2, h2) -> h1 * h2
+        for start in range(0, nk, rows):
+            kpart = kbuf[:min(rows, nk - start)]
+            np.take(K.table[start:start + rows], cols, axis=1, out=kpart, mode="clip")
+            kpart *= np.int32(nh)
+            np.add(kpart, hpart, out=view[start:start + rows, h1])
     return FiniteGroup(table, name=name or f"semidirect({K.name},{H.name})")
 
 

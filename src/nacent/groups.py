@@ -25,9 +25,9 @@ class FiniteGroup:
 
     Elements are the indices 0..n-1, the identity is element 0 and
     ``table[i, j]`` is the index of the product i*j. ``generators`` is the
-    generating set found while checking associativity, grown greedily by
-    least element not yet generated. Instances are immutable after
-    construction and safe to share between threads.
+    generating set found while checking associativity: greedy, by least
+    element not yet generated, then pruned to be irredundant. Instances are
+    immutable after construction and safe to share between threads.
     """
 
     __slots__ = ("order", "table", "generators", "inverses", "orders", "name", "_cache")
@@ -263,17 +263,20 @@ def _extend_closure(table: np.ndarray, reached: np.ndarray, gens, new) -> None:
     frontier, cols = np.nonzero(reached)[0], np.asarray(new, dtype=np.int64)
     every = np.concatenate([np.asarray(gens, dtype=np.int64), cols])
     while frontier.size and cols.size:
-        prods = table[np.ix_(frontier, cols)].ravel()
+        prods = table[frontier[:, None], cols].ravel()
         frontier = np.unique(prods[~reached[prods]])
         reached[frontier] = True
         cols = every
 
 
 def _loop_generators(table: np.ndarray) -> tuple[int, ...]:
-    """A generating set grown greedily by least unreached element.
+    """A generating set, greedy, then pruned to be irredundant.
 
-    Reached means in the closure of {0} under right multiplication by the
-    generators; only the identity at 0 is assumed, not the group laws.
+    The greedy pass adds the least unreached element until all are reached;
+    then each generator, in that order, is dropped if the others still
+    reach every element. Reached means in the closure of {0} under right
+    multiplication by the generators; only the identity at 0 is assumed, not
+    the group laws.
     """
     n = table.shape[0]
     reached = np.zeros(n, dtype=bool)
@@ -283,6 +286,12 @@ def _loop_generators(table: np.ndarray) -> tuple[int, ...]:
         x = int(np.argmin(reached))
         _extend_closure(table, reached, gens, [x])
         gens.append(x)
+    for x in list(gens):
+        rest = [g for g in gens if g != x]
+        reached[1:] = False
+        _extend_closure(table, reached, (), rest)
+        if reached.all():
+            gens = rest
     return tuple(gens)
 
 
@@ -291,18 +300,26 @@ def _check_associativity(table: np.ndarray, gens: tuple[int, ...]) -> None:
 
     The passing s form a submagma containing 0 and the generators, hence
     every element reached from them, which is all of them: the check is
-    exact. Compared in row blocks, with no transposed copy of the table.
+    exact. Compared in row blocks gathered into buffers allocated once, with
+    no transposed copy of the table. The entries are known to be in range,
+    so `mode="clip"` changes no index; it keeps `np.take` from buffering
+    `out`, as it does under the default `mode="raise"`.
     """
     n = table.shape[0]
-    block = max(1, BLOCK_CELLS // n)
+    block = max(1, min(n, BLOCK_CELLS // n))
+    left_buf = np.empty((block, n), dtype=table.dtype)
+    right_buf = np.empty((block, n), dtype=table.dtype)
+    same_buf = np.empty((block, n), dtype=bool)
     for s in gens:
         col_s, row_s = table[:, s], table[s]
         for start in range(0, n, block):
-            left = table[col_s[start:start + block]]        # (x*s)*y
-            right = table[start:start + block][:, row_s]    # x*(s*y)
-            if not np.array_equal(left, right):
-                bad = np.nonzero(left != right)
-                i, k = int(bad[0][0]), int(bad[1][0])
+            b = min(block, n - start)
+            left, right, same = left_buf[:b], right_buf[:b], same_buf[:b]
+            np.take(table, col_s[start:start + b], axis=0, out=left, mode="clip")  # (x*s)*y
+            np.take(table[start:start + b], row_s, axis=1, out=right, mode="clip")  # x*(s*y)
+            np.equal(left, right, out=same)
+            if not same.all():
+                i, k = (int(v) for v in np.argwhere(~same)[0])
                 x = start + i
                 raise NotAGroup(
                     "associativity", (x, s, k),

@@ -135,20 +135,34 @@ class CentralizerTable:
     abelian: tuple[bool, ...]
 
 
+# Side of the square tiles of the commuting pass: a tile and its transposed
+# partner (2 x 256 KB of int32) stay in cache while the partner is read
+# across its rows, which a whole-table `t.T` read cannot do.
+_COMMUTE_TILE = 256
+
+
 @memoized
 def centralizer_table(G: FiniteGroup) -> CentralizerTable:
     """Every C(x), deduplicated, from one pass over the commuting relation.
 
     The relation t == t.T is symmetric, so its rows packed into bitsets are
-    the centralizers. C(x) is abelian iff it lies inside C(y) for each of its
+    the centralizers; it is compared in square tiles and packed one block of
+    rows at a time. C(x) is abelian iff it lies inside C(y) for each of its
     members y; members of one class share their centralizer, and y lies in
     C(x) iff the witness of y's class does, so the test runs over pairs of
     classes whose witnesses commute, in blocks of packed rows.
     """
     t = G.table
     n = G.order
-    commutes = (t == t.T)  # commutes[x, g]: g commutes with x
-    packed = np.packbits(commutes, axis=1, bitorder="little")
+    side = _COMMUTE_TILE
+    packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
+    commutes = np.empty((min(side, n), n), dtype=bool)  # commutes[x, g]: g commutes with x
+    for i in range(0, n, side):
+        b = min(side, n - i)
+        for j in range(0, n, side):
+            np.equal(t[i:i + side, j:j + side], t[j:j + side, i:i + side].T,
+                     out=commutes[:b, j:j + side])
+        packed[i:i + b] = np.packbits(commutes[:b], axis=1, bitorder="little")
     class_of: dict[bytes, int] = {}
     elem_class = np.empty(n, dtype=np.int32)
     witnesses: list[int] = []
@@ -163,7 +177,8 @@ def centralizer_table(G: FiniteGroup) -> CentralizerTable:
     wit = np.asarray(witnesses, dtype=np.int64)
     rows = packed[wit]
     # (c, e): the witness of class e lies in C(witness of c)
-    cs, es = np.nonzero(commutes[np.ix_(wit, wit)])
+    tw = t[np.ix_(wit, wit)]
+    cs, es = np.nonzero(tw == tw.T)
     abelian = np.ones(wit.size, dtype=bool)
     block = max(1, BLOCK_CELLS // rows.shape[1])
     for start in range(0, cs.size, block):
@@ -209,8 +224,8 @@ def cyclic_span_mask(G: FiniteGroup, x: int) -> int:
 
 
 def generators(G: FiniteGroup) -> tuple[int, ...]:
-    """A small generating set, grown greedily by least ungenerated element
-    (found while validating the table)."""
+    """A small generating set: greedy, by least ungenerated element, then
+    pruned to be irredundant (found while validating the table)."""
     return G.generators
 
 

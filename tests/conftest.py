@@ -5,6 +5,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import nacent.corpus
+import nacent.groups
+import nacent.subgroups
 from nacent import build
 
 
@@ -33,3 +36,28 @@ def flagship():
     """The order-1029 two-nacent group; shared because it is the one
     expensive fixture."""
     return build("heisenberg_frobenius(7,3)")
+
+
+def awkward_size(least, *counts):
+    """The least k >= least that divides none of `counts`, so that each count
+    split into blocks of k ends in a short block."""
+    k = least
+    while any(c % k == 0 for c in counts):
+        k += 1
+    return k
+
+
+@pytest.fixture
+def forced_blocks(monkeypatch):
+    """`force(n, *counts)` shrinks the blocks of every whole-table pass for a
+    table of order n: row blocks of k rows, where k divides neither n nor any
+    of `counts` (the semidirect fill blocks |K| rows), and commuting tiles of
+    about n/8. Each pass then runs over several blocks with a short last one.
+    `BLOCK_CELLS` is patched in every module that reads it."""
+    def force(n, *counts):
+        cells = awkward_size(2, n, *counts) * n
+        for module in (nacent.groups, nacent.subgroups, nacent.corpus):
+            monkeypatch.setattr(module, "BLOCK_CELLS", cells)
+        monkeypatch.setattr(nacent.subgroups, "_COMMUTE_TILE", awkward_size(max(2, n // 8), n))
+
+    return force

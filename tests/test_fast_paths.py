@@ -1,8 +1,9 @@
 """The fast kernels against their definitional oracles: the associativity
-check, p-cores, the commutator subgroup, the centralizer table and center,
-normal closures, conjugation (classes, normalizers, distinct conjugates) and
-semidirect-product tables, on every catalog group of order <= 48 and on the
-order-1029 flagship."""
+check, the generating set, p-cores, the commutator subgroup, the centralizer
+table and center, normal closures, conjugation (classes, normalizers,
+distinct conjugates) and semidirect-product tables, on every catalog group of
+order <= 48 and on the order-1029 flagship; the blocked whole-table passes
+also under forced small blocks."""
 
 from nacent import build, builtin_catalog, commutator_subgroup, from_cayley_table, p_core
 from nacent.partitions import _distinct_conjugate_masks, normal_closure_mask
@@ -20,6 +21,7 @@ from nacent.subgroups import (
 from oracles import (
     naive_center,
     naive_centralizer,
+    naive_closure,
     naive_commutator_subgroup,
     naive_conjugacy_classes,
     naive_conjugate,
@@ -66,16 +68,32 @@ def test_commutator_subgroup_matches_oracle(flagship):
         assert members(commutator_subgroup(G)) == want, spec
 
 
-def test_centralizer_table_and_center_match_oracle(flagship):
+def test_generators_are_irredundant(flagship):
     for spec, G in groups(flagship):
         table = table_of(G)
-        ct = centralizer_table(G)
-        for mask, x, abelian in zip(ct.masks, ct.witnesses, ct.abelian):
-            mem = frozenset(int(v) for v in indices_of(mask, G.order))
-            assert mem == naive_centralizer(table, x), (spec, x)
-            assert abelian == naive_is_abelian_subset(table, mem), (spec, x)
-        center = frozenset(int(v) for v in indices_of(center_mask(G), G.order))
-        assert center == naive_center(table), spec
+        gens = G.generators
+        assert len(naive_closure(table, gens)) == G.order, spec
+        for x in gens:
+            rest = [g for g in gens if g != x]
+            assert len(naive_closure(table, rest)) < G.order, (spec, x)
+    # the greedy pass finds (1, 3, 21, 147), of which 3 is redundant
+    assert len(flagship.generators) == 3
+
+
+def check_centralizer_table(spec, G):
+    table = table_of(G)
+    ct = centralizer_table(G)
+    for mask, x, abelian in zip(ct.masks, ct.witnesses, ct.abelian):
+        mem = frozenset(int(v) for v in indices_of(mask, G.order))
+        assert mem == naive_centralizer(table, x), (spec, x)
+        assert abelian == naive_is_abelian_subset(table, mem), (spec, x)
+    center = frozenset(int(v) for v in indices_of(center_mask(G), G.order))
+    assert center == naive_center(table), spec
+
+
+def test_centralizer_table_and_center_match_oracle(flagship):
+    for spec, G in groups(flagship):
+        check_centralizer_table(spec, G)
 
 
 def test_normal_closure_matches_oracle(flagship):
@@ -130,14 +148,34 @@ def heisenberg_table(p):
              for x2, y2, z2 in triples] for x1, y1, z1 in triples]
 
 
-def test_semidirect_tables_match_oracle(flagship):
+def semidirect_cases():
+    """(spec, table of K, table of H, action) for three semidirect products."""
     # 2 has order 3 mod 7; the flagship's C3 acts by (x, y, z) -> (2x, 2y, 4z)
     scale = [(2 * x % 7 * 7 + 2 * y % 7) * 7 + 4 * z % 7 for x, y, z in heisenberg_triples(7)]
-    cases = [
-        (build("agl1(5)"), cyclic_table(5), cyclic_table(4), {1: [k * 2 % 5 for k in range(5)]}),
-        (build("semidirect_cyclic(9,3)"), cyclic_table(9), cyclic_table(3),
+    return [
+        ("agl1(5)", cyclic_table(5), cyclic_table(4), {1: [k * 2 % 5 for k in range(5)]}),
+        ("semidirect_cyclic(9,3)", cyclic_table(9), cyclic_table(3),
          {1: [k * 4 % 9 for k in range(9)]}),
-        (flagship, heisenberg_table(7), cyclic_table(3), {1: scale}),
+        ("heisenberg_frobenius(7,3)", heisenberg_table(7), cyclic_table(3), {1: scale}),
     ]
-    for G, k_table, h_table, action in cases:
-        assert table_of(G) == naive_semidirect_table(k_table, h_table, action), G.name
+
+
+def test_semidirect_tables_match_oracle(flagship):
+    for spec, k_table, h_table, action in semidirect_cases():
+        G = flagship if spec == "heisenberg_frobenius(7,3)" else build(spec)
+        assert table_of(G) == naive_semidirect_table(k_table, h_table, action), spec
+
+
+def test_forced_blocks_accept_and_match_oracles(forced_blocks):
+    # Light's test, the semidirect fill, the commuting tiles and the abelian
+    # test each run over several blocks, the last one short
+    for spec in SMALL + ["cyclic(600)", "heisenberg_frobenius(7,3)"]:
+        table = table_of(build(spec))
+        forced_blocks(len(table))
+        G = build(spec)
+        assert table_of(G) == table, spec
+        assert from_cayley_table(table, max_order=2000).order == len(table), spec
+        check_centralizer_table(spec, G)
+    for spec, k_table, h_table, action in semidirect_cases():
+        forced_blocks(len(k_table) * len(h_table), len(k_table))
+        assert table_of(build(spec)) == naive_semidirect_table(k_table, h_table, action), spec

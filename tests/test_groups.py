@@ -1,5 +1,7 @@
 """Group construction, validation and element-order basics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -112,15 +114,47 @@ def loop_times_cyclic(loop, m):
 
 
 @pytest.mark.parametrize("m", [1, 7, 103, 120])
-def test_associativity_exact_past_old_sample_limit(m):
-    # orders 5 to 600: the check is exact at every order, not sampled
+def test_associativity_exact_past_old_sample_limit(m, forced_blocks):
+    # orders 5 to 600: the check is exact at every order, not sampled, in one
+    # row block and then over several with a short last one
     table = loop_times_cyclic(NONASSOC_LOOP, m)
+    for forced in (False, True):
+        if forced:
+            forced_blocks(len(table))
+        with pytest.raises(NotAGroup) as exc:
+            from_cayley_table(table, max_order=1000)
+        assert exc.value.law == "associativity", forced
+        i, j, k = exc.value.witness
+        assert table[table[i][j]][k] != table[i][table[j][k]], forced
+    assert naive_is_associative(table) is not None
+
+
+def test_associativity_checks_the_short_last_block(forced_blocks):
+    # Z_30 x Z_2 on a*2 + b with the Z_2 subsquare at rows {58, 59}, columns
+    # {4, 5} swapped: Light's test over the generators (1, 2) fails only for
+    # x in 56..59, which with blocks of 7 rows is the short last block
+    z30 = [[(a + b) % 30 for b in range(30)] for a in range(30)]
+    table = loop_times_cyclic(z30, 2)
+    for r in (58, 59):
+        table[r][4], table[r][5] = table[r][5], table[r][4]
+    forced_blocks(len(table))
     with pytest.raises(NotAGroup) as exc:
-        from_cayley_table(table, max_order=1000)
+        from_cayley_table(table)
     assert exc.value.law == "associativity"
     i, j, k = exc.value.witness
-    assert table[table[i][j]][k] != table[i][table[j][k]]
-    assert naive_is_associative(table) is not None
+    assert i >= 56 and table[table[i][j]][k] != table[i][table[j][k]]
+
+
+def test_validation_peak_memory(flagship):
+    # the whole-table checks allocate at most 2.5 tables beyond the table
+    table = flagship.table.copy()
+    tracemalloc.start()
+    try:
+        FiniteGroup(table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * table.nbytes, peak / table.nbytes
 
 
 def test_associativity_exact_on_one_intercalate():
