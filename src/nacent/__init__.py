@@ -54,10 +54,8 @@ from .errors import (
 )
 from .groups import FiniteGroup, element_order, exponent, from_cayley_table, from_permutations
 from .partitions import (
-    FrobeniusStructure,
     Partition,
     centralizer_partition,
-    find_frobenius_structure,
     is_elementary_partition,
     is_frobenius_partition,
     is_nonsimple_partition,

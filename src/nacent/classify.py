@@ -24,9 +24,10 @@ import numpy as np
 from .errors import NotNilpotent, TheoremViolation
 from .groups import FiniteGroup, exponent, memoized
 from .partitions import (
+    NORMAL_ENUM_CAP,
+    _validate_frobenius,
     center_quotient,
     centralizer_partition,
-    find_frobenius_structure,
     is_elementary_partition,
     is_frobenius_partition,
     is_nonsimple_partition,
@@ -201,21 +202,21 @@ def evaluate_cases(G: FiniteGroup, a: int) -> tuple[CaseCheck, ...]:
     results.append(CaseCheck("B", matched_p is not None, checks, data))
 
     # case C: central quotient is Frobenius with kernel the image of C(a)
-    # and some outside centralizer image a cyclic complement.
+    # and some outside centralizer image a cyclic complement. A complement
+    # that `_validate_frobenius` accepts makes Q a Frobenius group whose
+    # kernel, the elements in no conjugate of it, is the image of C(a).
     checks = {}
     data = {}
-    fs = find_frobenius_structure(Q, kernels=[img_ca])
-    checks["frobenius_kernel_is_ca_image"] = fs is not None
-    if fs is not None:
-        data["kernel_size"] = fs.kernel.size
-        data["complement_size"] = fs.complement.size
+    checks["ca_image_normal"] = is_normal(Q, img_ca)
+    if checks["ca_image_normal"]:
         witness_x = _cyclic_complement_witness(G, stats, qm, img_ca, Ca)
         checks["cyclic_complement_witness"] = witness_x is not None
         if witness_x is not None:
+            data["kernel_size"] = img_ca.size
+            data["complement_size"] = Q.order // img_ca.size
             data["x"] = witness_x
         checks["ca_group"] = ca_is_ca
-    results.append(CaseCheck("C", bool(checks.get("frobenius_kernel_is_ca_image"))
-                             and all(checks.values()), checks, data))
+    results.append(CaseCheck("C", len(checks) > 1 and all(checks.values()), checks, data))
 
     return tuple(results)
 
@@ -223,8 +224,6 @@ def evaluate_cases(G: FiniteGroup, a: int) -> tuple[CaseCheck, ...]:
 def _cyclic_complement_witness(G, stats, qm, img_ca, Ca) -> int | None:
     """Least x outside C(a) whose centralizer image is a valid cyclic
     complement, trying one witness per distinct outside centralizer."""
-    from .partitions import _validate_frobenius
-
     Q = qm.quotient
     m = Q.order // img_ca.size if img_ca.size else 0
     outside_members = np.nonzero(~Ca.member_bool())[0]
@@ -579,21 +578,10 @@ def partition_diagnostics(G: FiniteGroup) -> dict[str, Any]:
     diag["component_count"] = len(part.components)
     diag["component_sizes"] = sorted(c.size for c in part.components)
     diag["is_normal"] = is_normal_partition(Q, part)
-
-    extra = None
-    try:
-        cls = classify(G)
-    except TheoremViolation:
-        cls = None
-    if cls is not None and cls.category == CATEGORY_TWO_NACENT:
-        qm = center_quotient(G)
-        stats = cent_stats(G)
-        extra = [qm.image(stats.centralizer_of(cls.witness_a))]
-    from .partitions import NORMAL_ENUM_CAP
-    witness = is_nonsimple_partition(Q, part, extra_candidates=extra)
+    witness = is_nonsimple_partition(Q, part)
     diag["normal_enumeration_complete"] = Q.order <= NORMAL_ENUM_CAP
     diag["nonsimple_witness_size"] = witness.size if witness else None
-    elem = is_elementary_partition(Q, part, extra_candidates=extra)
+    elem = is_elementary_partition(Q, part)
     diag["elementary"] = {"k_size": elem[0].size, "p": elem[1]} if elem else None
     diag["frobenius"] = is_frobenius_partition(Q, part)
     return diag

@@ -35,14 +35,12 @@ class GroupSpec:
     """A buildable group reference: a construction string or a file.
 
     For constructions, `name` is the spec string ("heisenberg(7)", nested
-    products allowed) and is checked against the registered constructors;
-    `params` optionally carries the flat parameters by name. A file is any
-    group file `load_group` reads, at `path`.
+    products allowed) and is checked against the registered constructors.
+    A file is any group file `load_group` reads, at `path`.
     """
 
     name: str
     kind: str = "construction"
-    params: tuple[tuple[str, int], ...] = ()
     path: str | None = None
 
     def __post_init__(self):
@@ -52,12 +50,6 @@ class GroupSpec:
             raise InvalidParams(f"kind {self.kind!r} requires a path")
         if self.kind == "construction":
             _check_known_constructors(parse_spec_string(self.name))
-            if self.params:
-                head = parse_spec_string(self.name)[0]
-                declared = _FLAT_BUILDERS.get(head, (None, ()))[1]
-                if tuple(k for k, _ in self.params) != tuple(declared):
-                    raise InvalidParams(
-                        f"constructor {head!r} expects parameters {list(declared)}")
 
 
 # ---------------------------------------------------------------------------

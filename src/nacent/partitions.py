@@ -1,4 +1,4 @@
-"""Partitions of a group into subgroups, and Frobenius-structure detection.
+"""Partitions of a group into subgroups, and the tests run over them.
 
 A partition is a set of non-trivial subgroups such that every non-trivial
 element lies in exactly one of them. The operations here are tests over
@@ -7,7 +7,6 @@ explicitly given component lists; nothing is assumed to exist.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import takewhile
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from .errors import AbelianGroup, NotApplicable, OrderLimitExceeded
 from .groups import FiniteGroup, memoized
-from .predicates import is_abelian, is_p_group, is_prime, primes_dividing
+from .predicates import is_abelian, is_p_group, primes_dividing
 from .subgroups import (
     QuotientMap,
     Subgroup,
@@ -34,14 +33,9 @@ from .subgroups import (
 )
 
 # Normal-subgroup enumeration works on the conjugacy-class join lattice and
-# is refused above this order; callers that only need specific candidates
-# pass them explicitly instead.
+# is refused above this order; the partition tests then take the normal
+# closures of the components as their candidates instead.
 NORMAL_ENUM_CAP = 2000
-
-# Complement search tries subgroups generated by one, then two, elements of
-# suitable order outside the kernel; the quadratic pair phase is limited to
-# this many pool elements.
-PAIR_SEARCH_POOL = 128
 
 
 @dataclass(frozen=True)
@@ -57,15 +51,6 @@ class Partition:
 
     def is_trivial(self) -> bool:
         return len(self.components) == 1
-
-
-@dataclass(frozen=True)
-class FrobeniusStructure:
-    """Kernel and one complement of a Frobenius group."""
-
-    group: FiniteGroup
-    kernel: Subgroup
-    complement: Subgroup
 
 
 def _sorted_components(comps) -> tuple[Subgroup, ...]:
@@ -202,32 +187,26 @@ def is_normal_partition(Q: FiniteGroup, partition: Partition) -> bool:
                for row in conjugation_rows(Q, comp.members(), by=generators(Q)))
 
 
-def _candidate_normals(Q: FiniteGroup, partition: Partition, extra=None) -> list[Subgroup]:
-    """Proper non-trivial normal candidates, deterministically ordered."""
-    return _normal_candidates(Q, partition.component_masks,
-                              frozenset(s.mask for s in extra or ()))
-
-
 @memoized
-def _normal_candidates(Q: FiniteGroup, comp_masks: frozenset[int],
-                       extra_masks: frozenset[int]) -> list[Subgroup]:
-    masks = set(extra_masks)
-    for m in comp_masks:
-        masks.add(m)
-        masks.add(normal_closure_mask(Q, m))
+def _normal_candidates(Q: FiniteGroup, comp_masks: frozenset[int]) -> tuple[Subgroup, ...]:
+    """Proper non-trivial normal subgroups to test a partition against.
+
+    All of them up to NORMAL_ENUM_CAP; above it, the normal closures of the
+    components (a normal component is its own closure). Both are normal by
+    construction. Ordered by (size, members).
+    """
     if Q.order <= NORMAL_ENUM_CAP:
-        masks.update(s.mask for s in normal_subgroups(Q))
+        masks = {s.mask for s in normal_subgroups(Q)}
+    else:
+        masks = {normal_closure_mask(Q, m) for m in comp_masks}
     full = (1 << Q.order) - 1
-    out = [Subgroup(Q, m) for m in masks if 1 < m < full]
-    out = [s for s in out if is_normal(Q, s)]
-    return sorted(out, key=lambda s: (s.size, tuple(s.members())))
+    return _sorted_components(Subgroup(Q, m) for m in masks if 1 < m < full)
 
 
-def is_nonsimple_partition(Q: FiniteGroup, partition: Partition,
-                           extra_candidates=None) -> Subgroup | None:
+def is_nonsimple_partition(Q: FiniteGroup, partition: Partition) -> Subgroup | None:
     """A proper normal N with every component inside N or meeting it
-    trivially, if one exists among the enumerated candidates."""
-    for N in _candidate_normals(Q, partition, extra_candidates):
+    trivially, if one exists among the candidates."""
+    for N in _normal_candidates(Q, partition.component_masks):
         ok = True
         for comp in partition.components:
             inter = comp.mask & N.mask
@@ -239,8 +218,7 @@ def is_nonsimple_partition(Q: FiniteGroup, partition: Partition,
     return None
 
 
-def is_elementary_partition(Q: FiniteGroup, partition: Partition,
-                            extra_candidates=None) -> tuple[Subgroup, int] | None:
+def is_elementary_partition(Q: FiniteGroup, partition: Partition) -> tuple[Subgroup, int] | None:
     """A normal K of prime index p with every cyclic subgroup outside K of
     order p and itself a component, if such a witness exists.
 
@@ -250,7 +228,7 @@ def is_elementary_partition(Q: FiniteGroup, partition: Partition,
         return None
     masks = partition.component_masks
     orders = np.asarray(Q.orders)
-    candidates = _candidate_normals(Q, partition, extra_candidates)
+    candidates = _normal_candidates(Q, partition.component_masks)
     for p in primes_dividing(Q.order):
         target = Q.order // p
         for K in candidates:
@@ -312,83 +290,15 @@ def _validate_frobenius(Q: FiniteGroup, K: Subgroup, H: Subgroup) -> bool:
     return union == full & ~K.mask
 
 
-def find_frobenius_structure(Q: FiniteGroup,
-                             kernels=None) -> FrobeniusStructure | None:
-    """Search for a Frobenius kernel/complement pair.
-
-    Kernel candidates default to the enumerated proper non-trivial normal
-    subgroups (subject to the enumeration cap); pass `kernels` to test
-    specific candidates instead. A candidate kernel K must satisfy
-    gcd(|K|, |Q:K|) = 1 and contain the centralizer of each of its
-    non-trivial elements. The complement is searched among subgroups
-    generated by at most two elements of order dividing |Q:K| outside K
-    and validated definitionally, so false positives are impossible.
-    """
-    n = Q.order
-    if n <= 1:
-        return None
-    if kernels is None:
-        try:
-            pool = normal_subgroups(Q)
-        except OrderLimitExceeded:
-            return None
-        kernels = [s for s in pool if 1 < s.size < n]
-    ct = centralizer_table(Q)
-    for K in sorted(kernels, key=lambda s: (s.size, tuple(s.members()))):
-        if not (1 < K.size < n) or n % K.size:
-            continue
-        m = n // K.size
-        if math.gcd(K.size, m) != 1:
-            continue
-        if not is_normal(Q, K):
-            continue
-        if any(ct.masks[ct.elem_class[x]] & ~K.mask
-               for x in indices_of(K.mask & ~1, n)):
-            continue
-        H = _find_complement(Q, K, m)
-        if H is not None:
-            return FrobeniusStructure(group=Q, kernel=K, complement=H)
-    return None
-
-
-def _find_complement(Q: FiniteGroup, K: Subgroup, m: int) -> Subgroup | None:
-    orders = np.asarray(Q.orders)
-    outside = ~K.member_bool()
-    pool = np.nonzero(outside & (orders > 1) & (m % orders == 0))[0]
-    seen: set[int] = set()
-    for x in pool:
-        span = cyclic_span_mask(Q, int(x))
-        if span in seen:
-            continue
-        seen.add(span)
-        if span.bit_count() == m and span & K.mask == 1:
-            H = Subgroup(Q, span)
-            if _validate_frobenius(Q, K, H):
-                return H
-    head = [int(x) for x in pool[:PAIR_SEARCH_POOL]]
-    tried: set[int] = set()
-    for i, x in enumerate(head):
-        for y in head[i + 1:]:
-            mask = generated_mask(Q, [x, y])
-            if mask in tried:
-                continue
-            tried.add(mask)
-            if mask.bit_count() == m and mask & K.mask == 1:
-                H = Subgroup(Q, mask)
-                if _validate_frobenius(Q, K, H):
-                    return H
-    return None
-
-
 def is_frobenius_partition(Q: FiniteGroup, partition: Partition) -> bool:
-    """The partition is a Frobenius kernel plus all complement conjugates."""
-    normal_comps = [c for c in partition.components
-                    if 1 < c.size < Q.order and is_normal(Q, c)]
-    if not normal_comps:
+    """The partition is a Frobenius kernel plus all complement conjugates.
+
+    A Frobenius complement H has |H| dividing |K| - 1, so the kernel K is
+    larger than every complement conjugate: in a Frobenius partition it is
+    the unique largest component, and any other component is a complement.
+    """
+    *rest, K = partition.components
+    if not rest or not is_normal(Q, K) or not _validate_frobenius(Q, K, rest[0]):
         return False
-    fs = find_frobenius_structure(Q, kernels=normal_comps)
-    if fs is None:
-        return False
-    conj_masks, _ = _distinct_conjugate_masks(Q, fs.complement.mask)
-    expected = set(conj_masks) | {fs.kernel.mask}
-    return expected == set(partition.component_masks)
+    conj_masks, _ = _distinct_conjugate_masks(Q, rest[0].mask)
+    return set(conj_masks) | {K.mask} == partition.component_masks

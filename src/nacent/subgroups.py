@@ -131,7 +131,6 @@ class CentralizerTable:
     elem_class: np.ndarray
     masks: tuple[int, ...]
     witnesses: tuple[int, ...]
-    sizes: tuple[int, ...]
     abelian: tuple[bool, ...]
 
 
@@ -190,7 +189,6 @@ def centralizer_table(G: FiniteGroup) -> CentralizerTable:
         elem_class=elem_class,
         masks=masks,
         witnesses=tuple(witnesses),
-        sizes=tuple(m.bit_count() for m in masks),
         abelian=tuple(bool(a) for a in abelian),
     )
 
@@ -384,7 +382,7 @@ class QuotientMap:
         return Subgroup(self.quotient, self.image_mask(H))
 
 
-def quotient(G: FiniteGroup, N: Subgroup, exhaustive: bool = False) -> QuotientMap:
+def quotient(G: FiniteGroup, N: Subgroup) -> QuotientMap:
     """Quotient of G by a normal subgroup, cosets labeled by least member.
 
     A trivial kernel gives the identity map onto G itself; any other
@@ -393,7 +391,7 @@ def quotient(G: FiniteGroup, N: Subgroup, exhaustive: bool = False) -> QuotientM
     """
     if N.parent is not G:
         raise ParentMismatch("kernel is not a subgroup of the given group")
-    if not is_normal(G, N, exhaustive=exhaustive):
+    if not is_normal(G, N):
         raise NotNormal(f"subgroup of size {N.size} is not normal in {G.name!r}")
     n = G.order
     if N.mask == 1:

@@ -112,6 +112,31 @@ def naive_normalizer(table, members) -> frozenset[int]:
     return frozenset(g for g in range(len(table)) if naive_conjugate(table, inv, H, g) == H)
 
 
+def naive_is_frobenius_partition(table, components) -> bool:
+    """True iff the components are a Frobenius kernel K and every conjugate
+    of a complement H, by definition: H is a proper non-trivial component
+    meeting each conjugate H^g with g outside H in the identity only, and K
+    is the identity plus the elements lying in no conjugate of H. No
+    component is assumed to be the kernel because of its size."""
+    n = len(table)
+    inv = naive_inverses(table)
+    comps = {frozenset(c) for c in components}
+    for H in comps:
+        if len(H) in (1, n):
+            continue
+        conjugates = set()
+        for g in range(n):
+            Hg = naive_conjugate(table, inv, H, g)
+            if g not in H and Hg & H != {0}:
+                break
+            conjugates.add(Hg)
+        else:
+            kernel = frozenset(range(n)).difference(*conjugates) | {0}
+            if comps == conjugates | {kernel}:
+                return True
+    return False
+
+
 def naive_normal_subgroups(table) -> set[frozenset[int]]:
     inv = naive_inverses(table)
     n = len(table)

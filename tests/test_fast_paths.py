@@ -3,12 +3,36 @@ check, the generating set, p-cores, the commutator subgroup, the centralizer
 table and center, normal closures, conjugation (classes, normalizers,
 distinct conjugates) and semidirect-product tables, on every catalog group of
 order <= 48 and on the order-1029 flagship; the blocked whole-table passes
-also under forced small blocks."""
+also under forced small blocks. The Frobenius-partition test and the normal
+candidates above the enumeration cap against the definition, on catalog
+groups of order <= 64."""
 
-from nacent import build, builtin_catalog, commutator_subgroup, from_cayley_table, p_core
-from nacent.partitions import _distinct_conjugate_masks, normal_closure_mask
+import nacent.partitions
+from nacent import (
+    build,
+    builtin_catalog,
+    centralizer_partition,
+    commutator_subgroup,
+    cyclic,
+    dicyclic,
+    direct_product,
+    from_cayley_table,
+    is_abelian,
+    is_frobenius_partition,
+    normal_subgroups,
+    p_core,
+    semidirect_product,
+)
+from nacent.partitions import (
+    Partition,
+    _distinct_conjugate_masks,
+    _normal_candidates,
+    _sorted_components,
+    normal_closure_mask,
+)
 from nacent.predicates import primes_dividing
 from nacent.subgroups import (
+    Subgroup,
     center_mask,
     centralizer_table,
     conjugacy_classes,
@@ -28,6 +52,7 @@ from oracles import (
     naive_inverses,
     naive_is_abelian_subset,
     naive_is_associative,
+    naive_is_frobenius_partition,
     naive_normal_closure,
     naive_normalizer,
     naive_p_core,
@@ -179,3 +204,63 @@ def test_forced_blocks_accept_and_match_oracles(forced_blocks):
     for spec, k_table, h_table, action in semidirect_cases():
         forced_blocks(len(k_table) * len(h_table), len(k_table))
         assert table_of(build(spec)) == naive_semidirect_table(k_table, h_table, action), spec
+
+
+def f9_q8():
+    """F9 x| Q8 with Q8 acting on F3^2 by a = [[0,2],[1,0]], b = [[1,1],[1,2]]:
+    a Frobenius group of order 72 whose complement is not cyclic."""
+    def perm(m):
+        return [(m[0][0] * x + m[0][1] * y) % 3 * 3 + (m[1][0] * x + m[1][1] * y) % 3
+                for x in range(3) for y in range(3)]
+    # element 2 of dicyclic(2) is a, element 1 is b
+    return semidirect_product(direct_product(cyclic(3), cyclic(3)), dicyclic(2),
+                              {2: perm([[0, 2], [1, 0]]), 1: perm([[1, 1], [1, 2]])})
+
+
+def exponent_3_spans():
+    """heisenberg(3) partitioned into its 13 subgroups of order 3, all of one
+    size: the largest component is no kernel."""
+    G = build("heisenberg(3)")
+    spans = {cyclic_span_mask(G, x) for x in range(1, G.order)}
+    return Partition(quotient=G, components=_sorted_components(Subgroup(G, m) for m in spans))
+
+
+def test_frobenius_partition_matches_oracle(flagship):
+    parts = [(spec.name, centralizer_partition(G)) for spec in builtin_catalog(64)
+             if not is_abelian(G := build(spec.name))]
+    parts += [("heisenberg_frobenius(7,3)", centralizer_partition(flagship)),
+              ("F9 x| Q8", centralizer_partition(f9_q8())),
+              ("heisenberg(3) spans", exponent_3_spans())]
+    verdicts = {}
+    for spec, part in parts:
+        if part is None:
+            continue
+        Q = part.quotient
+        want = naive_is_frobenius_partition(table_of(Q), [members(c) for c in part.components])
+        assert is_frobenius_partition(Q, part) == want, spec
+        verdicts[spec] = want
+    assert verdicts["heisenberg_frobenius(7,3)"] and verdicts["F9 x| Q8"]
+    assert not verdicts["heisenberg(3) spans"]
+    assert sum(verdicts.values()) >= 20 and len(verdicts) - sum(verdicts.values()) >= 20
+
+
+def test_normal_candidates_above_the_enumeration_cap(monkeypatch):
+    # every catalog quotient is then above the cap: the candidates are the
+    # proper non-trivial normal closures of the components
+    monkeypatch.setattr(nacent.partitions, "NORMAL_ENUM_CAP", 3)
+    checked = 0
+    for spec in builtin_catalog(64):
+        G = build(spec.name)
+        if is_abelian(G) or (part := centralizer_partition(G)) is None:
+            continue
+        Q = part.quotient
+        Q._cache.clear()  # no candidates memoized under the real cap
+        table = table_of(Q)
+        candidates = _normal_candidates(Q, part.component_masks)
+        assert list(candidates) == sorted(candidates, key=lambda N: (N.size, tuple(N.members())))
+        got = {members(N) for N in candidates}
+        closures = {naive_normal_closure(table, members(c)) for c in part.components}
+        assert got == {c for c in closures if 1 < len(c) < Q.order}, spec.name
+        assert got <= {members(N) for N in normal_subgroups(Q)}, spec.name
+        checked += bool(got)
+    assert checked >= 10

@@ -1,4 +1,4 @@
-"""Partition predicates and Frobenius detection."""
+"""Partition predicates, the Frobenius-partition test among them."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from nacent import (
     build,
     center,
     centralizer_partition,
-    find_frobenius_structure,
     is_elementary_partition,
     is_frobenius_partition,
     is_nonsimple_partition,
@@ -201,29 +200,36 @@ def test_miller_exponent_p_vacuous():
     assert miller_check(h3, part)
 
 
+def frobenius_kernel_and_complements(part):
+    """Kernel and complement components of a partition that must pass the
+    Frobenius-partition test."""
+    assert is_frobenius_partition(part.quotient, part)
+    *complements, kernel = part.components
+    return kernel, complements
+
+
 def test_frobenius_s3(s3):
-    fs = find_frobenius_structure(s3)
-    assert fs is not None
-    assert fs.kernel.size == 3 and fs.complement.size == 2
-
-
-def test_frobenius_z6_none(z6):
-    assert find_frobenius_structure(z6) is None
+    kernel, complements = frobenius_kernel_and_complements(centralizer_partition(s3))
+    assert kernel.size == 3 and {c.size for c in complements} == {2}
+    assert len(complements) == 3
 
 
 def test_frobenius_a4_from_sl23_quotient():
+    # A4 = SL(2,3)/Z: its normal Klein four-group and its cyclic subgroups of
+    # order 3 (the centralizer images of SL(2,3) cut the four-group apart)
     sl = build("sl23")
-    qm = quotient(sl, center(sl))
-    fs = find_frobenius_structure(qm.quotient)
-    assert fs is not None
-    assert fs.kernel.size == 4 and fs.complement.size == 3
+    a4 = quotient(sl, center(sl)).quotient
+    v4 = [N for N in normal_subgroups(a4) if N.size == 4]
+    part = Partition(quotient=a4, components=_sorted_components(v4 + spans_of_order(a4, 3)))
+    kernel, complements = frobenius_kernel_and_complements(part)
+    assert kernel.size == 4 and {c.size for c in complements} == {3}
+    assert len(complements) == 4
 
 
 def test_frobenius_agl1():
-    G = build("agl1(7)")
-    fs = find_frobenius_structure(G)
-    assert fs is not None
-    assert fs.kernel.size == 7 and fs.complement.size == 6
+    kernel, complements = frobenius_kernel_and_complements(centralizer_partition(build("agl1(7)")))
+    assert kernel.size == 7 and {c.size for c in complements} == {6}
+    assert len(complements) == 7
 
 
 def test_frobenius_partition_s3(s3):
@@ -300,10 +306,11 @@ def test_elementary_for_exponent_gt_p_quotients():
 
 
 def test_frobenius_definitional_properties(s3):
+    # C(k) lies in the kernel for every non-trivial kernel element k
     from nacent import centralizer
-    fs = find_frobenius_structure(s3)
-    K = fs.kernel
-    for k in K.members():
-        if k == 0:
-            continue
-        assert centralizer(s3, int(k)).mask & ~K.mask == 0
+    for G in (s3, build("agl1(7)")):
+        K, _ = frobenius_kernel_and_complements(centralizer_partition(G))
+        for k in K.members():
+            if k == 0:
+                continue
+            assert centralizer(G, int(k)).mask & ~K.mask == 0
