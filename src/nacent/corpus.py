@@ -213,14 +213,14 @@ def heisenberg(p: int, max_order: int | None = None) -> FiniteGroup:
         raise InvalidParams(f"heisenberg(p) needs a prime, got {p}")
     _guarded(p ** 3, max_order)
     n = p ** 3
-    idx = np.arange(n, dtype=np.int64)
-    z = idx % p
-    y = (idx // p) % p
-    x = idx // (p * p)
-    x1, y1, z1 = x[:, None], y[:, None], z[:, None]
-    x2, y2, z2 = x[None, :], y[None, :], z[None, :]
-    table = (((x1 + x2) % p) * p + (y1 + y2) % p) * p + (z1 + z2 + x1 * y2) % p
-    return FiniteGroup(table, name=f"heisenberg({p})")
+    # one p-sized axis per coordinate, (x1, y1, z1) down and (x2, y2, z2)
+    # across, so only the int32 table itself is n x n
+    a = np.arange(p, dtype=np.int32)
+    add, mul = (a[:, None] + a) % p, a[:, None] * a % p
+    x1, y1, z1, x2, y2, z2 = (a.reshape([p if k == i else 1 for k in range(6)])
+                              for i in range(6))
+    table = (add[x1, x2] * p + add[y1, y2]) * p + add[add[z1, z2], mul[x1, y2]]
+    return FiniteGroup(table.reshape(n, n), name=f"heisenberg({p})")
 
 
 def _multiplicative_order(c: int, n: int) -> int:

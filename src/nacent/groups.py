@@ -26,28 +26,27 @@ class FiniteGroup:
     Elements are the indices 0..n-1, the identity is element 0 and
     ``table[i, j]`` is the index of the product i*j. ``generators`` is the
     generating set found while checking associativity: greedy, by least
-    element not yet generated, then pruned to be irredundant. Instances are
-    immutable after construction and safe to share between threads.
+    element not yet generated, then pruned to be irredundant.
+    ``ladder[j, x]`` is x**(2**j) for j < n.bit_length(), the square ladder
+    that closures and powers climb. Instances are immutable after
+    construction and safe to share between threads.
     """
 
-    __slots__ = ("order", "table", "generators", "inverses", "orders", "name", "_cache")
+    __slots__ = ("order", "table", "generators", "inverses", "ladder", "orders", "name",
+                 "_cache")
 
     def __init__(self, table: np.ndarray, name: str = "group"):
         table = np.ascontiguousarray(table, dtype=np.int32)
-        gens, inverses = _validate_table(table)
-        n = table.shape[0]
-        self.order = n
+        gens, inverses, ladder = _validate_table(table)
+        self.order = table.shape[0]
         self.table = table
-        self.table.setflags(write=False)
         self.name = name
         self.generators = gens
         self.inverses = inverses
-        self.inverses.setflags(write=False)
-        self.orders = _element_orders(table)
-        self.orders.setflags(write=False)
-        if not np.all(n % self.orders == 0):
-            x = int(np.nonzero(n % self.orders)[0][0])
-            raise NotAGroup("lagrange", (x,), f"element order {self.orders[x]} does not divide {n}")
+        self.ladder = ladder
+        self.orders = _element_orders(table, ladder)
+        for arr in (table, inverses, ladder, self.orders):
+            arr.setflags(write=False)
         self._cache: dict = {}
 
     def mul(self, a: int, b: int) -> int:
@@ -58,11 +57,7 @@ class FiniteGroup:
 
     def power(self, a: int, k: int) -> int:
         """a**k for any integer k (reduced modulo the element order)."""
-        k %= int(self.orders[a])
-        acc = 0
-        for _ in range(k):
-            acc = int(self.table[acc, a])
-        return acc
+        return int(_ladder_power(self.table, self.ladder, a, k % int(self.orders[a])))
 
     def __len__(self) -> int:
         return self.order
@@ -181,6 +176,25 @@ def exponent(G: FiniteGroup) -> int:
     return math.lcm(*(int(o) for o in np.unique(G.orders)))
 
 
+def prime_factorization(n: int) -> list[tuple[int, int]]:
+    """(prime, multiplicity) pairs with strictly increasing primes."""
+    if n < 1:
+        raise ValueError(f"positive integer required, got {n}")
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            m = 0
+            while n % d == 0:
+                n //= d
+                m += 1
+            out.append((d, m))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # validation internals
 
@@ -194,9 +208,10 @@ def _find_identity(arr: np.ndarray) -> int:
     raise NotAGroup("identity", (), "no two-sided identity element")
 
 
-def _validate_table(table: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+def _validate_table(table: np.ndarray) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """Check the group laws that need the whole table; return the generators
-    found on the way (see `_loop_generators`) and the inverses.
+    found on the way (see `_loop_generators`), the inverses and the square
+    ladder.
 
     An identity at 0, associativity (Light's test) and a right inverse for
     every element make a finite monoid in which every element has a right
@@ -217,9 +232,10 @@ def _validate_table(table: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
         # negative entries wrap to large unsigned values
         if table.view(np.uint32).max() >= n:
             raise NotAGroup("entry-range", (), f"an entry lies outside 0..{n - 1}")
-        gens = _loop_generators(table)
+        ladder = _square_ladder(table)
+        gens = _loop_generators(table, ladder)
         _check_associativity(table, gens)
-        return gens, _inverses(table)
+        return gens, _inverses(table), ladder
     except NotAGroup:
         _check_latin_square(table)
         raise
@@ -252,44 +268,66 @@ def _check_latin_square(table: np.ndarray) -> None:
                 raise NotAGroup("latin-square", (i,), f"{kind} {i} is not a permutation")
 
 
-def _extend_closure(table: np.ndarray, reached: np.ndarray, gens, new) -> None:
-    """Grow `reached` in place to its closure under right multiplication by
-    `gens` and `new`, given that it is closed under `gens` alone.
+def _square_ladder(table: np.ndarray) -> np.ndarray:
+    """The rows x**(2**j), j < n.bit_length(), each the square of the last.
 
-    Only what is new needs the old generators: `reached` is multiplied by
-    `new`, then each newly reached element by all of them. No group law is
-    assumed; in a group the closure of {0} is the subgroup generated.
+    Only entries in range are assumed. Without associativity a row is just
+    that repeated squaring, which stays in any submagma holding x.
     """
-    frontier, cols = np.nonzero(reached)[0], np.asarray(new, dtype=np.int64)
-    every = np.concatenate([np.asarray(gens, dtype=np.int64), cols])
-    while frontier.size and cols.size:
-        prods = table[frontier[:, None], cols].ravel()
-        frontier = np.unique(prods[~reached[prods]])
-        reached[frontier] = True
-        cols = every
+    n = table.shape[0]
+    ladder = np.empty((n.bit_length(), n), dtype=np.int32)
+    ladder[0] = np.arange(n)
+    for j in range(1, ladder.shape[0]):
+        ladder[j] = table[ladder[j - 1], ladder[j - 1]]
+    return ladder
 
 
-def _loop_generators(table: np.ndarray) -> tuple[int, ...]:
+def _extend_closure(table: np.ndarray, ladder: np.ndarray, reached: np.ndarray,
+                    gens, seeds) -> list[int]:
+    """Grow `reached` in place to its closure under right multiplication by
+    `gens` and `seeds`, given that it is closed under `gens`; return the
+    seeds that had to be added, in order.
+
+    The first seed not yet reached is added, then the next, and so on. For
+    each, `reached` is multiplied by the seed's ladder, then each newly
+    reached element by that ladder and every generator so far, so a cyclic
+    stretch of length m takes about log2(m) rounds. No group law is assumed:
+    the squares climbed stay in the submagma the generators generate. In a
+    group the closure of {0} is the subgroup generated.
+    """
+    used = [int(g) for g in gens]
+    seeds = np.asarray(seeds, dtype=np.int64)
+    while (left := seeds[~reached[seeds]]).size:
+        x = int(left[0])
+        frontier, cols = np.nonzero(reached)[0], np.unique(ladder[:, x])
+        every = np.concatenate([np.asarray(used, dtype=cols.dtype), cols])
+        while frontier.size:
+            fresh = np.zeros_like(reached)
+            fresh[table[frontier[:, None], cols]] = True
+            fresh &= ~reached
+            reached |= fresh
+            frontier, cols = np.nonzero(fresh)[0], every
+        used.append(x)
+    return used[len(gens):]
+
+
+def _loop_generators(table: np.ndarray, ladder: np.ndarray) -> tuple[int, ...]:
     """A generating set, greedy, then pruned to be irredundant.
 
     The greedy pass adds the least unreached element until all are reached;
     then each generator, in that order, is dropped if the others still
     reach every element. Reached means in the closure of {0} under right
-    multiplication by the generators; only the identity at 0 is assumed, not
-    the group laws.
+    multiplication by the generators and their ladders; only the identity
+    at 0 is assumed, not the group laws.
     """
     n = table.shape[0]
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
-    gens: list[int] = []
-    while not reached.all():
-        x = int(np.argmin(reached))
-        _extend_closure(table, reached, gens, [x])
-        gens.append(x)
+    gens = _extend_closure(table, ladder, reached, (), np.arange(n))
     for x in list(gens):
         rest = [g for g in gens if g != x]
         reached[1:] = False
-        _extend_closure(table, reached, (), rest)
+        _extend_closure(table, ladder, reached, (), rest)
         if reached.all():
             gens = rest
     return tuple(gens)
@@ -337,18 +375,27 @@ def _inverses(table: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _element_orders(table: np.ndarray) -> np.ndarray:
+def _element_orders(table: np.ndarray, ladder: np.ndarray) -> np.ndarray:
+    """The order of every element of a group of order n.
+
+    ord(x) divides n. For each p**a exactly dividing n, with m = n / p**a,
+    the p-part of ord(x) is the least p**b with x**(m * p**b) = 1, so it
+    takes a powerings of all elements at once.
+    """
     n = table.shape[0]
-    orders = np.zeros(n, dtype=np.int32)
-    orders[0] = 1
-    idx = np.arange(n)
-    cur = idx.copy()
-    k = 1
-    while (orders == 0).any():
-        if k > n:
-            raise NotAGroup("element-order", (), "power sequence does not return to identity")
-        k += 1
-        cur = table[cur, idx]
-        done = (cur == 0) & (orders == 0)
-        orders[done] = k
+    every = np.arange(n)
+    orders = np.ones(n, dtype=np.int32)
+    for p, a in prime_factorization(n):
+        for b in range(a):
+            orders[_ladder_power(table, ladder, every, n // p**(a - b)) != 0] *= p
     return orders
+
+
+def _ladder_power(table: np.ndarray, ladder: np.ndarray, x, e: int):
+    """x**e for 0 <= e < 2**len(ladder), by binary exponentiation over the
+    ladder; x is an element or an array of elements."""
+    acc = 0
+    for j in range(e.bit_length()):
+        if e >> j & 1:
+            acc = table[acc, ladder[j, x]]
+    return acc

@@ -29,6 +29,7 @@ from .subgroups import (
     indices_of,
     is_normal,
     mask_of,
+    mask_of_bool,
     quotient,
 )
 
@@ -87,11 +88,13 @@ def _normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     join_memo: dict[int, int] = {1: 1}
 
     def join(m1: int, m2: int) -> int:
+        # both are normal, so their join is the product set m1 * m2
         key = m1 | m2
         got = join_memo.get(key)
         if got is None:
-            got = generated_mask(G, indices_of(key, G.order))
-            join_memo[key] = got
+            member = np.zeros(G.order, dtype=bool)
+            member[G.table[np.ix_(indices_of(m1, G.order), indices_of(m2, G.order))]] = True
+            got = join_memo[key] = mask_of_bool(member)
         return got
 
     found = {1}
@@ -192,13 +195,29 @@ def _normal_candidates(Q: FiniteGroup, comp_masks: frozenset[int]) -> tuple[Subg
     """Proper non-trivial normal subgroups to test a partition against.
 
     All of them up to NORMAL_ENUM_CAP; above it, the normal closures of the
-    components (a normal component is its own closure). Both are normal by
-    construction. Ordered by (size, members).
+    components (a normal component is its own closure), one per orbit of
+    the components under conjugation by the generators of Q, since
+    conjugate components have one closure. Both are normal by construction.
+    Ordered by (size, members).
     """
     if Q.order <= NORMAL_ENUM_CAP:
         masks = {s.mask for s in normal_subgroups(Q)}
     else:
-        masks = {normal_closure_mask(Q, m) for m in comp_masks}
+        pending, masks = set(comp_masks), set()
+        while pending:
+            rep = pending.pop()
+            masks.add(normal_closure_mask(Q, rep))
+            # the rep's orbit, one level of conjugates by the generators at a time
+            rows = indices_of(rep, Q.order)[None, :]
+            while rows.size:
+                conj = conjugation_rows(Q, rows.ravel(), by=generators(Q))
+                found = []
+                for row in conj.reshape(-1, rows.shape[1]).tolist():
+                    c = mask_of(row)
+                    if c in pending:
+                        pending.remove(c)
+                        found.append(row)
+                rows = np.asarray(found).reshape(-1, rows.shape[1])
     full = (1 << Q.order) - 1
     return _sorted_components(Subgroup(Q, m) for m in masks if 1 < m < full)
 

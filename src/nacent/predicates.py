@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotNilpotent, PrimeDoesNotDivide
-from .groups import FiniteGroup, memoized
+from .groups import FiniteGroup, memoized, prime_factorization
 from .subgroups import (
     Subgroup,
     centralizer_table,
@@ -26,25 +26,6 @@ from .subgroups import (
 )
 
 GroupLike = FiniteGroup | Subgroup
-
-
-def prime_factorization(n: int) -> list[tuple[int, int]]:
-    """(prime, multiplicity) pairs with strictly increasing primes."""
-    if n < 1:
-        raise ValueError(f"positive integer required, got {n}")
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            m = 0
-            while n % d == 0:
-                n //= d
-                m += 1
-            out.append((d, m))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def primes_dividing(n: int) -> list[int]:

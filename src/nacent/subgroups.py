@@ -30,16 +30,15 @@ def mask_of(indices) -> int:
 
 def indices_of(mask: int, n: int) -> np.ndarray:
     """Ascending element indices present in the bitset."""
-    nbytes = (n + 7) // 8
-    raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")[:n]
-    return np.nonzero(bits)[0]
+    return np.nonzero(bool_of(mask, n))[0]
 
 
 def bool_of(mask: int, n: int) -> np.ndarray:
+    """The bitset as a bool array: the unpacked bits are 0 or 1, so they are
+    viewed as bool, not copied (and `np.nonzero` takes its fast bool path)."""
     nbytes = (n + 7) // 8
     raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:n].astype(bool)
+    return np.unpackbits(raw, bitorder="little")[:n].view(bool)
 
 
 def mask_of_bool(bits: np.ndarray) -> int:
@@ -203,7 +202,7 @@ def generated_mask(G: FiniteGroup, seeds) -> int:
     group powers supply inverses)."""
     member = np.zeros(G.order, dtype=bool)
     member[0] = True
-    _extend_closure(G.table, member, (), np.unique(np.asarray(list(seeds), dtype=np.int64)))
+    _extend_closure(G.table, G.ladder, member, (), list(seeds))
     return mask_of_bool(member)
 
 
@@ -275,12 +274,12 @@ def _normal_closure_mask(G: FiniteGroup, seeds) -> int:
     g_gens = generators(G)
     member = np.zeros(G.order, dtype=bool)
     member[0] = True
-    n_gens = np.empty(0, dtype=np.int64)
+    n_gens: list[int] = []
     fresh = np.unique(np.asarray(list(seeds), dtype=np.int64))
     while fresh.size:
-        _extend_closure(G.table, member, n_gens, fresh)
-        n_gens = np.concatenate([n_gens, fresh])
-        conj = conjugation_rows(G, fresh, by=g_gens)
+        added = _extend_closure(G.table, G.ladder, member, n_gens, fresh)
+        n_gens += added
+        conj = conjugation_rows(G, added, by=g_gens)
         fresh = np.unique(conj[~member[conj]])
     return mask_of_bool(member)
 

@@ -70,6 +70,23 @@ def naive_closure(table, seed) -> frozenset[int]:
     return frozenset(i for i in range(n) if member[i])
 
 
+def naive_generators(table) -> tuple[int, ...]:
+    """A generating set: greedy, by least element outside the closure of
+    those chosen so far, then each, in that order, dropped if the closure of
+    the others is still everything."""
+    n = len(table)
+    gens: list[int] = []
+    closure = naive_closure(table, gens)
+    while len(closure) < n:
+        gens.append(min(x for x in range(n) if x not in closure))
+        closure = naive_closure(table, gens)
+    for x in list(gens):
+        rest = [g for g in gens if g != x]
+        if len(naive_closure(table, rest)) == n:
+            gens = rest
+    return tuple(gens)
+
+
 def naive_all_subgroups(table) -> set[frozenset[int]]:
     """Every subgroup, by growing generator sets one element at a time."""
     n = len(table)

@@ -1,6 +1,7 @@
 """The fast kernels against their definitional oracles: the associativity
-check, the generating set, p-cores, the commutator subgroup, the centralizer
-table and center, normal closures, conjugation (classes, normalizers,
+check, the generating set, element orders, generated subgroups, p-cores, the
+commutator subgroup, the centralizer table and center, normal closures,
+conjugation (classes, normalizers,
 distinct conjugates) and semidirect-product tables, on every catalog group of
 order <= 48 and on the order-1029 flagship; the blocked whole-table passes
 also under forced small blocks. The Frobenius-partition test and the normal
@@ -39,6 +40,7 @@ from nacent.subgroups import (
     conjugate_mask,
     conjugation_rows,
     cyclic_span_mask,
+    generated_mask,
     indices_of,
     normalizer_mask,
 )
@@ -49,12 +51,14 @@ from oracles import (
     naive_commutator_subgroup,
     naive_conjugacy_classes,
     naive_conjugate,
+    naive_generators,
     naive_inverses,
     naive_is_abelian_subset,
     naive_is_associative,
     naive_is_frobenius_partition,
     naive_normal_closure,
     naive_normalizer,
+    naive_orders,
     naive_p_core,
     naive_semidirect_table,
     table_of,
@@ -103,6 +107,37 @@ def test_generators_are_irredundant(flagship):
             assert len(naive_closure(table, rest)) < G.order, (spec, x)
     # the greedy pass finds (1, 3, 21, 147), of which 3 is redundant
     assert len(flagship.generators) == 3
+
+
+# long cyclic stretches (orders 2^7, 2*3*5*7 and 2^3*3*5^2) and a long
+# dihedral rotation, for the closures and powers that climb the square ladder
+LADDER = ["cyclic(128)", "cyclic(210)", "cyclic(600)", "dihedral(99)"]
+
+
+def test_element_orders_match_oracle(flagship):
+    for spec, G in [*groups(flagship), *((spec, build(spec)) for spec in LADDER)]:
+        assert G.orders.tolist() == naive_orders(table_of(G)), spec
+
+
+def test_generators_match_oracle(flagship):
+    for spec, G in [*groups(flagship), *((spec, build(spec)) for spec in LADDER)]:
+        assert G.generators == naive_generators(table_of(G)), spec
+
+
+def test_generated_subgroups_match_oracle():
+    # the subgroup generated by each conjugacy class, and by the union of
+    # each two of those
+    for spec in SMALL:
+        G = build(spec)
+        table = table_of(G)
+        atoms = set()
+        for cls in conjugacy_classes(G):
+            got = frozenset(int(v) for v in indices_of(generated_mask(G, cls), G.order))
+            assert got == naive_closure(table, cls), (spec, cls)
+            atoms.add(got)
+        for seeds in {a | b for a in atoms for b in atoms}:
+            got = frozenset(int(v) for v in indices_of(generated_mask(G, seeds), G.order))
+            assert got == naive_closure(table, seeds), (spec, sorted(seeds))
 
 
 def check_centralizer_table(spec, G):

@@ -102,7 +102,7 @@ NONASSOC_LOOP = [
 def test_rejects_broken_associativity():
     with pytest.raises(NotAGroup) as exc:
         from_cayley_table(NONASSOC_LOOP)
-    assert exc.value.law in ("associativity", "inverse", "lagrange", "element-order")
+    assert exc.value.law in ("associativity", "inverse")
     assert "fails" in str(exc.value)
 
 
