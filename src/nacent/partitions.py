@@ -22,13 +22,11 @@ from .subgroups import (
     center,
     centralizer_table,
     conjugacy_classes,
-    conjugation_rows,
+    conjugates,
     cyclic_span_mask,
     generated_mask,
-    generators,
     indices_of,
     is_normal,
-    mask_of,
     mask_of_bool,
     quotient,
 )
@@ -105,29 +103,9 @@ def _normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     return tuple(sorted(subs, key=lambda s: (s.size, s.mask)))
 
 
-@memoized
-def _class_lookup(G: FiniteGroup) -> dict[int, int]:
-    return {x: ci for ci, cls in enumerate(conjugacy_classes(G)) for x in cls}
-
-
 def normal_closure_mask(G: FiniteGroup, mask: int) -> int:
-    """Smallest normal subgroup containing the given elements.
-
-    Memoized by the set of conjugacy classes the elements touch, so the
-    many conjugate subgroups arising in partition scans share one closure
-    computation. A miss closes one representative per touched class with
-    `subgroups._normal_closure_mask`: a normal subgroup containing an
-    element contains its whole class.
-    """
-    class_of = _class_lookup(G)
-    return _class_closure(G, frozenset(class_of[int(x)] for x in indices_of(mask, G.order)))
-
-
-@memoized
-def _class_closure(G: FiniteGroup, touched: frozenset[int]) -> int:
-    """Normal closure of the conjugacy classes numbered in `touched`."""
-    classes = conjugacy_classes(G)
-    return _normal_closure_mask(G, [classes[ci][0] for ci in touched])
+    """Smallest normal subgroup containing the given elements."""
+    return _normal_closure_mask(G, indices_of(mask, G.order))
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +161,23 @@ def centralizer_partition(G: FiniteGroup) -> Partition | None:
     return Partition(quotient=qm.quotient, components=comps)
 
 
+@memoized
+def _component_orbits(Q: FiniteGroup, comp_masks: frozenset[int]) -> tuple[tuple[int, ...], ...]:
+    """The orbits under conjugation of the given components, each walked
+    once by `conjugates` from its least component not yet reached."""
+    pending, orbits = set(comp_masks), []
+    while pending:
+        orbit = conjugates(Q, min(pending))
+        pending.difference_update(orbit)
+        orbits.append(orbit)
+    return tuple(orbits)
+
+
 def is_normal_partition(Q: FiniteGroup, partition: Partition) -> bool:
-    """True iff conjugation permutes the component set."""
+    """True iff conjugation permutes the component set: every orbit of a
+    component lies inside it."""
     masks = partition.component_masks
-    return all(mask_of(row) in masks for comp in partition.components
-               for row in conjugation_rows(Q, comp.members(), by=generators(Q)))
+    return all(masks.issuperset(orbit) for orbit in _component_orbits(Q, masks))
 
 
 @memoized
@@ -196,28 +186,13 @@ def _normal_candidates(Q: FiniteGroup, comp_masks: frozenset[int]) -> tuple[Subg
 
     All of them up to NORMAL_ENUM_CAP; above it, the normal closures of the
     components (a normal component is its own closure), one per orbit of
-    the components under conjugation by the generators of Q, since
-    conjugate components have one closure. Both are normal by construction.
-    Ordered by (size, members).
+    the components under conjugation, since conjugate components have one
+    closure. Both are normal by construction. Ordered by (size, members).
     """
     if Q.order <= NORMAL_ENUM_CAP:
         masks = {s.mask for s in normal_subgroups(Q)}
     else:
-        pending, masks = set(comp_masks), set()
-        while pending:
-            rep = pending.pop()
-            masks.add(normal_closure_mask(Q, rep))
-            # the rep's orbit, one level of conjugates by the generators at a time
-            rows = indices_of(rep, Q.order)[None, :]
-            while rows.size:
-                conj = conjugation_rows(Q, rows.ravel(), by=generators(Q))
-                found = []
-                for row in conj.reshape(-1, rows.shape[1]).tolist():
-                    c = mask_of(row)
-                    if c in pending:
-                        pending.remove(c)
-                        found.append(row)
-                rows = np.asarray(found).reshape(-1, rows.shape[1])
+        masks = {normal_closure_mask(Q, orbit[0]) for orbit in _component_orbits(Q, comp_masks)}
     full = (1 << Q.order) - 1
     return _sorted_components(Subgroup(Q, m) for m in masks if 1 < m < full)
 
@@ -285,21 +260,13 @@ def miller_check(Q: FiniteGroup, partition: Partition) -> bool:
 # Frobenius structure
 
 
-def _distinct_conjugate_masks(Q: FiniteGroup, mask: int) -> tuple[list[int], np.ndarray]:
-    """Distinct conjugates of a subgroup bitset, plus per-element sorted rows."""
-    rows = np.sort(conjugation_rows(Q, indices_of(mask, Q.order)), axis=1)
-    distinct = np.unique(rows, axis=0)
-    return [mask_of(row) for row in distinct], rows
-
-
 def _validate_frobenius(Q: FiniteGroup, K: Subgroup, H: Subgroup) -> bool:
     full = (1 << Q.order) - 1
     if H.mask & K.mask != 1 or H.size * K.size != Q.order:
         return False
-    conj_masks, rows = _distinct_conjugate_masks(Q, H.mask)
-    h_row = np.sort(H.members())
-    # g^-1 H g = H exactly for g in H (trivial normalizer outside H)
-    if int((rows == h_row[None, :]).all(axis=1).sum()) != H.size:
+    conj_masks = conjugates(Q, H.mask)
+    # H has |Q:N(H)| conjugates, so |K| = |Q:H| of them iff N(H) = H
+    if len(conj_masks) != K.size:
         return False
     union = 0
     for m in conj_masks:
@@ -319,5 +286,4 @@ def is_frobenius_partition(Q: FiniteGroup, partition: Partition) -> bool:
     *rest, K = partition.components
     if not rest or not is_normal(Q, K) or not _validate_frobenius(Q, K, rest[0]):
         return False
-    conj_masks, _ = _distinct_conjugate_masks(Q, rest[0].mask)
-    return set(conj_masks) | {K.mask} == partition.component_masks
+    return {*conjugates(Q, rest[0].mask), K.mask} == partition.component_masks

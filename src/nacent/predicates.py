@@ -14,10 +14,8 @@ from .subgroups import (
     Subgroup,
     centralizer_table,
     center_mask,
-    commutator_values,
-    conjugate_mask,
+    conjugates,
     generated_mask,
-    generators,
     indices_of,
     normalizer_mask,
     subgroup_as_group,
@@ -118,37 +116,26 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
 
 @memoized
 def p_core(G: FiniteGroup, p: int) -> Subgroup:
-    """Largest normal p-subgroup: the core of a Sylow p-subgroup P.
-
-    N <- N & N^g over the generators g of G, starting from N = P, until
-    nothing changes (Holt, Eick and O'Brien, Handbook of Computational
-    Group Theory, 2005, ch. 3). The core of P stays inside every N, and
-    the fixed point is normalized by every generator.
-    """
+    """Largest normal p-subgroup: the core of a Sylow p-subgroup P, the
+    intersection of its conjugates (every normal p-subgroup lies in each
+    Sylow p-subgroup)."""
     if G.order % p != 0:
         return trivial_subgroup(G)
-    core = sylow_subgroup(G, p).mask
-    while True:
-        prev = core
-        for g in generators(G):
-            core &= conjugate_mask(G, core, g)
-        if core == prev:
-            break
+    core = -1
+    for m in conjugates(G, sylow_subgroup(G, p).mask):
+        core &= m
     return Subgroup(G, core)
 
 
 def is_nilpotent(x: GroupLike) -> bool:
-    """Lower central series reaches the trivial subgroup."""
+    """Every Sylow subgroup is normal: for each p^a exactly dividing the
+    order, exactly p^a members have an order dividing p^a (the elements of
+    p-power order are the union of the Sylow p-subgroups, so there are
+    more of them when two Sylows differ)."""
     H = _as_subgroup(x)
-    G = H.parent
-    current = H.mask
-    while current != 1:
-        seeds = commutator_values(G, right_mask=current, left_mask=H.mask)
-        nxt = generated_mask(G, seeds)
-        if nxt == current:
-            return False
-        current = nxt
-    return True
+    orders = H.parent.orders[H.members()]
+    return all(np.count_nonzero(p**a % orders == 0) == p**a
+               for p, a in prime_factorization(H.size))
 
 
 @memoized

@@ -4,8 +4,8 @@ Subgroups are bitsets (arbitrary-width Python ints) over the parent's
 element indices, so equality, intersection and deduplication are plain
 integer operations. All functions here are pure; derived structures that
 are expensive to recompute (center, centralizer classes, conjugacy
-classes) are memoized on the parent group; its generating set is found
-when its table is validated.
+classes, the conjugates of a subgroup) are memoized on the parent group;
+its generating set is found when its table is validated.
 """
 
 from __future__ import annotations
@@ -242,6 +242,30 @@ def conjugate_mask(G: FiniteGroup, mask: int, g: int) -> int:
     return mask_of(conjugation_rows(G, indices_of(mask, G.order), [g])[0])
 
 
+@memoized
+def conjugates(G: FiniteGroup, mask: int) -> tuple[int, ...]:
+    """The distinct conjugates g^-1 H g of a subgroup bitset, H first.
+
+    Walked level by level: the conjugates first reached at one level are
+    conjugated by every generator of G in one gather, and the unseen ones
+    make the next level. The orbit of H under the generators is its orbit
+    under G, since G is generated by them. The value is plain ints, so the
+    memo holds no reference back to G.
+    """
+    seen = {mask: None}
+    level = indices_of(mask, G.order)[None, :]
+    while level.size:
+        rows = conjugation_rows(G, level.ravel(), by=generators(G)).reshape(-1, level.shape[1])
+        fresh = []
+        for row in rows.tolist():
+            m = mask_of(row)
+            if m not in seen:
+                seen[m] = None
+                fresh.append(row)
+        level = np.asarray(fresh, dtype=np.int64).reshape(-1, level.shape[1])
+    return tuple(seen)
+
+
 def conjugate_subgroup(G: FiniteGroup, H: Subgroup, g: int) -> Subgroup:
     """g^-1 H g; same size as H."""
     return Subgroup(G, conjugate_mask(G, H.mask, g))
@@ -319,30 +343,14 @@ def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 # commutators
 
 
-def commutator_values(G: FiniteGroup, right_mask: int, left_mask: int) -> np.ndarray:
-    """Distinct values [x, y] = x^-1 y^-1 x y with x in left, y in right.
-
-    Computed in row blocks of x to bound memory on large tables.
-    """
-    left = indices_of(left_mask, G.order)
-    right = indices_of(right_mask, G.order)
-    if left.size == 0 or right.size == 0:
-        return np.array([0], dtype=np.int64)
-    inv_right = G.inverses[right]
-    out: set[int] = set()
-    block = max(1, BLOCK_CELLS // right.size)
-    for start in range(0, left.size, block):
-        conj = conjugation_rows(G, inv_right, by=left[start:start + block])  # x^-1 y^-1 x
-        out.update(int(v) for v in np.unique(G.table[conj, right]))
-    return np.array(sorted(out), dtype=np.int64)
-
-
 @memoized
 def commutator_subgroup(G: FiniteGroup) -> Subgroup:
     """Subgroup generated by all commutators: the normal closure of the
-    commutators [x, y] of pairs of generators of G."""
-    gens = mask_of(generators(G))
-    return Subgroup(G, _normal_closure_mask(G, commutator_values(G, gens, gens)))
+    commutators [s, t] = s^-1 t^-1 s t of pairs of generators of G, read
+    off one gather of the conjugates s^-1 t^-1 s."""
+    gens = np.asarray(generators(G), dtype=np.int64)
+    comms = G.table[conjugation_rows(G, G.inverses[gens], by=gens), gens]
+    return Subgroup(G, _normal_closure_mask(G, comms.ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +383,9 @@ class QuotientMap:
     def image_mask(self, H: Subgroup) -> int:
         if H.parent is not self.parent:
             raise ParentMismatch("subgroup does not live in the quotient's parent")
-        return mask_of(np.unique(self.projection[H.members()]))
+        image = np.zeros(self.quotient.order, dtype=bool)
+        image[self.projection[H.member_bool()]] = True
+        return mask_of_bool(image)
 
     def image(self, H: Subgroup) -> Subgroup:
         return Subgroup(self.quotient, self.image_mask(H))

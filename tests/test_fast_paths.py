@@ -1,12 +1,13 @@
 """The fast kernels against their definitional oracles: the associativity
 check, the generating set, element orders, generated subgroups, p-cores, the
 commutator subgroup, the centralizer table and center, normal closures,
-conjugation (classes, normalizers,
-distinct conjugates) and semidirect-product tables, on every catalog group of
-order <= 48 and on the order-1029 flagship; the blocked whole-table passes
-also under forced small blocks. The Frobenius-partition test and the normal
-candidates above the enumeration cap against the definition, on catalog
-groups of order <= 64."""
+conjugation (classes, normalizers, distinct conjugates) and
+semidirect-product tables, on every catalog group of order <= 48 and on the
+order-1029 flagship; the blocked whole-table passes also under forced small
+blocks. The nilpotency test, the orbits of partition components, the
+normal-partition and Frobenius-partition tests and the normal candidates
+above the enumeration cap against the definition, on catalog groups of
+order <= 64."""
 
 import nacent.partitions
 from nacent import (
@@ -18,15 +19,19 @@ from nacent import (
     dicyclic,
     direct_product,
     from_cayley_table,
+    hughes_subgroup,
     is_abelian,
     is_frobenius_partition,
+    is_nilpotent,
+    is_normal_partition,
+    is_partition,
     normal_subgroups,
     p_core,
     semidirect_product,
 )
 from nacent.partitions import (
     Partition,
-    _distinct_conjugate_masks,
+    _component_orbits,
     _normal_candidates,
     _sorted_components,
     normal_closure_mask,
@@ -38,6 +43,7 @@ from nacent.subgroups import (
     centralizer_table,
     conjugacy_classes,
     conjugate_mask,
+    conjugates,
     conjugation_rows,
     cyclic_span_mask,
     generated_mask,
@@ -56,6 +62,7 @@ from oracles import (
     naive_is_abelian_subset,
     naive_is_associative,
     naive_is_frobenius_partition,
+    naive_is_nilpotent,
     naive_normal_closure,
     naive_normalizer,
     naive_orders,
@@ -163,7 +170,7 @@ def test_normal_closure_matches_oracle(flagship):
         limit = None if G.order <= 48 else 6
         masks = list(ct.masks[:limit])
         masks += [1 << cls[0] for cls in conjugacy_classes(G)[:limit]]
-        # a conjugate touches the same classes, so it is answered from the memo
+        # and a conjugate of each, whose normal closure is the same
         masks += [conjugate_mask(G, m, G.generators[-1]) for m in masks if G.generators]
         for m in masks:
             mem = [int(v) for v in indices_of(m, G.order)]
@@ -188,7 +195,8 @@ def test_conjugation_matches_oracle(flagship):
             mem = frozenset(int(v) for v in indices_of(m, n))
             got = frozenset(int(v) for v in indices_of(normalizer_mask(G, m), n))
             assert got == naive_normalizer(table, mem), (spec, sorted(mem)[:4])
-            conj, _ = _distinct_conjugate_masks(G, m)
+            conj = conjugates(G, m)
+            assert conj[0] == m and len(set(conj)) == len(conj), spec
             want = {naive_conjugate(table, inv, mem, g) for g in range(n)}
             assert {frozenset(int(v) for v in indices_of(c, n)) for c in conj} == want, spec
 
@@ -260,16 +268,76 @@ def exponent_3_spans():
     return Partition(quotient=G, components=_sorted_components(Subgroup(G, m) for m in spans))
 
 
-def test_frobenius_partition_matches_oracle(flagship):
+def s4_stabilizer_and_spans():
+    """symmetric(4) partitioned into a point stabilizer S3 and the maximal
+    cyclic subgroups outside it: not normal, since the conjugates of the
+    S3 are no components."""
+    G = build("symmetric(4)")
+    pairs = ((a, b) for a in range(G.order) for b in range(G.order)
+             if G.orders[a] == 2 and G.orders[b] == 3)
+    stab = next(m for pair in pairs if (m := generated_mask(G, pair)).bit_count() == 6)
+    spans = {cyclic_span_mask(G, x) for x in range(G.order) if not stab >> x & 1}
+    comps = {stab} | {m for m in spans if not any(m != k and m & ~k == 0 for k in spans)}
+    return Partition(quotient=G, components=_sorted_components(Subgroup(G, m) for m in comps))
+
+
+def catalog_partitions(flagship):
+    """(spec, partition) for every catalog partition of order <= 64, the
+    flagship's, that of F9 x| Q8, the exponent-3 spans of heisenberg(3) and
+    the non-normal partition of symmetric(4)."""
     parts = [(spec.name, centralizer_partition(G)) for spec in builtin_catalog(64)
              if not is_abelian(G := build(spec.name))]
     parts += [("heisenberg_frobenius(7,3)", centralizer_partition(flagship)),
               ("F9 x| Q8", centralizer_partition(f9_q8())),
-              ("heisenberg(3) spans", exponent_3_spans())]
+              ("heisenberg(3) spans", exponent_3_spans()),
+              ("symmetric(4) mixed", s4_stabilizer_and_spans())]
+    return [(spec, part) for spec, part in parts if part is not None]
+
+
+def test_is_nilpotent_matches_oracle():
+    # every whole group, proper centralizer and Hughes subgroup
+    checked = 0
+    for spec in builtin_catalog(64):
+        G = build(spec.name)
+        table = table_of(G)
+        hughes = [hughes_subgroup(G, p).mask for p in primes_dividing(G.order)]
+        for m in [*centralizer_table(G).masks, *hughes]:  # the first is C(1) = G
+            H = Subgroup(G, m)
+            assert is_nilpotent(H) == naive_is_nilpotent(table, members(H)), (spec.name, H.size)
+            checked += 1
+        assert is_nilpotent(G) == naive_is_nilpotent(table), spec.name
+    assert checked == 1250
+
+
+def test_component_orbits_match_oracle(flagship):
     verdicts = {}
-    for spec, part in parts:
-        if part is None:
-            continue
+    for spec, part in catalog_partitions(flagship):
+        Q = part.quotient
+        assert is_partition(Q, part.components), spec
+        table = table_of(Q)
+        inv = naive_inverses(table)
+        masks = part.component_masks
+        orbits = _component_orbits(Q, masks)
+        reached = [m for orbit in orbits for m in orbit]
+        assert len(reached) == len(set(reached)), spec  # disjoint
+        assert masks <= set(reached), spec
+        for orbit in orbits:
+            assert orbit[0] in masks, spec
+            mem = members(Subgroup(Q, orbit[0]))
+            want = {naive_conjugate(table, inv, mem, g) for g in range(Q.order)}
+            assert {members(Subgroup(Q, m)) for m in orbit} == want, spec
+        comps = [members(c) for c in part.components]
+        want = all(naive_conjugate(table, inv, c, g) in comps
+                   for c in comps for g in range(Q.order))
+        assert is_normal_partition(Q, part) == want, spec
+        verdicts[spec] = want
+    # conjugation permutes the centralizers, so only the S4 partition is not normal
+    assert [spec for spec, normal in verdicts.items() if not normal] == ["symmetric(4) mixed"]
+
+
+def test_frobenius_partition_matches_oracle(flagship):
+    verdicts = {}
+    for spec, part in catalog_partitions(flagship):
         Q = part.quotient
         want = naive_is_frobenius_partition(table_of(Q), [members(c) for c in part.components])
         assert is_frobenius_partition(Q, part) == want, spec
