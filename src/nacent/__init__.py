@@ -8,10 +8,8 @@ quotient, and verifies the derived consequences across a built-in corpus.
 """
 
 from .classify import (
-    CentStats,
     Classification,
     VerificationReport,
-    cent_stats,
     classify,
     full_report,
     verify_consequences,
@@ -79,10 +77,12 @@ from .predicates import (
     sylow_subgroup,
 )
 from .subgroups import (
+    CentralizerTable,
     QuotientMap,
     Subgroup,
     center,
     centralizer,
+    centralizer_table,
     commutator_subgroup,
     conjugate_subgroup,
     generated_subgroup,

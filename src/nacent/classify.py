@@ -1,8 +1,9 @@
-"""Distinct centralizers, the two-non-abelian-centralizer classifier, and
-its consequence checks.
+"""The two-non-abelian-centralizer classifier and its consequence checks.
 
-`cent_stats` computes the set of distinct element centralizers and its
-non-abelian subset. `classify` sorts a group into abelian / CA /
+Every step reads the distinct centralizers from the memoized
+`subgroups.centralizer_table`: |Cent(G)| is its class count, the
+non-abelian centralizers are its non-abelian classes, and C(x) is
+`masks[elem_class[x]]`. `classify` sorts a group into abelian / CA /
 two-nacent (with a structural case) / many-nacent.
 
 Reports come from one pipeline: a base report with `classify` applied once,
@@ -18,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
-
-import numpy as np
 
 from .errors import NotNilpotent, TheoremViolation
 from .groups import FiniteGroup, exponent, memoized
@@ -42,11 +41,10 @@ from .predicates import (
     is_cyclic,
     is_p_group,
     is_prime,
-    primes_dividing,
 )
 from .subgroups import (
+    CentralizerTable,
     Subgroup,
-    bool_of,
     center_mask,
     centralizer_table,
     commutator_subgroup,
@@ -63,46 +61,18 @@ CATEGORY_MANY_NACENT = "many_nacent"
 CASES = ("A", "B", "C")
 
 
-@dataclass(frozen=True)
-class CentStats:
-    """Distinct centralizers of a group, non-abelian ones flagged.
+def _classes_by_side(ct: CentralizerTable, ca_mask: int) -> tuple[list[int], list[int]]:
+    """The classes inside C(a) other than class 0 (the center's, C(x) = G),
+    and the classes outside C(a), each in ascending order of witness.
 
-    Centralizers are numbered by least witness element; `cent[i]` is the
-    centralizer whose least witness is `witnesses[i]`.
+    x lies in C(a) iff a lies in C(x), so a class of equal centralizers lies
+    wholly inside C(a) or wholly outside it, on the side of its witness.
     """
-
-    group: FiniteGroup
-    cent: tuple[Subgroup, ...]
-    witnesses: tuple[int, ...]
-    abelian: tuple[bool, ...]
-    elem_class: np.ndarray
-
-    @property
-    def cent_count(self) -> int:
-        return len(self.cent)
-
-    @property
-    def nacent(self) -> tuple[Subgroup, ...]:
-        return tuple(c for c, ab in zip(self.cent, self.abelian) if not ab)
-
-    @property
-    def nacent_count(self) -> int:
-        return sum(1 for ab in self.abelian if not ab)
-
-    def witness_map(self) -> dict[int, int]:
-        """mask of each distinct centralizer -> least element realizing it."""
-        return {c.mask: w for c, w in zip(self.cent, self.witnesses)}
-
-    def centralizer_of(self, x: int) -> Subgroup:
-        return self.cent[int(self.elem_class[x])]
-
-
-def cent_stats(G: FiniteGroup) -> CentStats:
-    """Compute C(x) for every x, deduplicated by bitset."""
-    ct = centralizer_table(G)
-    subs = tuple(Subgroup(G, m) for m in ct.masks)
-    return CentStats(group=G, cent=subs, witnesses=ct.witnesses,
-                     abelian=ct.abelian, elem_class=ct.elem_class)
+    inner: list[int] = []
+    outer: list[int] = []
+    for c, w in enumerate(ct.witnesses[1:], 1):
+        (inner if ca_mask >> w & 1 else outer).append(c)
+    return inner, outer
 
 
 # ---------------------------------------------------------------------------
@@ -138,19 +108,17 @@ def evaluate_cases(G: FiniteGroup, a: int) -> tuple[CaseCheck, ...]:
     centralizers the group actually has, so the same evaluation serves
     both directions of the characterization.
     """
-    stats = cent_stats(G)
-    Ca = stats.centralizer_of(a)
+    ct = centralizer_table(G)
+    Ca = Subgroup(G, ct.masks[ct.elem_class[a]])
     qm = center_quotient(G)
     Q = qm.quotient
     img_ca = qm.image(Ca)
     zsize = center_mask(G).bit_count()
-    sizes = np.array([c.size for c in stats.cent], dtype=np.int64)
-    elem_sizes = sizes[stats.elem_class]
-    outside = ~Ca.member_bool()
+    _, outer = _classes_by_side(ct, Ca.mask)
     ca_is_ca = _ca_flag(G, Ca)
 
     def outside_small(p: int) -> bool:
-        return bool((elem_sizes[outside] == p * zsize).all())
+        return all(ct.masks[c].bit_count() == p * zsize for c in outer)
 
     results = []
 
@@ -171,35 +139,21 @@ def evaluate_cases(G: FiniteGroup, a: int) -> tuple[CaseCheck, ...]:
         checks["ca_group"] = ca_is_ca
     results.append(CaseCheck("A", all(checks.values()) and len(checks) > 1, checks, data))
 
-    # case B: central quotient has a proper Hughes subgroup for a prime p
-    # it is not a p-group of, that Hughes subgroup is the image of C(a).
+    # case B: the image of C(a) has prime index q in a central quotient
+    # that is not a q-group, it is the Hughes subgroup H_q(Q), and every
+    # centralizer outside C(a) has order q over the center. Only the index
+    # can be that prime, since H_q(Q) has index q. (p is the prime Q is a
+    # p-group of, if any, from case A.)
     checks = {}
     data = {}
-    matched_p = None
-    for q in primes_dividing(Q.order):
-        if is_p_group(Q) == q:
-            continue
-        hq = hughes_subgroup(Q, q)
-        if hq.size == Q.order or hq.mask != img_ca.mask:
-            continue
-        sub_checks = {
-            "hughes_proper": True,
-            "hughes_is_ca_image": True,
-            "hughes_index_p": Q.order == q * hq.size,
-            "outside_order_p": outside_small(q),
-            "ca_group": ca_is_ca,
-        }
-        if all(sub_checks.values()):
-            matched_p = q
-            checks = sub_checks
-            data = {"p": q}
-            break
-        if not checks:
-            checks = sub_checks
-            data = {"p": q}
-    if not checks:
-        checks = {"hughes_is_ca_image": False}
-    results.append(CaseCheck("B", matched_p is not None, checks, data))
+    q = Q.order // img_ca.size
+    checks["ca_image_prime_index"] = is_prime(q) and p != q
+    if checks["ca_image_prime_index"]:
+        data["p"] = q
+        checks["hughes_is_ca_image"] = hughes_subgroup(Q, q).mask == img_ca.mask
+        checks["outside_order_p"] = outside_small(q)
+        checks["ca_group"] = ca_is_ca
+    results.append(CaseCheck("B", all(checks.values()) and len(checks) > 1, checks, data))
 
     # case C: central quotient is Frobenius with kernel the image of C(a)
     # and some outside centralizer image a cyclic complement. A complement
@@ -209,7 +163,7 @@ def evaluate_cases(G: FiniteGroup, a: int) -> tuple[CaseCheck, ...]:
     data = {}
     checks["ca_image_normal"] = is_normal(Q, img_ca)
     if checks["ca_image_normal"]:
-        witness_x = _cyclic_complement_witness(G, stats, qm, img_ca, Ca)
+        witness_x = _cyclic_complement_witness(G, ct, qm, img_ca, outer)
         checks["cyclic_complement_witness"] = witness_x is not None
         if witness_x is not None:
             data["kernel_size"] = img_ca.size
@@ -221,29 +175,20 @@ def evaluate_cases(G: FiniteGroup, a: int) -> tuple[CaseCheck, ...]:
     return tuple(results)
 
 
-def _cyclic_complement_witness(G, stats, qm, img_ca, Ca) -> int | None:
+def _cyclic_complement_witness(G, ct, qm, img_ca, outer) -> int | None:
     """Least x outside C(a) whose centralizer image is a valid cyclic
-    complement, trying one witness per distinct outside centralizer."""
+    complement, trying the witnesses of the outside classes in ascending
+    order."""
     Q = qm.quotient
-    m = Q.order // img_ca.size if img_ca.size else 0
-    outside_members = np.nonzero(~Ca.member_bool())[0]
-    if outside_members.size == 0 or m == 0:
-        return None
-    candidates = [int(outside_members[0])]
-    seen_classes = {int(stats.elem_class[candidates[0]])}
-    for x in outside_members[1:]:
-        cid = int(stats.elem_class[x])
-        if cid not in seen_classes:
-            seen_classes.add(cid)
-            candidates.append(int(x))
-    for x in candidates:
-        img_cx = qm.image(stats.centralizer_of(x))
+    m = Q.order // img_ca.size
+    for c in outer:
+        img_cx = qm.image(Subgroup(G, ct.masks[c]))
         if img_cx.size != m or not is_cyclic(img_cx):
             continue
         if img_cx.mask & img_ca.mask != 1:
             continue
         if _validate_frobenius(Q, img_ca, img_cx):
-            return x
+            return ct.witnesses[c]
     return None
 
 
@@ -263,22 +208,18 @@ class Classification:
     case_data: dict[str, Any] = field(default_factory=dict)
     validation: dict[str, bool] = field(default_factory=dict)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "category": self.category,
-            "case": self.case,
-            "witness_a": self.witness_a,
-            "nacent_count": self.nacent_count,
-            "matched_cases": list(self.matched_cases),
-            "case_data": dict(self.case_data),
-            "validation": dict(self.validation),
-        }
+
+def _candidates(ct: CentralizerTable) -> list[int]:
+    """Witnesses of the non-abelian classes other than class 0, which is
+    C(1) = G: the witnesses of the proper non-abelian centralizers."""
+    return [w for w, ab in zip(ct.witnesses[1:], ct.abelian[1:]) if not ab]
 
 
-def _candidates(stats: CentStats) -> list[tuple[Subgroup, int]]:
-    """Witnesses of proper non-abelian centralizers."""
-    return [(c, w) for c, w, ab in zip(stats.cent, stats.witnesses, stats.abelian)
-            if not ab and not c.is_whole()]
+def _matches(G: FiniteGroup, ct: CentralizerTable) -> list[tuple[int, str]]:
+    """(a, case) for each candidate a and each case whose full hypothesis
+    holds for it, in candidate order, then case order."""
+    return [(a, check.name) for a in _candidates(ct)
+            for check in evaluate_cases(G, a) if check.matched]
 
 
 @memoized
@@ -289,8 +230,8 @@ def classify(G: FiniteGroup) -> Classification:
     exist but no structural case matches: that would contradict the
     verified characterization, so it is an error, not a category.
     """
-    stats = cent_stats(G)
-    nac = stats.nacent_count
+    ct = centralizer_table(G)
+    nac = ct.abelian.count(False)
     if is_abelian(G):
         return Classification(category=CATEGORY_ABELIAN, nacent_count=0)
     if nac == 1:
@@ -298,21 +239,19 @@ def classify(G: FiniteGroup) -> Classification:
     if nac != 2:
         # converse guard: a fully matching case hypothesis would force
         # exactly two non-abelian centralizers
-        for _, a in _candidates(stats):
-            for check in evaluate_cases(G, a):
-                if check.matched:
-                    raise TheoremViolation(
-                        f"{G.name!r}: case {check.name} hypothesis holds for "
-                        f"a={a} but |nacent| = {nac}",
-                        report={"a": a, "case": check.name},
-                        direction="converse")
+        matches = _matches(G, ct)
+        if matches:
+            a, name = matches[0]
+            raise TheoremViolation(
+                f"{G.name!r}: case {name} hypothesis holds for "
+                f"a={a} but |nacent| = {nac}",
+                report={"a": a, "case": name},
+                direction="converse")
         return Classification(category=CATEGORY_MANY_NACENT, nacent_count=nac)
 
-    proper = _candidates(stats)
-    if len(proper) != 1:
-        raise TheoremViolation(
-            f"{G.name!r}: two non-abelian centralizers but no proper one")
-    Ca, a = proper[0]
+    # G is non-abelian, so C(1) = G is one of the two
+    (a,) = _candidates(ct)
+    Ca = Subgroup(G, ct.masks[ct.elem_class[a]])
     cases = evaluate_cases(G, a)
     matched = tuple(c.name for c in cases if c.matched)
     if not matched:
@@ -326,7 +265,7 @@ def classify(G: FiniteGroup) -> Classification:
     first = next(by_name[name] for name in ("A", "C", "B") if by_name[name].matched)
     case_data = dict(first.data)
     case_data["ca_size"] = Ca.size
-    validation = _two_nacent_validation(G, stats, Ca, a)
+    validation = _two_nacent_validation(G, ct, Ca)
     return Classification(
         category=CATEGORY_TWO_NACENT,
         case=first.name,
@@ -338,20 +277,16 @@ def classify(G: FiniteGroup) -> Classification:
     )
 
 
-def _two_nacent_validation(G: FiniteGroup, stats: CentStats,
-                           Ca: Subgroup, a: int) -> dict[str, bool]:
+def _two_nacent_validation(G: FiniteGroup, ct: CentralizerTable,
+                           Ca: Subgroup) -> dict[str, bool]:
     """Structural facts that must hold whenever |nacent| = 2."""
     z = center_mask(G)
+    inner, outer = _classes_by_side(ct, Ca.mask)
     out: dict[str, bool] = {}
     out["ca_normal"] = is_normal(G, Ca)
-
-    inner = Ca.mask & ~z
-    inner_classes = {int(stats.elem_class[x])
-                     for x in np.nonzero(bool_of(inner, G.order))[0]}
     out["inner_centralizers_inside_ca"] = all(
-        stats.cent[c].mask & ~Ca.mask == 0 for c in inner_classes)
-
-    outside = [stats.cent[c].mask for c in np.unique(stats.elem_class[~Ca.member_bool()])]
+        ct.masks[c] & ~Ca.mask == 0 for c in inner)
+    outside = [ct.masks[c] for c in outer]
     out["outside_meet_ca_in_center"] = all(m & Ca.mask == z for m in outside)
     out["outside_pairwise_meet_in_center"] = _meet_pairwise_in(z, outside)
     return out
@@ -415,13 +350,13 @@ def _classified_report(G: FiniteGroup,
                        group_id: str | None) -> tuple[VerificationReport, Classification | None]:
     """The base report with `classify` applied: category, case data and
     failed validations, or the TheoremViolation it raised as a violation."""
-    stats = cent_stats(G)
+    ct = centralizer_table(G)
     report = VerificationReport(
         group_id=group_id or G.name,
         order=G.order,
         center_order=center_mask(G).bit_count(),
-        cent_count=stats.cent_count,
-        nacent_count=stats.nacent_count,
+        cent_count=len(ct.masks),
+        nacent_count=ct.abelian.count(False),
         category="",
         case=None,
     )
@@ -445,33 +380,23 @@ def _classified_report(G: FiniteGroup,
     return report, cls
 
 
-def _check_iff(G: FiniteGroup, report: VerificationReport) -> None:
+def _check_iff(G: FiniteGroup, report: VerificationReport,
+               cls: Classification | None) -> None:
     """Both directions of the characterization, into ``case_data["iff"]``.
 
     Forward: exactly two non-abelian centralizers implies one of the
-    structural cases matches (`classify` raised otherwise). Converse: a full
-    case hypothesis holding for any candidate (a witness of a proper
-    non-abelian centralizer) implies exactly two non-abelian centralizers.
+    structural cases matches. Converse: a full case hypothesis holding for
+    any candidate (a witness of a proper non-abelian centralizer) implies
+    exactly two non-abelian centralizers. `classify` raises on a failure of
+    either (``cls`` is then None); |nacent| tells which one failed.
     """
-    stats = cent_stats(G)
-    forward_ok = not any(v.startswith("forward:") for v in report.violations)
-    converse_ok = not any(v.startswith("converse:") for v in report.violations)
-    matched_candidates: list[dict[str, Any]] = []
-    candidates = _candidates(stats)
-    for _, a in candidates:
-        for check in evaluate_cases(G, a):
-            if check.matched:
-                matched_candidates.append({"a": a, "case": check.name})
-                if stats.nacent_count != 2 and converse_ok:
-                    converse_ok = False
-                    report.violations.append(
-                        f"converse: case {check.name} hypothesis holds for a={a} "
-                        f"but |nacent| = {stats.nacent_count}")
+    ct = centralizer_table(G)
+    two = report.nacent_count == 2
     report.case_data["iff"] = {
-        "forward_ok": forward_ok,
-        "converse_ok": converse_ok,
-        "candidates_checked": len(candidates),
-        "matched": matched_candidates,
+        "forward_ok": cls is not None or not two,
+        "converse_ok": cls is not None or two,
+        "candidates_checked": len(_candidates(ct)),
+        "matched": [{"a": a, "case": name} for a, name in _matches(G, ct)],
     }
 
 
@@ -485,8 +410,8 @@ def _check_consequences(G: FiniteGroup, report: VerificationReport,
     if cls is None or cls.category != CATEGORY_TWO_NACENT:
         return
 
-    stats = cent_stats(G)
-    Ca = stats.centralizer_of(cls.witness_a)
+    ct = centralizer_table(G)
+    Ca = Subgroup(G, ct.masks[ct.elem_class[cls.witness_a]])
     qm = center_quotient(G)
     Q = qm.quotient
     img_ca = qm.image(Ca)
@@ -496,7 +421,7 @@ def _check_consequences(G: FiniteGroup, report: VerificationReport,
     # outside centralizers plus one, where that number is |G|/p for the
     # Hughes cases and |C(a)/Z| in general.
     sub_ca = _standalone(G, Ca)
-    cent_ca = cent_stats(sub_ca).cent_count
+    cent_ca = len(centralizer_table(sub_ca).masks)
     p = cls.case_data.get("p")
     if p is None:
         # Frobenius case: the complement order plays the prime's role when
@@ -550,8 +475,8 @@ def verify_iff(G: FiniteGroup, group_id: str | None = None) -> VerificationRepor
     """The classified report with both directions of the two-nacent
     characterization checked (see `_check_iff`). Violations are recorded in
     the report, never raised."""
-    report, _ = _classified_report(G, group_id)
-    _check_iff(G, report)
+    report, cls = _classified_report(G, group_id)
+    _check_iff(G, report, cls)
     return report
 
 
@@ -591,7 +516,7 @@ def full_report(G: FiniteGroup, group_id: str | None = None) -> VerificationRepo
     """Classification, both characterization directions, consequences and
     partition diagnostics in one report, from one classification."""
     report, cls = _classified_report(G, group_id)
-    _check_iff(G, report)
+    _check_iff(G, report, cls)
     _check_consequences(G, report, cls)
     report.case_data.setdefault("counting", None)
     report.case_data["partition"] = partition_diagnostics(G)

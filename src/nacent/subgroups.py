@@ -220,12 +220,6 @@ def cyclic_span_mask(G: FiniteGroup, x: int) -> int:
     return m
 
 
-def generators(G: FiniteGroup) -> tuple[int, ...]:
-    """A small generating set: greedy, by least ungenerated element, then
-    pruned to be irredundant (found while validating the table)."""
-    return G.generators
-
-
 # ---------------------------------------------------------------------------
 # conjugation and normality
 
@@ -255,7 +249,7 @@ def conjugates(G: FiniteGroup, mask: int) -> tuple[int, ...]:
     seen = {mask: None}
     level = indices_of(mask, G.order)[None, :]
     while level.size:
-        rows = conjugation_rows(G, level.ravel(), by=generators(G)).reshape(-1, level.shape[1])
+        rows = conjugation_rows(G, level.ravel(), by=G.generators).reshape(-1, level.shape[1])
         fresh = []
         for row in rows.tolist():
             m = mask_of(row)
@@ -282,7 +276,7 @@ def is_normal(G: FiniteGroup, H: Subgroup, exhaustive: bool = False) -> bool:
     if H.mask == 1 or H.is_whole():
         return True
     inside = H.member_bool()
-    rows = conjugation_rows(G, np.nonzero(inside)[0], by=None if exhaustive else generators(G))
+    rows = conjugation_rows(G, np.nonzero(inside)[0], by=None if exhaustive else G.generators)
     return bool(inside[rows].all())
 
 
@@ -295,7 +289,7 @@ def _normal_closure_mask(G: FiniteGroup, seeds) -> int:
     Handbook of Computational Group Theory, 2005, ch. 3). N grows in place
     by the newest generators only.
     """
-    g_gens = generators(G)
+    g_gens = G.generators
     member = np.zeros(G.order, dtype=bool)
     member[0] = True
     n_gens: list[int] = []
@@ -321,7 +315,7 @@ def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     A class is an orbit of conjugation by the generators of G, grown from
     its least member by applying each generator's conjugation permutation.
     """
-    perms = conjugation_rows(G, np.arange(G.order), by=generators(G)).tolist()
+    perms = conjugation_rows(G, np.arange(G.order), by=G.generators).tolist()
     seen = [False] * G.order
     classes = []
     for x in range(G.order):
@@ -348,7 +342,7 @@ def commutator_subgroup(G: FiniteGroup) -> Subgroup:
     """Subgroup generated by all commutators: the normal closure of the
     commutators [s, t] = s^-1 t^-1 s t of pairs of generators of G, read
     off one gather of the conjugates s^-1 t^-1 s."""
-    gens = np.asarray(generators(G), dtype=np.int64)
+    gens = np.asarray(G.generators, dtype=np.int64)
     comms = G.table[conjugation_rows(G, G.inverses[gens], by=gens), gens]
     return Subgroup(G, _normal_closure_mask(G, comms.ravel()))
 

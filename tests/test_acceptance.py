@@ -15,10 +15,11 @@ import pytest
 from nacent import (
     GroupSpec,
     NotAGroup,
+    Subgroup,
     build,
     builtin_catalog,
-    cent_stats,
     centralizer_partition,
+    centralizer_table,
     classify,
     from_cayley_table,
     full_report,
@@ -79,8 +80,8 @@ def test_criterion_1_flagship_exact_counts():
     table = table_of(G)
     naive = naive_centralizer_sets(table)
     ok &= len(naive) == 353
-    st = cent_stats(G)
-    ok &= {frozenset(c.members().tolist()) for c in st.cent} == naive
+    masks = centralizer_table(G).masks
+    ok &= {frozenset(Subgroup(G, m).members().tolist()) for m in masks} == naive
 
     report_line(1, "flagship exact counts (353 = 9 + 343 + 1, case C)", ok,
                 f"{elapsed:.1f}s")
@@ -141,8 +142,8 @@ def test_criterion_5_cent_oracle_equivalence():
         if G.order > 200:
             continue
         checked += 1
-        st = cent_stats(G)
-        got = {frozenset(c.members().tolist()) for c in st.cent}
+        masks = centralizer_table(G).masks
+        got = {frozenset(Subgroup(G, m).members().tolist()) for m in masks}
         if got != naive_centralizer_sets(table_of(G)):
             bad.append(spec.name)
     ok = not bad

@@ -5,10 +5,12 @@ import json
 import pytest
 
 from nacent import (
+    Subgroup,
     build,
-    cent_stats,
+    builtin_catalog,
     center,
     centralizer,
+    centralizer_table,
     classify,
     full_report,
     generated_subgroup,
@@ -21,54 +23,64 @@ from nacent.classify import (
     CATEGORY_CA,
     CATEGORY_MANY_NACENT,
     CATEGORY_TWO_NACENT,
+    _candidates,
     _meet_pairwise_in,
     evaluate_cases,
 )
+from nacent.partitions import center_quotient
+from nacent.predicates import (
+    hughes_subgroup,
+    is_ca_group,
+    is_p_group,
+    primes_dividing,
+)
+from nacent.subgroups import subgroup_as_group
 from oracles import naive_centralizer_sets, naive_is_abelian_subset, table_of
 
 
+def members(G, mask):
+    return frozenset(Subgroup(G, mask).members().tolist())
+
+
 def test_cent_stats_abelian(z6):
-    st = cent_stats(z6)
-    assert st.cent_count == 1
-    assert st.nacent_count == 0
-    assert st.cent[0].is_whole()
+    ct = centralizer_table(z6)
+    assert len(ct.masks) == 1
+    assert ct.abelian.count(False) == 0
+    assert Subgroup(z6, ct.masks[0]).is_whole()
 
 
 def test_cent_stats_s3(s3):
-    st = cent_stats(s3)
-    assert st.cent_count == 5
-    assert st.nacent_count == 1
-    assert st.nacent[0].is_whole()
+    ct = centralizer_table(s3)
+    assert len(ct.masks) == 5
+    assert ct.abelian.count(False) == 1
+    nacent = [m for m, ab in zip(ct.masks, ct.abelian) if not ab]
+    assert Subgroup(s3, nacent[0]).is_whole()
 
 
 def test_cent_stats_matches_naive():
     for spec in ["symmetric(3)", "symmetric(4)", "dicyclic(3)", "dihedral(6)",
                  "sl23", "heisenberg(3)", "agl1(5)", "cyclic(12)"]:
         G = build(spec)
-        st = cent_stats(G)
-        got = {frozenset(c.members().tolist()) for c in st.cent}
+        got = {members(G, m) for m in centralizer_table(G).masks}
         assert got == naive_centralizer_sets(table_of(G)), spec
 
 
 def test_cent_stats_nacent_matches_naive(s4):
-    st = cent_stats(s4)
+    ct = centralizer_table(s4)
     table = table_of(s4)
-    for c, ab in zip(st.cent, (naive_is_abelian_subset(table, c.members().tolist())
-                               for c in st.cent)):
-        assert (c in st.nacent) == (not ab)
+    for m, ab in zip(ct.masks, ct.abelian):
+        assert ab == naive_is_abelian_subset(table, sorted(members(s4, m)))
 
 
 def test_cent_stats_witnesses_are_least(s4):
-    st = cent_stats(s4)
-    for c, w in zip(st.cent, st.witnesses):
-        members = [x for x in range(s4.order)
-                   if subgroup_equal(centralizer(s4, x), c)]
-        assert min(members) == w
-    wm = st.witness_map()
-    assert len(wm) == st.cent_count
-    for c, w in zip(st.cent, st.witnesses):
-        assert wm[c.mask] == w
-        assert subgroup_equal(st.centralizer_of(w), c)
+    ct = centralizer_table(s4)
+    for m, w in zip(ct.masks, ct.witnesses):
+        realizers = [x for x in range(s4.order) if centralizer(s4, x).mask == m]
+        assert min(realizers) == w
+    assert len(set(ct.masks)) == len(ct.masks)
+    for c, (m, w) in enumerate(zip(ct.masks, ct.witnesses)):
+        assert ct.elem_class[w] == c
+        assert ct.masks[ct.elem_class[w]] == m
 
 
 def test_same_cyclic_span_same_centralizer(s4, flagship):
@@ -82,8 +94,9 @@ def test_same_cyclic_span_same_centralizer(s4, flagship):
 
 def test_whole_group_always_present(s3, z6):
     for G in (s3, z6):
-        st = cent_stats(G)
-        assert any(c.is_whole() for c in st.cent)
+        masks = centralizer_table(G).masks
+        assert any(Subgroup(G, m).is_whole() for m in masks)
+        assert Subgroup(G, masks[0]).is_whole()
 
 
 def test_classify_abelian(z6):
@@ -116,21 +129,23 @@ def test_classify_flagship(flagship):
 
 def test_two_nacent_proof_invariants(flagship):
     """C(s) inside C(a) for inner s; outside centralizers meet C(a) and each
-    other exactly in the center."""
-    st = cent_stats(flagship)
+    other exactly in the center; each class of equal centralizers lies
+    wholly inside C(a) or wholly outside it, on the side of its witness."""
+    ct = centralizer_table(flagship)
     cls = classify(flagship)
     a = cls.witness_a
-    Ca = st.centralizer_of(a)
+    Ca = Subgroup(flagship, ct.masks[ct.elem_class[a]])
     z = center(flagship)
     assert z.size == 1
     for x in range(flagship.order):
-        cx = st.centralizer_of(x)
+        cx = Subgroup(flagship, ct.masks[ct.elem_class[x]])
         if x == 0:
             continue
         if Ca.contains(x):
             assert cx.mask & ~Ca.mask == 0
         else:
             assert cx.mask & Ca.mask == z.mask
+        assert Ca.contains(x) == Ca.contains(ct.witnesses[ct.elem_class[x]]), x
 
 
 def naive_meet_pairwise_in(z, masks):
@@ -139,10 +154,10 @@ def naive_meet_pairwise_in(z, masks):
 
 
 def test_pairwise_meet_check_matches_definition(flagship):
-    st = cent_stats(flagship)
-    Ca = st.centralizer_of(classify(flagship).witness_a)
+    ct = centralizer_table(flagship)
+    Ca = Subgroup(flagship, ct.masks[ct.elem_class[classify(flagship).witness_a]])
     z = center(flagship).mask
-    outside = sorted({st.centralizer_of(x).mask for x in range(flagship.order)
+    outside = sorted({ct.masks[ct.elem_class[x]] for x in range(flagship.order)
                       if not Ca.contains(x)})
     assert len(outside) == 343
     assert _meet_pairwise_in(z, outside) is True
@@ -166,10 +181,11 @@ def test_pairwise_meet_check_with_a_center():
 
 
 def test_case_evaluation_vacuous_for_ca(s3):
-    st = cent_stats(s3)
-    candidates = [(c, w) for c, w, ab in zip(st.cent, st.witnesses, st.abelian)
-                  if not ab and not c.is_whole()]
+    ct = centralizer_table(s3)
+    candidates = [w for m, w, ab in zip(ct.masks, ct.witnesses, ct.abelian)
+                  if not ab and not Subgroup(s3, m).is_whole()]
     assert candidates == []
+    assert _candidates(ct) == []
 
 
 def test_verify_iff_s3(s3):
@@ -272,3 +288,76 @@ def test_classify_converse_guard(monkeypatch):
     assert any(v.startswith("converse:") for v in rep.violations)
     assert rep.case_data["iff"]["converse_ok"] is False
     G._cache.clear()
+
+
+def case_b_over_every_prime(G, a):
+    """Case B by its definition, one prime at a time: the least prime q
+    dividing |G/Z|, with G/Z not a q-group, whose Hughes subgroup H_q(G/Z)
+    is proper, equals the image of C(a) and has index q, when every
+    centralizer outside C(a) has order q|Z| and C(a) is a CA-group; else
+    None. Centralizers are taken element by element."""
+    Ca = centralizer(G, a)
+    qm = center_quotient(G)
+    Q = qm.quotient
+    img = qm.image(Ca)
+    zsize = center(G).size
+    outside = {centralizer(G, x).size for x in range(G.order) if not Ca.contains(x)}
+    for q in primes_dividing(Q.order):
+        if is_p_group(Q) == q:
+            continue
+        hq = hughes_subgroup(Q, q)
+        if (hq.size < Q.order and hq.mask == img.mask and Q.order == q * hq.size
+                and outside == {q * zsize} and is_ca_group(subgroup_as_group(Ca)[0])):
+            return q
+    return None
+
+
+def test_case_b_matches_its_definition(flagship):
+    """Case B, evaluated at the one prime its index allows, agrees with the
+    loop over every prime; every B match also matches C with a complement of
+    order p (B => C, Hughes-Thompson)."""
+    groups = [build(spec.name) for spec in builtin_catalog(200)] + [flagship]
+    checked = b_matches = 0
+    with_candidates = set()
+    for G in groups:
+        for a in _candidates(centralizer_table(G)):
+            checked += 1
+            with_candidates.add(G.name)
+            _, case_b, case_c = evaluate_cases(G, a)
+            q = case_b_over_every_prime(G, a)
+            assert case_b.matched == (q is not None), (G.name, a)
+            if case_b.matched:
+                b_matches += 1
+                assert case_b.data == {"p": q}
+                assert case_c.matched, (G.name, a)
+                assert case_b.data["p"] == case_c.data["complement_size"]
+    assert checked == 52 and len(with_candidates) == 9
+    assert b_matches == 1
+
+
+def test_classify_forward_guard(monkeypatch, flagship):
+    """No case matching on a two-nacent group must raise with the forward
+    direction and land in the report as a violation, with no case and no
+    consequences."""
+    import sys
+    import nacent.classify  # noqa: F401  (binds the submodule in sys.modules)
+    mod = sys.modules["nacent.classify"]
+    from nacent.classify import CaseCheck
+    from nacent import TheoremViolation
+
+    fake = tuple(CaseCheck(name, False, {}, {}) for name in ("A", "B", "C"))
+    monkeypatch.setattr(mod, "evaluate_cases", lambda g, a: fake)
+    flagship._cache.pop(("classify",), None)
+    with pytest.raises(TheoremViolation) as exc:
+        mod.classify(flagship)
+    assert exc.value.direction == "forward"
+
+    rep = mod.full_report(flagship)
+    assert rep.category == CATEGORY_TWO_NACENT
+    assert rep.case is None
+    assert [v for v in rep.violations if v.startswith("forward:")] == rep.violations
+    assert len(rep.violations) == 1
+    assert rep.case_data["iff"]["forward_ok"] is False
+    assert rep.case_data["iff"]["converse_ok"] is True
+    assert rep.case_data["iff"]["matched"] == []
+    assert set(rep.consequences.values()) == {None}
