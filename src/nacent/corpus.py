@@ -24,7 +24,7 @@ from .errors import (
     OrderLimitExceeded,
     ParseError,
 )
-from .groups import BLOCK_CELLS, FiniteGroup, from_cayley_table, from_permutations
+from .groups import BLOCK_CELLS, FiniteGroup, from_cayley_table, from_permutations, table_dtype
 from .predicates import is_prime
 
 KINDS = ("construction", "file")
@@ -133,8 +133,9 @@ def direct_product(G1: FiniteGroup, G2: FiniteGroup,
     """Direct product with pairs (a, b) encoded as a * |G2| + b."""
     n1, n2 = G1.order, G2.order
     _guarded(n1 * n2, max_order)
-    table = (G1.table.astype(np.int64)[:, None, :, None] * n2
-             + G2.table.astype(np.int64)[None, :, None, :]).reshape(n1 * n2, n1 * n2)
+    dt = table_dtype(n1 * n2)
+    table = np.add(_scaled(G1.table, n2, dt)[:, None, :, None], G2.table[None, :, None, :],
+                   dtype=dt).reshape(n1 * n2, n1 * n2)
     return FiniteGroup(table, name=f"direct_product({G1.name},{G2.name})")
 
 
@@ -186,24 +187,33 @@ def semidirect_product(K: FiniteGroup, H: FiniteGroup,
         raise InvalidAction("given elements do not generate the acting group")
 
     n = nk * nh
-    table = np.empty((n, n), dtype=np.int32)
+    dt = table_dtype(n)
+    table = np.empty((n, n), dtype=dt)
     # view[k1, h1] is the row of (k1, h1); across it, column (k2, h2) holds
     # (k1 * phi_h1(k2)) * |H| + h1 * h2. Rows are filled whole, in blocks of
-    # k1 of at most BLOCK_CELLS cells, each gathered from K's rows into one
-    # reused buffer (`mode="clip"` changes no index, phi_h1 being a checked
-    # permutation, and keeps `np.take` from buffering `out`).
+    # k1 of at most BLOCK_CELLS cells, each gathered from K's table scaled by
+    # |H| into one reused buffer (`mode="clip"` changes no index, phi_h1
+    # being a checked permutation, and keeps `np.take` from buffering `out`).
     view = table.reshape(nk, nh, n)
     rows = max(1, min(nk, BLOCK_CELLS // n))
-    kbuf = np.empty((rows, n), dtype=np.int32)
+    kbuf = np.empty((rows, n), dtype=dt)
+    kscaled = _scaled(K.table, nh, dt)
     for h1 in range(nh):
         cols = np.repeat(phi[h1], nh)          # column (k2, h2) -> phi_h1(k2)
         hpart = np.tile(H.table[h1], nk)       # column (k2, h2) -> h1 * h2
         for start in range(0, nk, rows):
             kpart = kbuf[:min(rows, nk - start)]
-            np.take(K.table[start:start + rows], cols, axis=1, out=kpart, mode="clip")
-            kpart *= np.int32(nh)
+            np.take(kscaled[start:start + rows], cols, axis=1, out=kpart, mode="clip")
             np.add(kpart, hpart, out=view[start:start + rows, h1])
     return FiniteGroup(table, name=name or f"semidirect({K.name},{H.name})")
+
+
+def _scaled(table: np.ndarray, factor: int, dt: np.dtype) -> np.ndarray:
+    """factor * table in dt, where every product is a table entry of the
+    product group and so fits dt. Computed with wraparound in dt, which is
+    then exact, and which also takes a factor dt cannot hold (2**15, with
+    a trivial table)."""
+    return np.multiply(table, np.int64(factor), dtype=dt, casting="unsafe")
 
 
 def heisenberg(p: int, max_order: int | None = None) -> FiniteGroup:
@@ -214,8 +224,8 @@ def heisenberg(p: int, max_order: int | None = None) -> FiniteGroup:
     _guarded(p ** 3, max_order)
     n = p ** 3
     # one p-sized axis per coordinate, (x1, y1, z1) down and (x2, y2, z2)
-    # across, so only the int32 table itself is n x n
-    a = np.arange(p, dtype=np.int32)
+    # across, so only the table itself is n x n
+    a = np.arange(p, dtype=table_dtype(n))
     add, mul = (a[:, None] + a) % p, a[:, None] * a % p
     x1, y1, z1, x2, y2, z2 = (a.reshape([p if k == i else 1 for k in range(6)])
                               for i in range(6))

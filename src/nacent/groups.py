@@ -28,16 +28,23 @@ class FiniteGroup:
     generating set found while checking associativity: greedy, by least
     element not yet generated, then pruned to be irredundant.
     ``ladder[j, x]`` is x**(2**j) for j < n.bit_length(), the square ladder
-    that closures and powers climb. Instances are immutable after
-    construction and safe to share between threads.
+    that closures and powers climb. ``table``, ``inverses`` and ``ladder``
+    are stored in `table_dtype(n)`, the narrowest signed type holding n - 1:
+    int16 up to order 2**15, int32 above. A table given in another integer
+    type is validated as given and narrowed only once its entries are known
+    to lie in 0..n-1, so no out-of-range entry can wrap into range.
+    Instances are immutable after construction and safe to share between
+    threads.
     """
 
     __slots__ = ("order", "table", "generators", "inverses", "ladder", "orders", "name",
                  "_cache")
 
     def __init__(self, table: np.ndarray, name: str = "group"):
-        table = np.ascontiguousarray(table, dtype=np.int32)
-        gens, inverses, ladder = _validate_table(table)
+        table = np.ascontiguousarray(table)
+        if table.dtype.kind not in "iu":
+            table = table.astype(np.int64)
+        table, gens, inverses, ladder = _validate_table(table)
         self.order = table.shape[0]
         self.table = table
         self.name = name
@@ -64,6 +71,12 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
+
+
+def table_dtype(n: int) -> np.dtype:
+    """The narrowest signed integer type holding 0..n-1, in which tables,
+    inverses, ladders and projections onto a group of order n are stored."""
+    return np.dtype(np.int16) if n <= 2**15 else np.dtype(np.int32)
 
 
 def memoized(fn):
@@ -157,7 +170,7 @@ def from_permutations(generators: Sequence[Sequence[int]],
                     nxt.append(p)
         frontier = nxt
     n = len(elems)
-    table = np.empty((n, n), dtype=np.int32)
+    table = np.empty((n, n), dtype=table_dtype(n))
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):
             table[i, j] = index[tuple(a[b[x]] for x in range(degree))]
@@ -208,12 +221,15 @@ def _find_identity(arr: np.ndarray) -> int:
     raise NotAGroup("identity", (), "no two-sided identity element")
 
 
-def _validate_table(table: np.ndarray) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """Check the group laws that need the whole table; return the generators
-    found on the way (see `_loop_generators`), the inverses and the square
-    ladder.
+def _validate_table(table: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.ndarray,
+                                                  np.ndarray]:
+    """Check the group laws that need the whole table; return the table in
+    `table_dtype(n)`, the generators found on the way (see
+    `_loop_generators`), the inverses and the square ladder.
 
-    An identity at 0, associativity (Light's test) and a right inverse for
+    The identity and the entry range are checked in the type the table
+    arrives in; only then is it narrowed, which changes no entry. An
+    identity at 0, associativity (Light's test) and a right inverse for
     every element make a finite monoid in which every element has a right
     inverse, which is a group, so its table is a Latin square and that is not
     scanned. When any of these checks fails, `_check_latin_square` runs first,
@@ -221,7 +237,7 @@ def _validate_table(table: np.ndarray) -> tuple[tuple[int, ...], np.ndarray, np.
     Latin square, associativity, inverse.
     """
     n = table.shape[0]
-    idx = np.arange(n, dtype=np.int32)
+    idx = np.arange(n)
     if not (table[0] == idx).all():
         j = int(np.nonzero(table[0] != idx)[0][0])
         raise NotAGroup("identity", (0, j), f"0*{j} = {table[0, j]}")
@@ -229,16 +245,22 @@ def _validate_table(table: np.ndarray) -> tuple[tuple[int, ...], np.ndarray, np.
         i = int(np.nonzero(table[:, 0] != idx)[0][0])
         raise NotAGroup("identity", (i, 0), f"{i}*0 = {table[i, 0]}")
     try:
-        # negative entries wrap to large unsigned values
-        if table.view(np.uint32).max() >= n:
+        if _unsigned(table).max() >= n:
             raise NotAGroup("entry-range", (), f"an entry lies outside 0..{n - 1}")
+        table = table.astype(table_dtype(n), copy=False)
         ladder = _square_ladder(table)
         gens = _loop_generators(table, ladder)
         _check_associativity(table, gens)
-        return gens, _inverses(table), ladder
+        return table, gens, _inverses(table, ladder), ladder
     except NotAGroup:
         _check_latin_square(table)
         raise
+
+
+def _unsigned(table: np.ndarray) -> np.ndarray:
+    """The table viewed as unsigned integers of its own width, so that a
+    negative entry reads as a large one."""
+    return table.view(np.dtype(f"u{table.itemsize}"))
 
 
 def _check_latin_square(table: np.ndarray) -> None:
@@ -249,8 +271,8 @@ def _check_latin_square(table: np.ndarray) -> None:
     when it breaks that law.
 
     Each block of lines is scattered into a "seen" bitmap with one spare
-    column n, which takes the entries outside 0..n-1 (negative ones wrap
-    to large unsigned values), so a line is a permutation iff it saw all
+    column n, which takes the entries outside 0..n-1 (read unsigned, so
+    negative ones are large), so a line is a permutation iff it saw all
     of 0..n-1. Columns are read in slabs of a transposed view, not a copy.
     """
     n = table.shape[0]
@@ -261,7 +283,7 @@ def _check_latin_square(table: np.ndarray) -> None:
             lines = lines_of[start:start + block]
             b = lines.shape[0]
             seen[:b] = False
-            seen[np.arange(b)[:, None], np.minimum(lines.view(np.uint32), n)] = True
+            seen[np.arange(b)[:, None], np.minimum(_unsigned(lines), n)] = True
             bad = np.nonzero(~seen[:b, :n].all(axis=1))[0]
             if bad.size:
                 i = start + int(bad[0])
@@ -275,7 +297,7 @@ def _square_ladder(table: np.ndarray) -> np.ndarray:
     that repeated squaring, which stays in any submagma holding x.
     """
     n = table.shape[0]
-    ladder = np.empty((n.bit_length(), n), dtype=np.int32)
+    ladder = np.empty((n.bit_length(), n), dtype=table.dtype)
     ladder[0] = np.arange(n)
     for j in range(1, ladder.shape[0]):
         ladder[j] = table[ladder[j - 1], ladder[j - 1]]
@@ -297,14 +319,15 @@ def _extend_closure(table: np.ndarray, ladder: np.ndarray, reached: np.ndarray,
     """
     used = [int(g) for g in gens]
     seeds = np.asarray(seeds, dtype=np.int64)
+    fresh = np.empty_like(reached)
     while (left := seeds[~reached[seeds]]).size:
         x = int(left[0])
-        frontier, cols = np.nonzero(reached)[0], np.unique(ladder[:, x])
-        every = np.concatenate([np.asarray(used, dtype=cols.dtype), cols])
+        every = np.array(used + list(dict.fromkeys(ladder[:, x].tolist())))
+        frontier, cols = np.nonzero(reached)[0], every[len(used):]
         while frontier.size:
-            fresh = np.zeros_like(reached)
+            fresh[:] = False
             fresh[table[frontier[:, None], cols]] = True
-            fresh &= ~reached
+            np.greater(fresh, reached, out=fresh)  # reached now, not before
             reached |= fresh
             frontier, cols = np.nonzero(fresh)[0], every
         used.append(x)
@@ -338,37 +361,50 @@ def _check_associativity(table: np.ndarray, gens: tuple[int, ...]) -> None:
 
     The passing s form a submagma containing 0 and the generators, hence
     every element reached from them, which is all of them: the check is
-    exact. Compared in row blocks gathered into buffers allocated once, with
-    no transposed copy of the table. The entries are known to be in range,
-    so `mode="clip"` changes no index; it keeps `np.take` from buffering
-    `out`, as it does under the default `mode="raise"`.
+    exact. Compared in row blocks gathered into two buffers allocated once,
+    with no transposed copy of the table: the second buffer takes the XOR of
+    the two sides, which is zero exactly where they agree. The entries are
+    known to be in range, so `mode="clip"` changes no index; it keeps
+    `np.take` from buffering `out`, as it does under the default
+    `mode="raise"`.
     """
     n = table.shape[0]
     block = max(1, min(n, BLOCK_CELLS // n))
     left_buf = np.empty((block, n), dtype=table.dtype)
-    right_buf = np.empty((block, n), dtype=table.dtype)
-    same_buf = np.empty((block, n), dtype=bool)
+    diff_buf = np.empty((block, n), dtype=table.dtype)
     for s in gens:
         col_s, row_s = table[:, s], table[s]
         for start in range(0, n, block):
             b = min(block, n - start)
-            left, right, same = left_buf[:b], right_buf[:b], same_buf[:b]
+            left, diff = left_buf[:b], diff_buf[:b]
             np.take(table, col_s[start:start + b], axis=0, out=left, mode="clip")  # (x*s)*y
-            np.take(table[start:start + b], row_s, axis=1, out=right, mode="clip")  # x*(s*y)
-            np.equal(left, right, out=same)
-            if not same.all():
-                i, k = (int(v) for v in np.argwhere(~same)[0])
+            np.take(table[start:start + b], row_s, axis=1, out=diff, mode="clip")  # x*(s*y)
+            np.bitwise_xor(diff, left, out=diff)
+            if diff.any():
+                i, k = (int(v) for v in np.argwhere(diff)[0])
                 x = start + i
                 raise NotAGroup(
                     "associativity", (x, s, k),
-                    f"({x}*{s})*{k} = {left[i, k]} but {x}*({s}*{k}) = {right[i, k]}")
+                    f"({x}*{s})*{k} = {left[i, k]} but {x}*({s}*{k}) = {left[i, k] ^ diff[i, k]}")
 
 
-def _inverses(table: np.ndarray) -> np.ndarray:
-    """The right inverse of every element: the first 0 in its row (entries
-    are known to be in range, so a row holds a 0 iff its least entry is 0)."""
-    inv = table.argmin(axis=1).astype(np.int32)
-    bad = np.nonzero(table[np.arange(table.shape[0]), inv] != 0)[0]
+def _inverses(table: np.ndarray, ladder: np.ndarray) -> np.ndarray:
+    """The right inverse of every element of a finite monoid.
+
+    x**(n-1), taken over the ladder in one pass over the elements, is the
+    inverse of x in a group of order n; wherever x * x**(n-1) = 0 it is a
+    right inverse, whatever the table. Only when that fails for some x is
+    each row scanned for its first 0 (entries are known to be in range, so a
+    row holds a 0 iff its least entry is 0), to name the first element
+    without one.
+    """
+    every = np.arange(table.shape[0])
+    inv = np.zeros_like(every, dtype=table.dtype)
+    inv[:] = _ladder_power(table, ladder, every, every.size - 1)  # a scalar 0 when n = 1
+    if (table[every, inv] == 0).all():
+        return inv
+    inv = table.argmin(axis=1).astype(table.dtype)
+    bad = np.nonzero(table[every, inv] != 0)[0]
     if bad.size:
         i = int(bad[0])
         raise NotAGroup("inverse", (i,), f"{i} has no right inverse")

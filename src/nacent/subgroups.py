@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNormal, ParentMismatch
-from .groups import BLOCK_CELLS, FiniteGroup, _extend_closure, memoized
+from .groups import BLOCK_CELLS, FiniteGroup, _extend_closure, memoized, table_dtype
 
 # ---------------------------------------------------------------------------
 # bitset helpers
@@ -134,9 +134,11 @@ class CentralizerTable:
 
 
 # Side of the square tiles of the commuting pass: a tile and its transposed
-# partner (2 x 256 KB of int32) stay in cache while the partner is read
-# across its rows, which a whole-table `t.T` read cannot do.
-_COMMUTE_TILE = 256
+# partner (2 x 512 KB of int16) stay in cache while the partner is read
+# across its rows, which a whole-table `t.T` read cannot do. On the int16
+# table of order 6591, 25 interleaved passes on a 2 MB-L2 Xeon took 0.094 s
+# (median) at side 512, 0.102 s at 256 and 0.099 s at 724.
+_COMMUTE_TILE = 512
 
 
 @memoized
@@ -397,17 +399,18 @@ def quotient(G: FiniteGroup, N: Subgroup) -> QuotientMap:
     if not is_normal(G, N):
         raise NotNormal(f"subgroup of size {N.size} is not normal in {G.name!r}")
     n = G.order
+    dt = table_dtype(n // N.size)
     if N.mask == 1:
-        proj = np.arange(n, dtype=np.int32)
+        proj = np.arange(n, dtype=dt)
         proj.setflags(write=False)
         return QuotientMap(G, N, G, proj)
     if N.is_whole():
-        proj = np.zeros(n, dtype=np.int32)
-        q = FiniteGroup(np.zeros((1, 1), dtype=np.int32), name=f"{G.name}/G")
+        proj = np.zeros(n, dtype=dt)
+        q = FiniteGroup(np.zeros((1, 1), dtype=dt), name=f"{G.name}/G")
     else:
         t = G.table
         mem = N.members()
-        proj = np.full(n, -1, dtype=np.int32)
+        proj = np.full(n, -1, dtype=dt)
         reps = []
         for g in range(n):
             if proj[g] < 0:
@@ -466,8 +469,8 @@ def subgroup_as_group(H: Subgroup, name: str | None = None) -> tuple[FiniteGroup
     if H.is_whole():
         return G, np.arange(G.order, dtype=np.int64)
     mem = H.members().astype(np.int64)
-    pos = np.zeros(G.order, dtype=np.int32)
-    pos[mem] = np.arange(mem.size, dtype=np.int32)
+    pos = np.zeros(G.order, dtype=table_dtype(mem.size))
+    pos[mem] = np.arange(mem.size)
     sub = pos[G.table[np.ix_(mem, mem)]]
     g = FiniteGroup(sub, name=name or f"{G.name}[{mem.size}]")
     return g, mem

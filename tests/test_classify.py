@@ -13,7 +13,6 @@ from nacent import (
     centralizer_table,
     classify,
     full_report,
-    generated_subgroup,
     subgroup_equal,
     verify_consequences,
     verify_iff,
@@ -34,7 +33,7 @@ from nacent.predicates import (
     is_p_group,
     primes_dividing,
 )
-from nacent.subgroups import subgroup_as_group
+from nacent.subgroups import cyclic_span_mask, subgroup_as_group
 from oracles import naive_centralizer_sets, naive_is_abelian_subset, table_of
 
 
@@ -84,12 +83,12 @@ def test_cent_stats_witnesses_are_least(s4):
 
 
 def test_same_cyclic_span_same_centralizer(s4, flagship):
-    for G in (s4,):
+    for G in (s4, flagship):
         for x in range(G.order):
-            span = generated_subgroup(G, [x])
-            for y in span.members():
-                if generated_subgroup(G, [int(y)]).mask == span.mask:
-                    assert subgroup_equal(centralizer(G, x), centralizer(G, int(y)))
+            span = cyclic_span_mask(G, x)
+            for y in Subgroup(G, span).members().tolist():
+                if cyclic_span_mask(G, y) == span:
+                    assert subgroup_equal(centralizer(G, x), centralizer(G, y)), (G.name, x, y)
 
 
 def test_whole_group_always_present(s3, z6):

@@ -11,12 +11,17 @@ from nacent import (
     NotAGroup,
     OrderLimitExceeded,
     build,
+    builtin_catalog,
+    center,
+    centralizer,
     element_order,
     exponent,
     from_cayley_table,
     from_permutations,
     is_abelian,
     is_cyclic,
+    quotient,
+    subgroup_as_group,
 )
 from oracles import naive_is_associative, naive_orders, table_of
 
@@ -66,7 +71,7 @@ def test_rejects_broken_latin_square():
 
 
 def test_latin_square_witness():
-    t = build("cyclic(5)").table.copy()
+    t = build("cyclic(5)").table.astype(np.int64)  # wide enough for 2**31 - 1
     t[3, 1], t[3, 2] = t[3, 2], t[3, 1]          # rows stay permutations
     with pytest.raises(NotAGroup) as exc:
         FiniteGroup(t)
@@ -79,6 +84,30 @@ def test_latin_square_witness():
             FiniteGroup(t2)
         assert (exc.value.law, exc.value.witness) == ("latin-square", (2,)), bad
         assert "row 2" in str(exc.value)
+
+
+def test_out_of_range_entries_are_not_narrowed_away():
+    # the table is narrowed to int16 only after its range is checked: an
+    # entry off by 2**16 would otherwise wrap back to the right value
+    good = build("cyclic(5)").table
+    for dtype in (np.int32, np.int64):
+        for bad in (int(good[2, 3]) + 65536, -1, 2**31 - 1):
+            t = good.astype(dtype)
+            t[2, 3] = bad
+            with pytest.raises(NotAGroup) as exc:
+                FiniteGroup(t)
+            assert (exc.value.law, exc.value.witness) == ("latin-square", (2,)), (dtype, bad)
+    wide = from_cayley_table(good.astype(np.int64))
+    assert wide.table.dtype == np.int16 and np.array_equal(wide.table, good)
+
+
+def test_tables_stored_in_int16(flagship):
+    groups = [build(spec.name) for spec in builtin_catalog(48)] + [flagship]
+    groups.append(quotient(flagship, center(flagship)).quotient)
+    groups.append(subgroup_as_group(centralizer(flagship, 1))[0])
+    for G in groups:
+        assert G.table.dtype == np.int16, G.name
+        assert G.inverses.dtype == G.ladder.dtype == np.int16, G.name
 
 
 def test_monoid_without_inverses_names_latin_square():
