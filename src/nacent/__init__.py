@@ -89,7 +89,6 @@ from .subgroups import (
     is_normal,
     preimage,
     quotient,
-    subgroup_as_group,
     subgroup_equal,
     subgroup_intersection,
     trivial_subgroup,

@@ -3,7 +3,10 @@
 Every step reads the distinct centralizers from the memoized
 `subgroups.centralizer_table`: |Cent(G)| is its class count, the
 non-abelian centralizers are its non-abelian classes, and C(x) is
-`masks[elem_class[x]]`. `classify` sorts a group into abelian / CA /
+`masks[elem_class[x]]`. The facts about C(a) itself (|Cent(C(a))|, its
+CA flag, its P x A split) are read from the same table through
+`subgroups.subgroup_centralizers`, without tabling C(a) on its own.
+`classify` sorts a group into abelian / CA /
 two-nacent (with a structural case) / many-nacent.
 
 Reports come from one pipeline: a base report with `classify` applied once,
@@ -50,7 +53,7 @@ from .subgroups import (
     commutator_subgroup,
     is_normal,
     quotient,
-    subgroup_as_group,
+    subgroup_centralizers,
 )
 
 CATEGORY_ABELIAN = "abelian"
@@ -90,16 +93,6 @@ class CaseCheck:
 
 
 @memoized
-def _standalone(G: FiniteGroup, H: Subgroup) -> FiniteGroup:
-    return subgroup_as_group(H)[0]
-
-
-@memoized
-def _ca_flag(G: FiniteGroup, H: Subgroup) -> bool:
-    return is_ca_group(_standalone(G, H))
-
-
-@memoized
 def evaluate_cases(G: FiniteGroup, a: int) -> tuple[CaseCheck, ...]:
     """Test the three structural hypothesis sets against candidate a.
 
@@ -115,7 +108,7 @@ def evaluate_cases(G: FiniteGroup, a: int) -> tuple[CaseCheck, ...]:
     img_ca = qm.image(Ca)
     zsize = center_mask(G).bit_count()
     _, outer = _classes_by_side(ct, Ca.mask)
-    ca_is_ca = _ca_flag(G, Ca)
+    ca_is_ca = is_ca_group(Ca)
 
     def outside_small(p: int) -> bool:
         return all(ct.masks[c].bit_count() == p * zsize for c in outer)
@@ -420,8 +413,7 @@ def _check_consequences(G: FiniteGroup, report: VerificationReport,
     # (a) counting: |Cent(G)| equals |Cent(C(a))| plus the number of
     # outside centralizers plus one, where that number is |G|/p for the
     # Hughes cases and |C(a)/Z| in general.
-    sub_ca = _standalone(G, Ca)
-    cent_ca = len(centralizer_table(sub_ca).masks)
+    cent_ca = len(subgroup_centralizers(G, Ca.mask))
     p = cls.case_data.get("p")
     if p is None:
         # Frobenius case: the complement order plays the prime's role when
@@ -453,7 +445,7 @@ def _check_consequences(G: FiniteGroup, report: VerificationReport,
 
     # (e) C(a) splits as P x A
     try:
-        cons["e"] = decompose_p_times_abelian(sub_ca) is not None
+        cons["e"] = decompose_p_times_abelian(Ca) is not None
     except NotNilpotent:
         cons["e"] = False
 
@@ -464,7 +456,7 @@ def _check_consequences(G: FiniteGroup, report: VerificationReport,
     else:
         cons["f"] = False
 
-    cons["ca_group"] = _ca_flag(G, Ca)
+    cons["ca_group"] = is_ca_group(Ca)
 
     for key in _CONSEQUENCE_KEYS:
         if cons[key] is False:

@@ -107,10 +107,14 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray,
     """Validate a raw multiplication table and return the group.
 
     The identity is relocated to index 0 by relabeling; the relative order
-    of the remaining elements is preserved. Raises NotAGroup naming the
-    first violated law, OrderLimitExceeded past the order guard.
+    of the remaining elements is preserved. The table is narrowed to
+    `table_dtype(n)` once its entries are known to lie in 0..n-1, and
+    relabeled in that type in row blocks. Raises NotAGroup naming the first
+    violated law, OrderLimitExceeded past the order guard.
     """
-    arr = np.asarray(table, dtype=np.int64)
+    arr = np.asarray(table)
+    if arr.dtype.kind not in "iu":
+        arr = arr.astype(np.int64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotAGroup("shape", (), f"expected a square table, got {arr.shape}")
     n = arr.shape[0]
@@ -122,13 +126,39 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray,
     if arr.min() < 0 or arr.max() >= n:
         i, j = np.unravel_index(int(np.argmax((arr < 0) | (arr >= n))), arr.shape)
         raise NotAGroup("entry-range", (int(i), int(j)), f"entry {arr[i, j]} outside 0..{n - 1}")
+    arr = arr.astype(table_dtype(n), copy=False)
     e = _find_identity(arr)
     if e != 0:
-        relabel = np.empty(n, dtype=np.int64)
-        old = [e] + [i for i in range(n) if i != e]
-        relabel[old] = np.arange(n)
-        arr = relabel[arr[np.ix_(old, old)]]
+        arr = _relabeled(arr, e)
     return FiniteGroup(arr, name=name)
+
+
+def _relabeled(arr: np.ndarray, e: int) -> np.ndarray:
+    """The table with element e moved to index 0 and the elements before it
+    shifted up by one, in arr's type: v <= e is renamed (v - e) mod (e + 1)
+    and v > e keeps its name.
+
+    Each block of rows has its columns reordered into one block buffer, is
+    renamed there in place (the modulus is taken in int32, where e + 1 fits)
+    and is scattered to its new rows (`mode="clip"` changes no index).
+    """
+    n = arr.shape[0]
+    old = np.arange(n)  # old[new name] = old name
+    old[:e + 1] = np.roll(old[:e + 1], 1)
+    new = np.argsort(old)
+    rows = max(1, min(n, BLOCK_CELLS // n))
+    buf = np.empty((rows, n), dtype=arr.dtype)
+    low = np.empty((rows, n), dtype=bool)
+    out = np.empty_like(arr)
+    for start in range(0, n, rows):
+        stop = min(n, start + rows)
+        block, low_block = buf[:stop - start], low[:stop - start]
+        np.take(arr[start:stop], old, axis=1, out=block, mode="clip")
+        np.less_equal(block, e, out=low_block)
+        np.subtract(block, e, out=block, where=low_block)
+        np.remainder(block, np.int32(e + 1), out=block, where=low_block)
+        out[new[start:stop]] = block
+    return out
 
 
 def from_permutations(generators: Sequence[Sequence[int]],

@@ -13,12 +13,12 @@ from .groups import FiniteGroup, memoized, prime_factorization
 from .subgroups import (
     Subgroup,
     centralizer_table,
-    center_mask,
     conjugates,
     generated_mask,
     indices_of,
+    mask_of,
     normalizer_mask,
-    subgroup_as_group,
+    subgroup_centralizers,
     trivial_subgroup,
     whole_subgroup,
 )
@@ -39,13 +39,10 @@ def _as_subgroup(x: GroupLike) -> Subgroup:
 
 
 def is_abelian(x: GroupLike) -> bool:
-    """True iff all pairs commute (within the subgroup, when given one)."""
-    if isinstance(x, FiniteGroup):
-        return center_mask(x).bit_count() == x.order
-    t = x.parent.table
-    mem = x.members()
-    sub = t[np.ix_(mem, mem)]
-    return bool((sub == sub.T).all())
+    """True iff all pairs commute (within the subgroup, when given one):
+    every member's centralizer is the whole."""
+    H = _as_subgroup(x)
+    return len(subgroup_centralizers(H.parent, H.mask)) == 1
 
 
 def is_cyclic(x: GroupLike) -> bool:
@@ -166,13 +163,11 @@ def is_hughes_thompson_type(G: FiniteGroup) -> int | None:
     return None
 
 
-def is_ca_group(G: FiniteGroup) -> bool:
-    """Every centralizer of a non-central element is abelian."""
-    if is_abelian(G):
-        return True
-    ct = centralizer_table(G)
-    n = G.order
-    return all(ab for m, ab in zip(ct.masks, ct.abelian) if m.bit_count() < n)
+def is_ca_group(x: GroupLike) -> bool:
+    """Every centralizer of a non-central element is abelian (within the
+    subgroup, when given one)."""
+    H = _as_subgroup(x)
+    return all(ab for m, ab in subgroup_centralizers(H.parent, H.mask) if m.bit_count() < H.size)
 
 
 def decompose_p_times_abelian(x: GroupLike) -> tuple[Subgroup, Subgroup, int | None] | None:
@@ -182,45 +177,41 @@ def decompose_p_times_abelian(x: GroupLike) -> tuple[Subgroup, Subgroup, int | N
     P is the unique non-abelian Sylow subgroup when one exists (None is
     returned when two or more Sylows are non-abelian or any validation
     fails); for abelian input P is the Sylow subgroup of the largest prime
-    divisor and A the product of the rest. The returned subgroups live in
-    the standalone group when a Subgroup was passed. P must additionally
-    have every centralizer of a non-central element abelian, commute
-    elementwise with A, meet it trivially and multiply out to the whole
-    group.
+    divisor and A the product of the rest. A subgroup is split inside its
+    parent, and P and A are subgroups of that parent: a nilpotent group has
+    one Sylow p-subgroup, its p-elements, and A is generated by the
+    p'-elements. P must additionally have every centralizer of a
+    non-central element abelian, commute elementwise with A, meet it
+    trivially and multiply out to the whole group.
     """
-    if isinstance(x, Subgroup) and not x.is_whole():
-        g, _ = subgroup_as_group(x)
-    else:
-        g = x if isinstance(x, FiniteGroup) else x.parent
-    if not is_nilpotent(g):
-        raise NotNilpotent(f"group {g.name!r} is not nilpotent")
-    primes = primes_dividing(g.order)
-    if not primes:
-        return trivial_subgroup(g), whole_subgroup(g), None
-    sylows = {p: sylow_subgroup(g, p) for p in primes}
-    nonabelian = [p for p in primes if not is_abelian(sylows[p])]
+    H = _as_subgroup(x)
+    G = H.parent
+    if not is_nilpotent(H):
+        name = G.name if H.is_whole() else f"{G.name}[{H.size}]"
+        raise NotNilpotent(f"group {name!r} is not nilpotent")
+    factors = prime_factorization(H.size)
+    if not factors:
+        return trivial_subgroup(G), H, None
+    mem = H.members()
+    orders = G.orders[mem]
+    sylows = {p: Subgroup(G, mask_of(mem[p**a % orders == 0])) for p, a in factors}
+    nonabelian = [p for p in sylows if not is_abelian(sylows[p])]
     if len(nonabelian) > 1:
         return None
-    p = nonabelian[0] if nonabelian else max(primes)
+    p = nonabelian[0] if nonabelian else factors[-1][0]
     P = sylows[p]
-    rest: list[int] = []
-    for q in primes:
-        if q != p:
-            rest.extend(int(v) for v in sylows[q].members())
-    A = Subgroup(g, generated_mask(g, rest))
+    A = Subgroup(G, generated_mask(G, mem[orders % p != 0]))
     if P.mask & A.mask != 1:
         return None
-    if P.size * A.size != g.order:
+    if P.size * A.size != H.size:
         return None
     if not is_abelian(A):
         return None
-    # elementwise commuting of P with A
-    t = g.table
-    pm = P.members()
-    am = A.members()
-    if not np.array_equal(t[np.ix_(pm, am)], t[np.ix_(am, pm)].T):
+    # elementwise commuting of P with A: A lies in C(y) for every y in P,
+    # and members of one class of G share C(y)
+    ct = centralizer_table(G)
+    if any(A.mask & ~ct.masks[c] for c in np.unique(ct.elem_class[P.members()])):
         return None
-    sub_p, _ = subgroup_as_group(P)
-    if not is_ca_group(sub_p):
+    if not is_ca_group(P):
         return None
     return P, A, p

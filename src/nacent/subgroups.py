@@ -147,10 +147,8 @@ def centralizer_table(G: FiniteGroup) -> CentralizerTable:
 
     The relation t == t.T is symmetric, so its rows packed into bitsets are
     the centralizers; it is compared in square tiles and packed one block of
-    rows at a time. C(x) is abelian iff it lies inside C(y) for each of its
-    members y; members of one class share their centralizer, and y lies in
-    C(x) iff the witness of y's class does, so the test runs over pairs of
-    classes whose witnesses commute, in blocks of packed rows.
+    rows at a time. Which are abelian is read off the packed rows by
+    `_abelian_flags`.
     """
     t = G.table
     n = G.order
@@ -174,8 +172,27 @@ def centralizer_table(G: FiniteGroup) -> CentralizerTable:
             class_of[key] = cid
             witnesses.append(x)
         elem_class[x] = cid
+    rows = packed[witnesses]
+    return CentralizerTable(
+        elem_class=elem_class,
+        masks=tuple(int.from_bytes(row.tobytes(), "little") for row in rows),
+        witnesses=tuple(witnesses),
+        abelian=_abelian_flags(t, witnesses, rows),
+    )
+
+
+def _abelian_flags(t: np.ndarray, witnesses, rows: np.ndarray) -> tuple[bool, ...]:
+    """Whether each of the given centralizers is abelian, from their packed
+    rows and one witness of each. The centralizers are those of a subgroup H
+    (H = G included) on its own members, one per distinct value, and the
+    witnesses lie in H.
+
+    C_H(x) is abelian iff it lies inside C_H(y) for each of its members y;
+    members of one class share their centralizer, and y lies in C_H(x) iff
+    the witness of y's class does, so the test runs over pairs of classes
+    whose witnesses commute, in blocks of packed rows.
+    """
     wit = np.asarray(witnesses, dtype=np.int64)
-    rows = packed[wit]
     # (c, e): the witness of class e lies in C(witness of c)
     tw = t[np.ix_(wit, wit)]
     cs, es = np.nonzero(tw == tw.T)
@@ -185,13 +202,35 @@ def centralizer_table(G: FiniteGroup) -> CentralizerTable:
         c, e = cs[start:start + block], es[start:start + block]
         outside = (rows[c] & ~rows[e]).any(axis=1)  # C(x_c) not inside C(x_e)
         abelian[c[outside]] = False
-    masks = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
-    return CentralizerTable(
-        elem_class=elem_class,
-        masks=masks,
-        witnesses=tuple(witnesses),
-        abelian=tuple(bool(a) for a in abelian),
-    )
+    return tuple(bool(a) for a in abelian)
+
+
+@memoized
+def subgroup_centralizers(G: FiniteGroup, mask: int) -> tuple[tuple[int, bool], ...]:
+    """The distinct centralizers C_H(x) = C(x) & H of the members x of the
+    subgroup H with bitset `mask`, each with whether it is abelian, in
+    ascending order of least witness; read from `centralizer_table(G)`
+    without tabling H on its own.
+
+    Members of one class of G share C(x), hence C_H(x), so each class
+    meeting H is intersected with H once, and classes that agree on H
+    merge. The abelian flags come from the same class-pair inclusion test
+    as `centralizer_table`'s. The value is plain ints, so the memo holds no
+    reference back to G.
+    """
+    ct = centralizer_table(G)
+    if mask == (1 << G.order) - 1:
+        return tuple(zip(ct.masks, ct.abelian))
+    mem = indices_of(mask, G.order)
+    _, first = np.unique(ct.elem_class[mem], return_index=True)
+    witness_of: dict[int, int] = {}
+    for x in mem[np.sort(first)].tolist():
+        witness_of.setdefault(ct.masks[ct.elem_class[x]] & mask, x)
+    masks = tuple(witness_of)
+    nbytes = (G.order + 7) // 8
+    rows = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks),
+                         dtype=np.uint8).reshape(len(masks), nbytes)
+    return tuple(zip(masks, _abelian_flags(G.table, list(witness_of.values()), rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +344,17 @@ def _normal_closure_mask(G: FiniteGroup, seeds) -> int:
 
 
 def normalizer_mask(G: FiniteGroup, mask: int) -> int:
-    """Bitset of { g : g^-1 (mask) g = mask }."""
+    """Bitset of { g : g^-1 H g = H } for the subgroup H with bitset `mask`.
+
+    g^-1 H g is generated by the conjugates of a generating set of H, which
+    `_extend_closure` picks from H's members, and has the size of H, so it
+    equals H iff those conjugates lie in H: one n x |gens(H)| gather.
+    """
     inside = bool_of(mask, G.order)
-    return mask_of_bool(inside[conjugation_rows(G, indices_of(mask, G.order))].all(axis=1))
+    reached = np.zeros(G.order, dtype=bool)
+    reached[0] = True
+    gens = _extend_closure(G.table, G.ladder, reached, (), np.nonzero(inside)[0])
+    return mask_of_bool(inside[conjugation_rows(G, gens)].all(axis=1))
 
 
 @memoized
@@ -379,6 +426,8 @@ class QuotientMap:
     def image_mask(self, H: Subgroup) -> int:
         if H.parent is not self.parent:
             raise ParentMismatch("subgroup does not live in the quotient's parent")
+        if self.quotient is self.parent:  # trivial kernel: the identity map
+            return H.mask
         image = np.zeros(self.quotient.order, dtype=bool)
         image[self.projection[H.member_bool()]] = True
         return mask_of_bool(image)
@@ -453,24 +502,3 @@ def preimage(qm: QuotientMap, S: Subgroup) -> Subgroup:
         raise ParentMismatch("subgroup does not live in the quotient group")
     sel = S.member_bool()[qm.projection]
     return Subgroup(qm.parent, mask_of_bool(sel))
-
-
-# ---------------------------------------------------------------------------
-# standalone re-tabling
-
-
-def subgroup_as_group(H: Subgroup, name: str | None = None) -> tuple[FiniteGroup, np.ndarray]:
-    """Extract a subgroup into its own group on compacted indices.
-
-    Returns the standalone group and the embedding array mapping its
-    element i to the parent index. Identity stays at 0.
-    """
-    G = H.parent
-    if H.is_whole():
-        return G, np.arange(G.order, dtype=np.int64)
-    mem = H.members().astype(np.int64)
-    pos = np.zeros(G.order, dtype=table_dtype(mem.size))
-    pos[mem] = np.arange(mem.size)
-    sub = pos[G.table[np.ix_(mem, mem)]]
-    g = FiniteGroup(sub, name=name or f"{G.name}[{mem.size}]")
-    return g, mem

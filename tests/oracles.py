@@ -1,14 +1,22 @@
 """Naive reference implementations used to cross-check the library.
 
-Everything here is definitional and works over a raw multiplication table
-(list of lists); nothing reuses the package's bitset machinery. All of it
-is pure Python except the all-triples associativity scan, which uses numpy
-slices because n^3 interpreted steps are out of reach at order 1029.
+Everything here but the last two functions is definitional and works over
+a raw multiplication table (list of lists); nothing else reuses the
+package's bitset machinery. All of it is pure Python except the all-triples
+associativity scan, which uses numpy slices because n^3 interpreted steps
+are out of reach at order 1029. `subgroup_as_group` and
+`retabled_subgroup_facts` keep the slower route to a subgroup's own facts:
+the subgroup copied out as a group of its own and analysed there.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from nacent.errors import NotNilpotent
+from nacent.groups import FiniteGroup, table_dtype
+from nacent.predicates import decompose_p_times_abelian, is_abelian, is_ca_group
+from nacent.subgroups import centralizer_table, indices_of, mask_of
 
 
 def table_of(G) -> list[list[int]]:
@@ -122,9 +130,9 @@ def naive_conjugate(table, inv, members, g) -> frozenset[int]:
     return frozenset(table[table[inv[g]][m]][g] for m in members)
 
 
-def naive_normalizer(table, members) -> frozenset[int]:
-    """Every g with g^-1 H g = H."""
-    inv = naive_inverses(table)
+def naive_normalizer(table, members, inv=None) -> frozenset[int]:
+    """Every g with g^-1 H g = H; `inv` is the list of inverses, when known."""
+    inv = naive_inverses(table) if inv is None else inv
     H = frozenset(members)
     return frozenset(g for g in range(len(table)) if naive_conjugate(table, inv, H, g) == H)
 
@@ -333,3 +341,44 @@ def naive_semidirect_table(k_table, h_table, action) -> list[list[int]]:
     return [[k_table[k1][phi[h1][k2]] * nh + h_table[h1][h2]
              for k2 in range(nk) for h2 in range(nh)]
             for k1 in range(nk) for h1 in range(nh)]
+
+
+def subgroup_as_group(H, name: str | None = None):
+    """H copied out as a group of its own on compacted indices, and the
+    array mapping its element i to the parent index. The identity stays
+    at 0."""
+    G = H.parent
+    if H.is_whole():
+        return G, np.arange(G.order, dtype=np.int64)
+    mem = H.members().astype(np.int64)
+    pos = np.zeros(G.order, dtype=table_dtype(mem.size))
+    pos[mem] = np.arange(mem.size)
+    sub = pos[G.table[np.ix_(mem, mem)]]
+    return FiniteGroup(sub, name=name or f"{G.name}[{mem.size}]"), mem
+
+
+def retabled_subgroup_facts(H) -> dict:
+    """The facts about a subgroup H itself, read from H copied out as a
+    group by `subgroup_as_group`: its distinct centralizers with their
+    abelian flags, whether it is abelian and a CA group, and its P x A
+    split, with every subgroup given as a bitset over H's parent."""
+    g, embed = subgroup_as_group(H)
+
+    def lift(mask):
+        return mask_of(embed[indices_of(mask, g.order)])
+
+    ct = centralizer_table(g)
+    try:
+        split = decompose_p_times_abelian(g)
+    except NotNilpotent:
+        split = NotNilpotent
+    else:
+        if split is not None:
+            P, A, p = split
+            split = lift(P.mask), lift(A.mask), p
+    return {
+        "centralizers": {lift(m): ab for m, ab in zip(ct.masks, ct.abelian)},
+        "abelian": is_abelian(g),
+        "ca": is_ca_group(g),
+        "split": split,
+    }

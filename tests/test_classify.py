@@ -5,6 +5,7 @@ import json
 import pytest
 
 from nacent import (
+    FiniteGroup,
     Subgroup,
     build,
     builtin_catalog,
@@ -33,8 +34,13 @@ from nacent.predicates import (
     is_p_group,
     primes_dividing,
 )
-from nacent.subgroups import cyclic_span_mask, subgroup_as_group
-from oracles import naive_centralizer_sets, naive_is_abelian_subset, table_of
+from nacent.subgroups import cyclic_span_mask
+from oracles import (
+    naive_centralizer_sets,
+    naive_is_abelian_subset,
+    subgroup_as_group,
+    table_of,
+)
 
 
 def members(G, mask):
@@ -229,6 +235,22 @@ def test_verify_consequences_not_applicable(s3, z6):
         rep = verify_consequences(G)
         assert rep.ok
         assert set(rep.consequences.values()) == {None}
+
+
+def test_full_report_builds_one_table(monkeypatch):
+    # C(a)'s own facts are read from G's centralizer table, and G/Z is G
+    # itself (Z = 1): the only table built is G/C(a), for consequence f
+    G = build("heisenberg_frobenius(7,3)")
+    built = []
+    init = FiniteGroup.__init__
+
+    def counting_init(self, table, name="group"):
+        built.append(name)
+        init(self, table, name)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counting_init)
+    assert full_report(G).ok
+    assert built == ["heisenberg_frobenius(7,3)/343"]
 
 
 def test_report_determinism(flagship):

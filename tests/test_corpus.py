@@ -28,6 +28,7 @@ from nacent.corpus import (
     cyclic,
     dicyclic,
     dihedral,
+    heisenberg,
     parse_spec_string,
     render_spec,
     spec_id,
@@ -173,6 +174,32 @@ def test_semidirect_action_validation():
     # a valid one: inversion under cyclic(2) gives the dihedral group
     G = semidirect_product(K, H, {1: [0, 4, 3, 2, 1]})
     assert G.order == 10 and not is_abelian(G)
+
+
+def test_semidirect_rejects_non_automorphisms():
+    # the check runs over K's generators only; on a non-abelian K it must
+    # still reject bijections fixing the identity that are not automorphisms
+    K = heisenberg(3)
+    inversion = K.inverses.tolist()  # an anti-automorphism
+    swap = list(range(K.order))
+    swap[1], swap[2] = swap[2], swap[1]
+    # respects multiplication by K's first generator s but is no
+    # automorphism: two cosets r<s> and r2<s> swapped, r s^k <-> r2 s^k
+    s = K.generators[0]
+    powers = [K.power(s, k) for k in range(int(K.orders[s]))]
+    r = next(x for x in range(K.order) if x not in powers)
+    r2 = next(x for x in range(K.order)
+              if x not in powers and K.mul(K.inv(r), x) not in powers)
+    twisted = list(range(K.order))
+    for p in powers:
+        twisted[K.mul(r, p)], twisted[K.mul(r2, p)] = K.mul(r2, p), K.mul(r, p)
+    for perm in (inversion, swap, twisted):
+        with pytest.raises(InvalidAction):
+            semidirect_product(K, cyclic(2), {1: perm})
+    # conjugation by an element of order 3 is an automorphism of order 3
+    g = next(x for x in range(K.order) if K.orders[x] == 3)
+    inner = [K.mul(K.mul(K.inv(g), x), g) for x in range(K.order)]
+    assert semidirect_product(K, cyclic(3), {1: inner}).order == 81
 
 
 def test_spec_parser_round_trip():

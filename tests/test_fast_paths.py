@@ -29,6 +29,8 @@ from nacent import (
     p_core,
     semidirect_product,
 )
+from nacent.classify import _candidates
+from nacent.errors import NotNilpotent
 from nacent.partitions import (
     Partition,
     _component_orbits,
@@ -36,7 +38,12 @@ from nacent.partitions import (
     _sorted_components,
     normal_closure_mask,
 )
-from nacent.predicates import primes_dividing
+from nacent.predicates import (
+    decompose_p_times_abelian,
+    is_ca_group,
+    primes_dividing,
+    sylow_subgroup,
+)
 from nacent.subgroups import (
     Subgroup,
     center_mask,
@@ -49,6 +56,7 @@ from nacent.subgroups import (
     generated_mask,
     indices_of,
     normalizer_mask,
+    subgroup_centralizers,
 )
 from oracles import (
     naive_center,
@@ -68,6 +76,7 @@ from oracles import (
     naive_orders,
     naive_p_core,
     naive_semidirect_table,
+    retabled_subgroup_facts,
     table_of,
 )
 
@@ -189,16 +198,68 @@ def test_conjugation_matches_oracle(flagship):
                                  for g in G.generators], spec
         # centralizers (normal and not) and the cyclic subgroups of the generators
         limit = None if n <= 48 else 6
-        masks = list(centralizer_table(G).masks[:limit])
+        ct = centralizer_table(G)
+        masks = list(ct.masks[:limit])
         masks += [cyclic_span_mask(G, g) for g in G.generators]
-        for m in masks:
+        # normalizers also of every Sylow subgroup of the flagship, and of C(a)
+        more = [] if G is not flagship else (
+            [m for p in primes_dividing(n) for m in conjugates(G, sylow_subgroup(G, p).mask)]
+            + [ct.masks[ct.elem_class[a]] for a in _candidates(ct)])
+        for m in masks + more:
             mem = frozenset(int(v) for v in indices_of(m, n))
             got = frozenset(int(v) for v in indices_of(normalizer_mask(G, m), n))
-            assert got == naive_normalizer(table, mem), (spec, sorted(mem)[:4])
+            assert got == naive_normalizer(table, mem, inv), (spec, sorted(mem)[:4])
+        for m in masks:
+            mem = frozenset(int(v) for v in indices_of(m, n))
             conj = conjugates(G, m)
             assert conj[0] == m and len(set(conj)) == len(conj), spec
             want = {naive_conjugate(table, inv, mem, g) for g in range(n)}
             assert {frozenset(int(v) for v in indices_of(c, n)) for c in conj} == want, spec
+
+
+def case_a_order_128():
+    """A two-nacent group of case A with p = 2: N = C8 x| C8, the generator
+    y of the second factor acting on x by x -> x^5, then N x| C2 by
+    x^k y^h -> x^-k y^-h. |Z| = 4 and |C(a)| = 64."""
+    m = 8
+    N = semidirect_product(cyclic(m), cyclic(m), {1: [(m // 2 + 1) * k % m for k in range(m)]})
+    flip = [(-k % m) * m + (-h % m) for k in range(m) for h in range(m)]
+    return semidirect_product(N, cyclic(2), {1: flip})
+
+
+def test_subgroup_facts_match_retabled(flagship):
+    """C(a)'s own facts read from G's centralizer table (its distinct
+    centralizers and abelian flags, abelian, CA, the P x A split) against
+    the same facts of C(a) tabled on its own, for every candidate a of the
+    catalog up to order 200, of the flagship and of a case-A group."""
+    case_a = case_a_order_128()
+    groups = [build(spec.name) for spec in builtin_catalog(200)] + [flagship, case_a]
+    checked = 0
+    for G in groups:
+        ct = centralizer_table(G)
+        for a in _candidates(ct):
+            Ca = Subgroup(G, ct.masks[ct.elem_class[a]])
+            want = retabled_subgroup_facts(Ca)
+            assert dict(subgroup_centralizers(G, Ca.mask)) == want["centralizers"], (G.name, a)
+            assert is_abelian(Ca) == want["abelian"], (G.name, a)
+            assert is_ca_group(Ca) == want["ca"], (G.name, a)
+            try:
+                split = decompose_p_times_abelian(Ca)
+            except NotNilpotent:
+                split = NotNilpotent
+            else:
+                if split is not None:
+                    split = split[0].mask, split[1].mask, split[2]
+            assert split == want["split"], (G.name, a)
+            checked += 1
+    assert checked == 51 + 1 + 1  # the catalog's, the flagship's, the case-A group's
+    # in the case-A group some x in C(a) has C(x) outside C(a), so that
+    # C_H(x) = C(x) & C(a) differs from C(x)
+    ct = centralizer_table(case_a)
+    (a,) = _candidates(ct)
+    Ca = ct.masks[ct.elem_class[a]]
+    assert (center_mask(case_a).bit_count(), Ca.bit_count()) == (4, 64)
+    assert any(ct.masks[c] & ~Ca for c in ct.elem_class[indices_of(Ca, case_a.order)])
 
 
 def cyclic_table(n):

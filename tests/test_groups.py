@@ -21,9 +21,8 @@ from nacent import (
     is_abelian,
     is_cyclic,
     quotient,
-    subgroup_as_group,
 )
-from oracles import naive_is_associative, naive_orders, table_of
+from oracles import naive_is_associative, naive_orders, subgroup_as_group, table_of
 
 
 def test_trivial_group():
@@ -39,12 +38,24 @@ def test_z2_table():
     assert G.inverses.tolist() == [0, 1]
 
 
-def test_identity_relocation():
+def test_identity_relocation(s4, forced_blocks):
     # Z3 written with the identity at position 2
     table = [[1, 2, 0], [2, 0, 1], [0, 1, 2]]
     G = from_cayley_table(table)
     assert G.table[0].tolist() == [0, 1, 2]
     assert sorted(G.orders.tolist()) == [1, 3, 3]
+    # S4 with its identity at each position e, element k labelled old[k]:
+    # relocation moves e to 0 and keeps the order of the rest, so it gives
+    # back S4's own table, in one row block and in several
+    n = s4.order
+    for forced in (False, True):
+        if forced:
+            forced_blocks(n)
+        for e in range(n):
+            old = np.array([e] + [i for i in range(n) if i != e])
+            relabeled = np.empty((n, n), dtype=np.int64)
+            relabeled[np.ix_(old, old)] = old[s4.table]
+            assert np.array_equal(from_cayley_table(relabeled).table, s4.table), (forced, e)
 
 
 def test_s3_table_orders(s3):
@@ -184,6 +195,25 @@ def test_validation_peak_memory(flagship):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * table.nbytes, peak / table.nbytes
+
+
+def test_relabel_peak_memory(flagship, forced_blocks):
+    # an int64 table with the identity at index 1: narrowed once its range
+    # is checked, then relabeled in the narrow type, so the peak stays
+    # within 4 stored tables; relabeling restores the flagship's labels
+    swap = np.arange(flagship.order)
+    swap[[0, 1]] = [1, 0]
+    wide = swap[flagship.table.astype(np.int64)][np.ix_(swap, swap)]
+    tracemalloc.start()
+    try:
+        G = from_cayley_table(wide)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * flagship.table.nbytes, peak / flagship.table.nbytes
+    assert np.array_equal(G.table, flagship.table)
+    forced_blocks(flagship.order)
+    assert np.array_equal(from_cayley_table(wide).table, flagship.table)
 
 
 def test_associativity_exact_on_one_intercalate():

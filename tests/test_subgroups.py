@@ -16,7 +16,6 @@ from nacent import (
     is_normal,
     preimage,
     quotient,
-    subgroup_as_group,
     subgroup_equal,
     subgroup_intersection,
     trivial_subgroup,
@@ -30,6 +29,7 @@ from oracles import (
     naive_closure,
     naive_conjugate,
     naive_inverses,
+    subgroup_as_group,
     table_of,
 )
 
