@@ -12,8 +12,6 @@ from .classify import (
     VerificationReport,
     classify,
     full_report,
-    verify_consequences,
-    verify_iff,
 )
 from .corpus import (
     GroupSpec,
@@ -41,7 +39,6 @@ from .errors import (
     InvalidPermutation,
     NacentError,
     NotAGroup,
-    NotApplicable,
     NotNilpotent,
     NotNormal,
     OrderLimitExceeded,
@@ -50,7 +47,7 @@ from .errors import (
     PrimeDoesNotDivide,
     TheoremViolation,
 )
-from .groups import FiniteGroup, element_order, exponent, from_cayley_table, from_permutations
+from .groups import FiniteGroup, exponent, from_cayley_table, from_permutations
 from .partitions import (
     Partition,
     centralizer_partition,
@@ -59,7 +56,6 @@ from .partitions import (
     is_nonsimple_partition,
     is_normal_partition,
     is_partition,
-    miller_check,
     normal_subgroups,
 )
 from .predicates import (
@@ -69,7 +65,6 @@ from .predicates import (
     is_abelian,
     is_ca_group,
     is_cyclic,
-    is_hughes_thompson_type,
     is_nilpotent,
     is_p_group,
     p_core,
@@ -81,16 +76,10 @@ from .subgroups import (
     QuotientMap,
     Subgroup,
     center,
-    centralizer,
     centralizer_table,
     commutator_subgroup,
-    conjugate_subgroup,
-    generated_subgroup,
     is_normal,
-    preimage,
     quotient,
-    subgroup_equal,
-    subgroup_intersection,
     trivial_subgroup,
     whole_subgroup,
 )

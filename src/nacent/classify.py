@@ -14,8 +14,7 @@ then the steps that check both directions of the case characterization
 (`_check_iff`), the derived structural facts of a two-nacent group
 (`_check_consequences`) and the centralizer partition of G/Z
 (`partition_diagnostics`), each writing into that same report.
-`full_report` runs every step; `verify_iff` and `verify_consequences` run
-the base report and one step each.
+`full_report`, the one report entry point, runs every step.
 """
 
 from __future__ import annotations
@@ -60,8 +59,6 @@ CATEGORY_ABELIAN = "abelian"
 CATEGORY_CA = "ca"
 CATEGORY_TWO_NACENT = "two_nacent"
 CATEGORY_MANY_NACENT = "many_nacent"
-
-CASES = ("A", "B", "C")
 
 
 def _classes_by_side(ct: CentralizerTable, ca_mask: int) -> tuple[list[int], list[int]]:
@@ -463,23 +460,6 @@ def _check_consequences(G: FiniteGroup, report: VerificationReport,
             report.violations.append(f"consequence {key} failed")
 
 
-def verify_iff(G: FiniteGroup, group_id: str | None = None) -> VerificationReport:
-    """The classified report with both directions of the two-nacent
-    characterization checked (see `_check_iff`). Violations are recorded in
-    the report, never raised."""
-    report, cls = _classified_report(G, group_id)
-    _check_iff(G, report, cls)
-    return report
-
-
-def verify_consequences(G: FiniteGroup, group_id: str | None = None) -> VerificationReport:
-    """The classified report with the derived structural facts of a
-    two-nacent group checked (see `_check_consequences`)."""
-    report, cls = _classified_report(G, group_id)
-    _check_consequences(G, report, cls)
-    return report
-
-
 def partition_diagnostics(G: FiniteGroup) -> dict[str, Any]:
     """Structure of the centralizer-image partition of G/Z, if it exists."""
     diag: dict[str, Any] = {}
@@ -506,7 +486,8 @@ def partition_diagnostics(G: FiniteGroup) -> dict[str, Any]:
 
 def full_report(G: FiniteGroup, group_id: str | None = None) -> VerificationReport:
     """Classification, both characterization directions, consequences and
-    partition diagnostics in one report, from one classification."""
+    partition diagnostics in one report, from one classification.
+    Violations are recorded in the report, never raised."""
     report, cls = _classified_report(G, group_id)
     _check_iff(G, report, cls)
     _check_consequences(G, report, cls)

@@ -18,7 +18,7 @@ from functools import partial
 from .classify import full_report
 from .config import order_guard
 from .corpus import GroupSpec, build, builtin_catalog, spec_id
-from .errors import InvalidParams, NacentError
+from .errors import InvalidParams, NacentError, ParseError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -42,7 +42,24 @@ def _run_all(specs: list[GroupSpec], max_order: int | None, parallelism: int) ->
     return sorted(results, key=lambda r: r["group_id"])
 
 
-def _emit(records: list[dict], fmt: str, out_path: str | None) -> None:
+def _input_error(problem) -> int:
+    print(f"error: {problem}", file=sys.stderr)
+    return EXIT_INPUT
+
+
+def _corpus_specs(directory: str) -> list[GroupSpec]:
+    """A file spec for each .json file in the directory, in name order."""
+    try:
+        names = sorted(p for p in os.listdir(directory) if p.endswith(".json"))
+    except OSError as exc:
+        raise ParseError(f"cannot list the corpus directory: {exc.strerror}", path=directory)
+    paths = [os.path.join(directory, p) for p in names]
+    return [GroupSpec(p, kind="file", path=p) for p in paths]
+
+
+def _emit(records: list[dict], fmt: str, out_path: str | None) -> int:
+    """Write the records to `out_path`, or to stdout when it is None; the
+    exit code for input errors when the file cannot be written."""
     if fmt == "json":
         text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
     else:
@@ -58,11 +75,15 @@ def _emit(records: list[dict], fmt: str, out_path: str | None) -> None:
                 row[key] = value
             writer.writerow(row)
         text = buf.getvalue()
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        return _input_error(f"cannot write {out_path}: {exc.strerror}")
+    return EXIT_OK
 
 
 def _summary_record(records: list[dict]) -> dict:
@@ -100,10 +121,8 @@ def cmd_analyze(args) -> int:
                  else GroupSpec(ref) for ref in args.inputs]
         records = _run_all(specs, args.max_order, args.parallelism)
     except NacentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    _emit(records, args.format, args.out)
-    return EXIT_OK
+        return _input_error(exc)
+    return _emit(records, args.format, args.out)
 
 
 def cmd_verify(args) -> int:
@@ -112,16 +131,13 @@ def cmd_verify(args) -> int:
         # files are only subject to the global guard
         specs = builtin_catalog(args.max_order)
         if args.corpus:
-            paths = sorted(p for p in os.listdir(args.corpus) if p.endswith(".json"))
-            for p in paths:
-                full = os.path.join(args.corpus, p)
-                specs.append(GroupSpec(full, kind="file", path=full))
+            specs += _corpus_specs(args.corpus)
         records = _run_all(specs, None, args.parallelism)
     except NacentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error(exc)
     summary = _summary_record(records)
-    _emit(records + [summary], args.format, args.out)
+    if _emit(records + [summary], args.format, args.out) != EXIT_OK:
+        return EXIT_INPUT
     bad = summary["case_data"]["groups_with_violations"]
     if bad:
         print(f"verify: {bad} group(s) violated a checked claim", file=sys.stderr)
@@ -133,8 +149,7 @@ def cmd_catalog(args) -> int:
     try:
         specs = builtin_catalog(args.max_order)
     except NacentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error(exc)
     for s in specs:
         print(s.name)
     return EXIT_OK
@@ -187,8 +202,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     problem = _check_run_config(args)
     if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error(problem)
     return args.func(args)
 
 

@@ -562,14 +562,14 @@ def load_group(path: str | Path, max_order: int | None = None) -> FiniteGroup:
     if kind == "permutations":
         degree = obj.get("degree")
         gens = obj.get("generators")
-        if not isinstance(degree, int) or degree < 0:
+        if not _is_json_int(degree) or degree < 0:
             raise ParseError("must be a non-negative integer", path=str(path), field="degree")
         if not isinstance(gens, list):
             raise ParseError("must be a list of permutations", path=str(path),
                              field="generators")
         for i, g in enumerate(gens):
             if not isinstance(g, list) or len(g) != degree \
-                    or not all(isinstance(v, int) for v in g):
+                    or not all(_is_json_int(v) for v in g):
                 raise ParseError(f"entry {i} must be a length-{degree} integer list",
                                  path=str(path), field="generators")
         try:
@@ -585,7 +585,7 @@ def load_group(path: str | Path, max_order: int | None = None) -> FiniteGroup:
             raise ParseError("must be an object", path=str(path), field="params")
         call = ctor
         if params:
-            if not all(isinstance(v, int) for v in params.values()):
+            if not all(_is_json_int(v) for v in params.values()):
                 raise ParseError("parameter values must be integers",
                                  path=str(path), field="params")
             entry = _FLAT_BUILDERS.get(ctor)
@@ -610,12 +610,18 @@ def load_group(path: str | Path, max_order: int | None = None) -> FiniteGroup:
                      "or construction", path=str(path), field="kind")
 
 
+def _is_json_int(v) -> bool:
+    """An integer read from JSON; `true` and `false` read as bool, which is
+    a subclass of int, and are not integers here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _require_int_matrix(table, path: str, fieldname: str) -> None:
     if not isinstance(table, list) or not table:
         raise ParseError("must be a non-empty list of rows", path=path, field=fieldname)
     width = None
     for i, row in enumerate(table):
-        if not isinstance(row, list) or not all(isinstance(v, int) for v in row):
+        if not isinstance(row, list) or not all(_is_json_int(v) for v in row):
             raise ParseError(f"row {i} must be a list of integers",
                              path=path, field=fieldname)
         if width is None:

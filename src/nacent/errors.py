@@ -50,10 +50,6 @@ class NotNilpotent(NacentError):
     non-nilpotent group."""
 
 
-class NotApplicable(NacentError):
-    """An assertion helper was called outside its domain of validity."""
-
-
 class AbelianGroup(NacentError):
     """An operation defined only for non-abelian groups got an abelian one."""
 

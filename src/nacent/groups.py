@@ -32,19 +32,18 @@ class FiniteGroup:
     are stored in `table_dtype(n)`, the narrowest signed type holding n - 1:
     int16 up to order 2**15, int32 above. A table given in another integer
     type is validated as given and narrowed only once its entries are known
-    to lie in 0..n-1, so no out-of-range entry can wrap into range.
-    Instances are immutable after construction and safe to share between
-    threads.
+    to lie in 0..n-1, so no out-of-range entry can wrap into range; a table
+    of another type is accepted only when every entry is a finite integral
+    value. Instances are immutable after construction and safe to share
+    between threads.
     """
 
     __slots__ = ("order", "table", "generators", "inverses", "ladder", "orders", "name",
                  "_cache")
 
     def __init__(self, table: np.ndarray, name: str = "group"):
-        table = np.ascontiguousarray(table)
-        if table.dtype.kind not in "iu":
-            table = table.astype(np.int64)
-        table, gens, inverses, ladder = _validate_table(table)
+        table, gens, inverses, ladder = _validate_table(
+            _integer_table(np.ascontiguousarray(table)))
         self.order = table.shape[0]
         self.table = table
         self.name = name
@@ -113,10 +112,9 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray,
     violated law, OrderLimitExceeded past the order guard.
     """
     arr = np.asarray(table)
-    if arr.dtype.kind not in "iu":
-        arr = arr.astype(np.int64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotAGroup("shape", (), f"expected a square table, got {arr.shape}")
+    arr = _integer_table(arr)
     n = arr.shape[0]
     if n == 0:
         raise NotAGroup("shape", (), "empty table")
@@ -207,13 +205,6 @@ def from_permutations(generators: Sequence[Sequence[int]],
     return FiniteGroup(table, name=name)
 
 
-def element_order(G: FiniteGroup, x: int) -> int:
-    """Least m >= 1 with x**m = identity."""
-    if not 0 <= x < G.order:
-        raise IndexError(f"element {x} out of range for order-{G.order} group")
-    return int(G.orders[x])
-
-
 def exponent(G: FiniteGroup) -> int:
     """Least common multiple of all element orders."""
     return math.lcm(*(int(o) for o in np.unique(G.orders)))
@@ -240,6 +231,25 @@ def prime_factorization(n: int) -> list[tuple[int, int]]:
 
 # ---------------------------------------------------------------------------
 # validation internals
+
+def _integer_table(arr: np.ndarray) -> np.ndarray:
+    """arr itself when its type is an integer type. Otherwise arr as int64,
+    once every entry is known to be a finite integral value, so that no
+    entry is truncated into a valid index; NotAGroup names the first entry
+    that is not one."""
+    if arr.dtype.kind in "iu":
+        return arr
+    try:
+        with np.errstate(invalid="ignore"):  # a non-finite entry casts to junk, caught below
+            exact = arr.astype(np.int64)
+    except (TypeError, ValueError):  # an entry with no integer value, such as None
+        raise NotAGroup("entry-range", (), f"an entry of {arr.dtype} type is not a number")
+    bad = exact != arr
+    if bad.any():
+        at = tuple(int(v) for v in np.argwhere(bad)[0])
+        raise NotAGroup("entry-range", at, f"entry {arr[at]} is not an integer index")
+    return exact
+
 
 def _find_identity(arr: np.ndarray) -> int:
     n = arr.shape[0]

@@ -12,9 +12,9 @@ from itertools import takewhile
 
 import numpy as np
 
-from .errors import AbelianGroup, NotApplicable, OrderLimitExceeded
+from .errors import AbelianGroup, OrderLimitExceeded
 from .groups import FiniteGroup, memoized
-from .predicates import is_abelian, is_p_group, primes_dividing
+from .predicates import is_abelian, primes_dividing
 from .subgroups import (
     QuotientMap,
     Subgroup,
@@ -66,22 +66,18 @@ def center_quotient(G: FiniteGroup) -> QuotientMap:
 # normal-subgroup enumeration
 
 
-def normal_subgroups(G: FiniteGroup, cap: int = NORMAL_ENUM_CAP) -> tuple[Subgroup, ...]:
+@memoized
+def normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     """All normal subgroups, via joins of conjugacy-class closures.
 
     Every normal subgroup is a union of conjugacy classes and equals the
     join of the closures of the classes it contains, so closing the class
     closures under pairwise join enumerates them all. Raises
-    OrderLimitExceeded above `cap`.
+    OrderLimitExceeded above NORMAL_ENUM_CAP, before any work.
     """
-    if G.order > cap:
-        raise OrderLimitExceeded(
-            f"normal-subgroup enumeration capped at order {cap}, group has {G.order}")
-    return _normal_subgroups(G)
-
-
-@memoized
-def _normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
+    if G.order > NORMAL_ENUM_CAP:
+        raise OrderLimitExceeded(f"normal-subgroup enumeration capped at order "
+                                 f"{NORMAL_ENUM_CAP}, group has {G.order}")
     atoms = [generated_mask(G, cls) for cls in conjugacy_classes(G)]
     join_memo: dict[int, int] = {1: 1}
 
@@ -234,26 +230,6 @@ def is_elementary_partition(Q: FiniteGroup, partition: Partition) -> tuple[Subgr
             if all(cyclic_span_mask(Q, int(x)) in masks for x in outside):
                 return K, p
     return None
-
-
-def miller_check(Q: FiniteGroup, partition: Partition) -> bool:
-    """All elements of order > p lie in a single component.
-
-    Only defined for a non-trivial partition of a non-abelian p-group;
-    raises NotApplicable otherwise. (This is a theorem, so False signals
-    a computation bug rather than an interesting group.)
-    """
-    p = is_p_group(Q)
-    if p is None or is_abelian(Q) or partition.is_trivial():
-        raise NotApplicable("requires a non-abelian p-group with a non-trivial partition")
-    big = np.nonzero(np.asarray(Q.orders) > p)[0]
-    if big.size == 0:
-        return True
-    homes = set()
-    for comp in partition.components:
-        if any(comp.contains(int(x)) for x in big):
-            homes.add(comp.mask)
-    return len(homes) == 1
 
 
 # ---------------------------------------------------------------------------

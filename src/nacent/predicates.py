@@ -51,12 +51,6 @@ def is_cyclic(x: GroupLike) -> bool:
     return bool((H.parent.orders[H.members()] == H.size).any())
 
 
-def subgroup_exponent(x: GroupLike) -> int:
-    import math
-    H = _as_subgroup(x)
-    return math.lcm(*(int(o) for o in np.unique(H.parent.orders[H.members()])))
-
-
 def is_p_group(x: GroupLike) -> int | None:
     """The prime p when the order is a non-trivial power of p, else None.
 
@@ -150,17 +144,6 @@ def hughes_subgroup(G: FiniteGroup, p: int) -> Subgroup:
         raise ValueError(f"prime required, got {p}")
     seeds = np.nonzero(np.asarray(G.orders) != p)[0]
     return Subgroup(G, generated_mask(G, seeds))
-
-
-def is_hughes_thompson_type(G: FiniteGroup) -> int | None:
-    """Least prime p with G not a p-group and H_p(G) proper, if any."""
-    whole = (1 << G.order) - 1
-    for p in primes_dividing(G.order):
-        if is_p_group(G) == p:
-            continue
-        if hughes_subgroup(G, p).mask != whole:
-            return p
-    return None
 
 
 def is_ca_group(x: GroupLike) -> bool:

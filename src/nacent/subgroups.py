@@ -97,16 +97,6 @@ def _check_same_parent(H1: Subgroup, H2: Subgroup) -> None:
 # centralizers and center
 
 
-def centralizer_mask(G: FiniteGroup, x: int) -> int:
-    t = G.table
-    return mask_of_bool(t[:, x] == t[x, :])
-
-
-def centralizer(G: FiniteGroup, x: int) -> Subgroup:
-    """All elements commuting with x; contains the center and x itself."""
-    return Subgroup(G, centralizer_mask(G, x))
-
-
 @memoized
 def center_mask(G: FiniteGroup) -> int:
     """Bitset of the center: the elements whose centralizer is G, read from
@@ -247,11 +237,6 @@ def generated_mask(G: FiniteGroup, seeds) -> int:
     return mask_of_bool(member)
 
 
-def generated_subgroup(G: FiniteGroup, seeds) -> Subgroup:
-    """Smallest subgroup of G containing the given elements."""
-    return Subgroup(G, generated_mask(G, seeds))
-
-
 def cyclic_span_mask(G: FiniteGroup, x: int) -> int:
     m = 1
     cur = int(x)
@@ -271,10 +256,6 @@ def conjugation_rows(G: FiniteGroup, elems, by=None) -> np.ndarray:
     t = G.table
     by = (np.arange(G.order) if by is None else np.asarray(by, dtype=np.int64))[:, None]
     return t[t[G.inverses[by], elems], by]
-
-
-def conjugate_mask(G: FiniteGroup, mask: int, g: int) -> int:
-    return mask_of(conjugation_rows(G, indices_of(mask, G.order), [g])[0])
 
 
 @memoized
@@ -299,11 +280,6 @@ def conjugates(G: FiniteGroup, mask: int) -> tuple[int, ...]:
                 fresh.append(row)
         level = np.asarray(fresh, dtype=np.int64).reshape(-1, level.shape[1])
     return tuple(seen)
-
-
-def conjugate_subgroup(G: FiniteGroup, H: Subgroup, g: int) -> Subgroup:
-    """g^-1 H g; same size as H."""
-    return Subgroup(G, conjugate_mask(G, H.mask, g))
 
 
 def is_normal(G: FiniteGroup, H: Subgroup, exhaustive: bool = False) -> bool:
@@ -397,20 +373,6 @@ def commutator_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 # ---------------------------------------------------------------------------
-# intersections / equality
-
-
-def subgroup_intersection(H1: Subgroup, H2: Subgroup) -> Subgroup:
-    _check_same_parent(H1, H2)
-    return Subgroup(H1.parent, H1.mask & H2.mask)
-
-
-def subgroup_equal(H1: Subgroup, H2: Subgroup) -> bool:
-    _check_same_parent(H1, H2)
-    return H1.mask == H2.mask
-
-
-# ---------------------------------------------------------------------------
 # quotients
 
 
@@ -494,11 +456,3 @@ def _validate_quotient(qm: QuotientMap) -> None:
         raise NotNormal("projection is not a homomorphism")
     if mask_of_bool(proj == 0) != qm.kernel.mask:
         raise NotNormal("projection kernel differs from the given subgroup")
-
-
-def preimage(qm: QuotientMap, S: Subgroup) -> Subgroup:
-    """Pull a subgroup of the quotient back to the parent."""
-    if S.parent is not qm.quotient:
-        raise ParentMismatch("subgroup does not live in the quotient group")
-    sel = S.member_bool()[qm.projection]
-    return Subgroup(qm.parent, mask_of_bool(sel))

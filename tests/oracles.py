@@ -1,12 +1,16 @@
 """Naive reference implementations used to cross-check the library.
 
-Everything here but the last two functions is definitional and works over
+Everything here but the last four functions is definitional and works over
 a raw multiplication table (list of lists); nothing else reuses the
 package's bitset machinery. All of it is pure Python except the all-triples
 associativity scan, which uses numpy slices because n^3 interpreted steps
-are out of reach at order 1029. `subgroup_as_group` and
-`retabled_subgroup_facts` keep the slower route to a subgroup's own facts:
-the subgroup copied out as a group of its own and analysed there.
+are out of reach at order 1029. The last four take a group and use the
+package's subgroups and predicates: `subgroup_as_group` and
+`retabled_subgroup_facts` keep the slower route to a subgroup's own facts,
+the subgroup copied out as a group of its own and analysed there;
+`centralizer` gives C(x) element by element, where the package reads it
+from its centralizer table; and `is_hughes_thompson_type` searches every
+prime for a proper Hughes subgroup.
 """
 
 from __future__ import annotations
@@ -15,8 +19,15 @@ import numpy as np
 
 from nacent.errors import NotNilpotent
 from nacent.groups import FiniteGroup, table_dtype
-from nacent.predicates import decompose_p_times_abelian, is_abelian, is_ca_group
-from nacent.subgroups import centralizer_table, indices_of, mask_of
+from nacent.predicates import (
+    decompose_p_times_abelian,
+    hughes_subgroup,
+    is_abelian,
+    is_ca_group,
+    is_p_group,
+    primes_dividing,
+)
+from nacent.subgroups import Subgroup, centralizer_table, indices_of, mask_of, mask_of_bool
 
 
 def table_of(G) -> list[list[int]]:
@@ -382,3 +393,21 @@ def retabled_subgroup_facts(H) -> dict:
         "ca": is_ca_group(g),
         "split": split,
     }
+
+
+def centralizer(G, x: int) -> Subgroup:
+    """C(x) by its definition: the elements g with g*x = x*g, read off
+    column x and row x of the table."""
+    t = G.table
+    return Subgroup(G, mask_of_bool(t[:, x] == t[x, :]))
+
+
+def is_hughes_thompson_type(G) -> int | None:
+    """Least prime p with G not a p-group and H_p(G) proper, if any."""
+    whole = (1 << G.order) - 1
+    for p in primes_dividing(G.order):
+        if is_p_group(G) == p:
+            continue
+        if hughes_subgroup(G, p).mask != whole:
+            return p
+    return None

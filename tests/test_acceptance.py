@@ -24,7 +24,6 @@ from nacent import (
     from_cayley_table,
     full_report,
     hughes_subgroup,
-    is_hughes_thompson_type,
     is_nilpotent,
     is_normal_partition,
     is_partition,
@@ -32,7 +31,7 @@ from nacent import (
     save_group,
 )
 from nacent.cli import _run_all, _summary_record
-from oracles import naive_centralizer_sets, table_of
+from oracles import is_hughes_thompson_type, naive_centralizer_sets, table_of
 
 FLAGSHIPS = [("heisenberg_frobenius(7,3)", 1100), ("heisenberg_frobenius(13,3)", 7000)]
 # committed outputs of `nacent verify --max-order 200` and

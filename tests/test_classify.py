@@ -10,13 +10,9 @@ from nacent import (
     build,
     builtin_catalog,
     center,
-    centralizer,
     centralizer_table,
     classify,
     full_report,
-    subgroup_equal,
-    verify_consequences,
-    verify_iff,
 )
 from nacent.classify import (
     CATEGORY_ABELIAN,
@@ -36,6 +32,7 @@ from nacent.predicates import (
 )
 from nacent.subgroups import cyclic_span_mask
 from oracles import (
+    centralizer,
     naive_centralizer_sets,
     naive_is_abelian_subset,
     subgroup_as_group,
@@ -94,7 +91,7 @@ def test_same_cyclic_span_same_centralizer(s4, flagship):
             span = cyclic_span_mask(G, x)
             for y in Subgroup(G, span).members().tolist():
                 if cyclic_span_mask(G, y) == span:
-                    assert subgroup_equal(centralizer(G, x), centralizer(G, y)), (G.name, x, y)
+                    assert centralizer(G, x).mask == centralizer(G, y).mask, (G.name, x, y)
 
 
 def test_whole_group_always_present(s3, z6):
@@ -194,7 +191,7 @@ def test_case_evaluation_vacuous_for_ca(s3):
 
 
 def test_verify_iff_s3(s3):
-    rep = verify_iff(s3)
+    rep = full_report(s3)
     assert rep.ok
     assert rep.case_data["iff"]["forward_ok"]
     assert rep.case_data["iff"]["converse_ok"]
@@ -202,7 +199,7 @@ def test_verify_iff_s3(s3):
 
 
 def test_verify_iff_flagship(flagship):
-    rep = verify_iff(flagship)
+    rep = full_report(flagship)
     assert rep.ok
     assert rep.case_data["iff"]["forward_ok"]
     assert rep.case_data["iff"]["converse_ok"]
@@ -212,13 +209,13 @@ def test_verify_iff_flagship(flagship):
 
 def test_verify_iff_heisenberg_alone():
     G = build("heisenberg(7)")
-    rep = verify_iff(G)
+    rep = full_report(G)
     assert rep.ok
     assert rep.case_data["iff"]["matched"] == []
 
 
 def test_verify_consequences_flagship(flagship):
-    rep = verify_consequences(flagship)
+    rep = full_report(flagship)
     assert rep.ok
     assert rep.cent_count == 353
     assert rep.consequences == {k: True for k in
@@ -232,7 +229,7 @@ def test_verify_consequences_flagship(flagship):
 
 def test_verify_consequences_not_applicable(s3, z6):
     for G in (s3, z6):
-        rep = verify_consequences(G)
+        rep = full_report(G)
         assert rep.ok
         assert set(rep.consequences.values()) == {None}
 
@@ -281,7 +278,7 @@ def test_iff_sweep_no_violations_small():
     from nacent import builtin_catalog
     for spec in builtin_catalog(48):
         G = build(spec.name)
-        rep = verify_iff(G, group_id=spec.name)
+        rep = full_report(G, group_id=spec.name)
         assert rep.ok, (spec.name, rep.violations)
 
 
@@ -304,7 +301,7 @@ def test_classify_converse_guard(monkeypatch):
     assert exc.value.direction == "converse"
 
     G._cache.pop(("classify",), None)
-    rep = mod.verify_iff(G)
+    rep = mod.full_report(G)
     assert not rep.ok
     assert any(v.startswith("converse:") for v in rep.violations)
     assert rep.case_data["iff"]["converse_ok"] is False
@@ -336,8 +333,10 @@ def case_b_over_every_prime(G, a):
 def test_case_b_matches_its_definition(flagship):
     """Case B, evaluated at the one prime its index allows, agrees with the
     loop over every prime; every B match also matches C with a complement of
-    order p (B => C, Hughes-Thompson)."""
+    order p (B => C, Hughes-Thompson). The B matches are the flagship and
+    heisenberg_frobenius(11,5), built here past the default order guard."""
     groups = [build(spec.name) for spec in builtin_catalog(200)] + [flagship]
+    groups.append(build("heisenberg_frobenius(11,5)", max_order=7000))
     checked = b_matches = 0
     with_candidates = set()
     for G in groups:
@@ -352,8 +351,8 @@ def test_case_b_matches_its_definition(flagship):
                 assert case_b.data == {"p": q}
                 assert case_c.matched, (G.name, a)
                 assert case_b.data["p"] == case_c.data["complement_size"]
-    assert checked == 52 and len(with_candidates) == 9
-    assert b_matches == 1
+    assert checked == 53 and len(with_candidates) == 10
+    assert b_matches == 2
 
 
 def test_classify_forward_guard(monkeypatch, flagship):

@@ -98,6 +98,30 @@ def test_verify_corrupted_corpus_file(tmp_path, capsys, s3):
     assert code == EXIT_INPUT
 
 
+def test_verify_missing_corpus_is_input_error(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    code, out, err = run_cli(["verify", "--max-order", "4", "--corpus", str(missing)], capsys)
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: ") and str(missing) in err
+
+
+def test_verify_corpus_file_is_input_error(tmp_path, capsys, s3):
+    path = tmp_path / "s3.json"
+    save_group(s3, path)
+    code, out, err = run_cli(["verify", "--max-order", "4", "--corpus", str(path)], capsys)
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: ") and str(path) in err
+
+
+def test_unwritable_out_is_input_error(tmp_path, capsys):
+    dest = tmp_path / "missing" / "x.jsonl"
+    for argv in (["analyze", "--out", str(dest), "cyclic(3)"],
+                 ["verify", "--max-order", "4", "--out", str(dest)]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: ") and str(dest) in err
+
+
 def test_verify_corpus_dir(tmp_path, capsys, s3, q8):
     save_group(s3, tmp_path / "a_s3.json")
     save_group(q8, tmp_path / "b_q8.json")

@@ -4,7 +4,6 @@ import pytest
 
 from nacent import (
     AbelianGroup,
-    NotApplicable,
     OrderLimitExceeded,
     build,
     center,
@@ -14,13 +13,12 @@ from nacent import (
     is_nonsimple_partition,
     is_normal_partition,
     is_partition,
-    miller_check,
     normal_subgroups,
     quotient,
 )
 from nacent.partitions import Partition, _sorted_components, center_quotient
-from nacent.subgroups import Subgroup, generated_subgroup, whole_subgroup
-from oracles import naive_normal_subgroups, table_of
+from nacent.subgroups import Subgroup, generated_mask, whole_subgroup
+from oracles import centralizer, naive_normal_subgroups, table_of
 
 
 def spans_of_order(G, k):
@@ -28,7 +26,7 @@ def spans_of_order(G, k):
     out = []
     for x in range(G.order):
         if G.orders[x] == k:
-            s = generated_subgroup(G, [x])
+            s = Subgroup(G, generated_mask(G, [x]))
             if s.mask not in seen:
                 seen.add(s.mask)
                 out.append(s)
@@ -46,9 +44,9 @@ def test_normal_subgroups_match_bruteforce():
 
 
 def test_normal_subgroups_cap():
-    G = build("cyclic(8)")
+    G = build("cyclic(2003)")
     with pytest.raises(OrderLimitExceeded):
-        normal_subgroups(G, cap=4)
+        normal_subgroups(G)
 
 
 def test_is_partition_trivial_single_component(s3):
@@ -60,6 +58,18 @@ def test_is_partition_v4_lines():
     lines = spans_of_order(v4, 2)
     assert len(lines) == 3
     assert is_partition(v4, lines)
+    # heisenberg(3) has exponent 3, so its spans, all of prime order, meet
+    # trivially and partition it
+    h3 = build("heisenberg(3)")
+    spans = spans_of_order(h3, 3)
+    assert len(spans) == 13
+    assert is_partition(h3, spans)
+    # D4: the rotations and the two reflection spans outside them
+    d4 = build("dihedral(4)")
+    rot = Subgroup(d4, generated_mask(d4, [1]))
+    assert rot.size == 4
+    comps = [rot] + [s for s in spans_of_order(d4, 2) if s.mask & ~rot.mask & ~1]
+    assert is_partition(d4, comps)
 
 
 def test_is_partition_rejects_overlap(s3):
@@ -169,37 +179,6 @@ def test_elementary_q8_quotient(q8):
     assert K.size == 2 and p == 2
 
 
-def test_miller_d4():
-    d4 = build("dihedral(4)")
-    rot = generated_subgroup(d4, [1])
-    assert rot.size == 4
-    refl = spans_of_order(d4, 2)
-    comps = [rot] + [s for s in refl if s.mask & ~rot.mask & ~1]
-    part = Partition(quotient=d4, components=_sorted_components(comps))
-    assert is_partition(d4, comps)
-    assert miller_check(d4, part)
-
-
-def test_miller_not_applicable(q8, s3):
-    part = centralizer_partition(q8)
-    with pytest.raises(NotApplicable):
-        miller_check(part.quotient, part)  # V4 is abelian
-    with pytest.raises(NotApplicable):
-        miller_check(s3, centralizer_partition(s3))  # not a p-group
-
-
-def test_miller_exponent_p_vacuous():
-    # heisenberg(3) has exponent 3, so its cyclic spans partition it (spans
-    # of prime order meet trivially) and no element has order > p: the
-    # one-component condition is vacuously true
-    h3 = build("heisenberg(3)")
-    spans = spans_of_order(h3, 3)
-    assert len(spans) == 13
-    assert is_partition(h3, spans)
-    part = Partition(quotient=h3, components=_sorted_components(spans))
-    assert miller_check(h3, part)
-
-
 def frobenius_kernel_and_complements(part):
     """Kernel and complement components of a partition that must pass the
     Frobenius-partition test."""
@@ -307,7 +286,6 @@ def test_elementary_for_exponent_gt_p_quotients():
 
 def test_frobenius_definitional_properties(s3):
     # C(k) lies in the kernel for every non-trivial kernel element k
-    from nacent import centralizer
     for G in (s3, build("agl1(7)")):
         K, _ = frobenius_kernel_and_complements(centralizer_partition(G))
         for k in K.members():

@@ -13,17 +13,15 @@ from nacent import (
     is_abelian,
     is_ca_group,
     is_cyclic,
-    is_hughes_thompson_type,
     is_nilpotent,
     is_p_group,
     p_core,
     prime_factorization,
     sylow_subgroup,
-    whole_subgroup,
 )
-from nacent.predicates import primes_dividing, subgroup_exponent
-from nacent.subgroups import generated_subgroup, is_normal, subgroup_equal
-from oracles import naive_fitting, table_of
+from nacent.predicates import primes_dividing
+from nacent.subgroups import Subgroup, generated_mask, is_normal
+from oracles import is_hughes_thompson_type, naive_fitting, table_of
 
 
 def test_prime_factorization():
@@ -42,7 +40,7 @@ def test_is_abelian(s3, z6):
 
 
 def test_is_abelian_subgroup(s3):
-    a3 = generated_subgroup(s3, [x for x in range(6) if s3.orders[x] == 3][:1])
+    a3 = Subgroup(s3, generated_mask(s3, [x for x in range(6) if s3.orders[x] == 3][:1]))
     assert is_abelian(a3)
 
 
@@ -106,7 +104,7 @@ def test_nilpotent_iff_sylows_are_cores():
         G = build(spec.name)
         via_series = is_nilpotent(G)
         via_sylow = all(
-            subgroup_equal(sylow_subgroup(G, p), p_core(G, p))
+            sylow_subgroup(G, p).mask == p_core(G, p).mask
             for p in primes_dividing(G.order))
         assert via_series == via_sylow, spec.name
 
@@ -238,8 +236,3 @@ def test_decompose_properties():
         assert is_abelian(A)
         if p is not None:
             assert is_p_group(P) == p or P.size == 1
-
-
-def test_subgroup_exponent(s3):
-    assert subgroup_exponent(s3) == 6
-    assert subgroup_exponent(whole_subgroup(s3)) == 6
