@@ -19,7 +19,7 @@ then the steps that check both directions of the case characterization
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .errors import NotNilpotent, TheoremViolation
@@ -235,7 +235,6 @@ def classify(G: FiniteGroup) -> Classification:
             raise TheoremViolation(
                 f"{G.name!r}: case {name} hypothesis holds for "
                 f"a={a} but |nacent| = {nac}",
-                report={"a": a, "case": name},
                 direction="converse")
         return Classification(category=CATEGORY_MANY_NACENT, nacent_count=nac)
 
@@ -246,8 +245,7 @@ def classify(G: FiniteGroup) -> Classification:
     matched = tuple(c.name for c in cases if c.matched)
     if not matched:
         raise TheoremViolation(
-            f"{G.name!r}: |nacent| = 2 but no structural case matches",
-            report={"cases": {c.name: c.checks for c in cases}})
+            f"{G.name!r}: |nacent| = 2 but no structural case matches")
     # The Hughes-type and Frobenius hypotheses can hold simultaneously; the
     # case analysis resolves a Frobenius central quotient first, so C takes
     # precedence over B. A p-group quotient excludes both other cases.
@@ -319,18 +317,8 @@ class VerificationReport:
         return not self.violations
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "group_id": self.group_id,
-            "order": self.order,
-            "center_order": self.center_order,
-            "cent_count": self.cent_count,
-            "nacent_count": self.nacent_count,
-            "category": self.category,
-            "case": self.case,
-            "case_data": self.case_data,
-            "consequences": self.consequences,
-            "violations": list(self.violations),
-        }
+        """The report line: one key per field, in field order, values shared."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 _CONSEQUENCE_KEYS = ("a", "b", "c", "d", "e", "f", "normal_ca", "ca_group")

@@ -8,14 +8,16 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from functools import partial
+from typing import TextIO
 
-from .classify import full_report
+from .classify import VerificationReport, full_report
 from .config import order_guard
 from .corpus import GroupSpec, build, builtin_catalog, spec_id
 from .errors import InvalidParams, NacentError, ParseError
@@ -24,8 +26,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 
-REPORT_FIELDS = ("group_id", "order", "center_order", "cent_count", "nacent_count",
-                 "category", "case", "case_data", "consequences", "violations")
+REPORT_FIELDS = tuple(f.name for f in fields(VerificationReport))
 
 
 def _run_one(spec: GroupSpec, max_order: int | None) -> dict:
@@ -57,75 +58,49 @@ def _corpus_specs(directory: str) -> list[GroupSpec]:
     return [GroupSpec(p, kind="file", path=p) for p in paths]
 
 
-def _emit(records: list[dict], fmt: str, out_path: str | None) -> int:
-    """Write the records to `out_path`, or to stdout when it is None; the
-    exit code for input errors when the file cannot be written."""
-    if fmt == "json":
-        text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-    else:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=REPORT_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        for r in records:
-            row = {}
-            for key in REPORT_FIELDS:
-                value = r.get(key)
-                if isinstance(value, (dict, list)):
-                    value = json.dumps(value, sort_keys=True)
-                row[key] = value
-            writer.writerow(row)
-        text = buf.getvalue()
-    if not out_path:
-        sys.stdout.write(text)
-        return EXIT_OK
+def _emit(records: list[dict], fmt: str, out: TextIO) -> int:
+    """Write the records into the open stream `out`, as JSON lines or CSV;
+    the exit code for input errors when it cannot be written."""
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if fmt == "json":
+            out.writelines(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        else:
+            writer = csv.DictWriter(out, fieldnames=REPORT_FIELDS, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(
+                {k: json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v
+                 for k, v in r.items()} for r in records)
+        out.flush()  # a failed write shows here, not when the file is closed
     except OSError as exc:
-        return _input_error(f"cannot write {out_path}: {exc.strerror}")
+        return _input_error(f"cannot write {out.name}: {exc.strerror}")
     return EXIT_OK
 
 
 def _summary_record(records: list[dict]) -> dict:
-    categories: dict[str, int] = {}
-    cases: dict[str, int] = {}
-    violations = 0
-    for r in records:
-        categories[r["category"]] = categories.get(r["category"], 0) + 1
-        if r["case"]:
-            cases[r["case"]] = cases.get(r["case"], 0) + 1
-        if r["violations"]:
-            violations += 1
-    return {
-        "group_id": "summary",
-        "order": 0,
-        "center_order": 0,
-        "cent_count": 0,
-        "nacent_count": 0,
-        "category": "summary",
-        "case": None,
-        "case_data": {
+    """The closing record of `verify`: group, category and case counts."""
+    return VerificationReport(
+        group_id="summary", order=0, center_order=0, cent_count=0, nacent_count=0,
+        category="summary", case=None,
+        case_data={
             "groups": len(records),
-            "categories": categories,
-            "cases": cases,
-            "groups_with_violations": violations,
+            "categories": Counter(r["category"] for r in records),
+            "cases": Counter(r["case"] for r in records if r["case"]),
+            "groups_with_violations": sum(1 for r in records if r["violations"]),
         },
-        "consequences": {},
-        "violations": [],
-    }
+    ).to_dict()
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, out: TextIO) -> int:
     try:
         specs = [GroupSpec(ref, kind="file", path=ref) if os.path.exists(ref)
                  else GroupSpec(ref) for ref in args.inputs]
         records = _run_all(specs, args.max_order, args.parallelism)
     except NacentError as exc:
         return _input_error(exc)
-    return _emit(records, args.format, args.out)
+    return _emit(records, args.format, out)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out: TextIO) -> int:
     try:
         # the catalog is already bounded by --max-order; explicit corpus
         # files are only subject to the global guard
@@ -136,7 +111,7 @@ def cmd_verify(args) -> int:
     except NacentError as exc:
         return _input_error(exc)
     summary = _summary_record(records)
-    if _emit(records + [summary], args.format, args.out) != EXIT_OK:
+    if _emit(records + [summary], args.format, out) != EXIT_OK:
         return EXIT_INPUT
     bad = summary["case_data"]["groups_with_violations"]
     if bad:
@@ -145,13 +120,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args, out: TextIO) -> int:
     try:
         specs = builtin_catalog(args.max_order)
     except NacentError as exc:
         return _input_error(exc)
     for s in specs:
-        print(s.name)
+        print(s.name, file=out)
     return EXIT_OK
 
 
@@ -203,7 +178,16 @@ def main(argv=None) -> int:
     problem = _check_run_config(args)
     if problem:
         return _input_error(problem)
-    return args.func(args)
+    # the destination is opened before any group is built, so an unwritable
+    # --out fails at once; an input error found later leaves the file empty
+    if not getattr(args, "out", None):
+        return args.func(args, sys.stdout)
+    try:
+        out = open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        return _input_error(f"cannot write {args.out}: {exc.strerror}")
+    with out:
+        return args.func(args, out)
 
 
 if __name__ == "__main__":

@@ -301,18 +301,13 @@ def heisenberg_frobenius(p: int, q: int, max_order: int | None = None) -> Finite
 
 
 def agl1(q: int, max_order: int | None = None) -> FiniteGroup:
-    """Affine group of the line over a prime field: cyclic(q) extended by
-    cyclic(q-1) acting as multiplication by a primitive root."""
+    """Affine group of the line over a prime field: semidirect_cyclic(q, q-1),
+    where the least unit of order q-1 is the least primitive root mod q."""
     if not is_prime(q):
         raise InvalidParams(f"agl1(q) needs a prime, got {q}")
-    _guarded(q * (q - 1), max_order)
-    K = cyclic(q, max_order=max_order)
-    H = cyclic(max(1, q - 1), max_order=max_order)
-    if q == 2:
-        return semidirect_product(K, H, {}, name="agl1(2)", max_order=max_order)
-    g = _least_of_order(q - 1, q)
-    perm = np.arange(q, dtype=np.int64) * g % q
-    return semidirect_product(K, H, {1: perm}, name=f"agl1({q})", max_order=max_order)
+    G = semidirect_cyclic(q, q - 1, max_order=max_order)
+    G.name = f"agl1({q})"
+    return G
 
 
 def semidirect_cyclic(n: int, k: int, max_order: int | None = None) -> FiniteGroup:

@@ -74,14 +74,13 @@ class ParseError(NacentError):
 
 
 class TheoremViolation(NacentError):
-    """A group contradicts a verified structural claim; carries the report.
+    """A group contradicts a verified structural claim.
 
     `direction` is "forward" (two non-abelian centralizers but no case
     matches) or "converse" (a case hypothesis holds without two
     non-abelian centralizers).
     """
 
-    def __init__(self, message: str, report=None, direction: str = "forward"):
-        self.report = report
+    def __init__(self, message: str, direction: str = "forward"):
         self.direction = direction
         super().__init__(message)

@@ -81,15 +81,9 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     if G.order % p != 0:
         raise PrimeDoesNotDivide(f"{p} does not divide group order {G.order}")
     part = _p_part(G.order, p)
-    orders = np.asarray(G.orders)
-    # p-elements: order is a non-trivial power of p
-    red = orders.astype(np.int64)
-    while True:
-        div = (red % p == 0) & (red > 1)
-        if not div.any():
-            break
-        red[div] //= p
-    is_p_elem = (red == 1) & (orders > 1)
+    orders = G.orders
+    # p-elements: a non-trivial order dividing the p-part (every order divides |G|)
+    is_p_elem = (part % orders == 0) & (orders > 1)
 
     start = int(np.nonzero(is_p_elem)[0][0])
     mask = generated_mask(G, [start])

@@ -10,6 +10,7 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nacent import (
@@ -21,6 +22,7 @@ from nacent import (
     centralizer_partition,
     centralizer_table,
     classify,
+    cyclic,
     from_cayley_table,
     full_report,
     hughes_subgroup,
@@ -29,6 +31,7 @@ from nacent import (
     is_partition,
     load_group,
     save_group,
+    semidirect_product,
 )
 from nacent.cli import _run_all, _summary_record
 from oracles import is_hughes_thompson_type, naive_centralizer_sets, table_of
@@ -247,3 +250,48 @@ def test_criterion_9_reference_outputs_byte_identical(sweep):
     report_line(9, "records equal the committed reference outputs byte for byte",
                 not bad, f"{len(catalog) + 2} lines")
     assert not bad, bad
+
+
+def case_a_group_p2():
+    """Order 128: N = <x, y | x^8 = y^8 = 1, y^-1 x y = x^5> (element k*8 + h
+    is x^k y^h), extended by the involution x^k y^h -> x^-k y^-h."""
+    N = semidirect_product(cyclic(8), cyclic(8), {1: [5 * k % 8 for k in range(8)]})
+    sigma = [(-k % 8) * 8 + (-h % 8) for k in range(8) for h in range(8)]
+    return semidirect_product(N, cyclic(2), {1: sigma})
+
+
+def case_a_group_p3():
+    """Order 243: N is the pairs (i, j) mod 9 with (i,j)(k,l) =
+    (i+k-6jk, j+l-3jk), where (i, j) = x^i y^j for x = (1,0), y = (0,1);
+    extended by the automorphism of order 3 x -> y, y -> x^-1 y^-1."""
+    i, j = np.divmod(np.arange(81), 9)
+    N = from_cayley_table((i[:, None] + i - 6 * j[:, None] * i) % 9 * 9
+                          + (j[:, None] + j - 3 * j[:, None] * i) % 9)
+    x, y = 9, 1
+    w = N.mul(N.inv(x), N.inv(y))
+    sigma = [N.mul(N.power(y, a), N.power(w, b)) for a in range(9) for b in range(9)]
+    return semidirect_product(N, cyclic(3), {1: sigma})
+
+
+@pytest.mark.parametrize("make, p, order",
+                         [(case_a_group_p2, 2, 128), (case_a_group_p3, 3, 243)])
+def test_case_a_real_groups(make, p, order):
+    """Two p-groups with exactly two non-abelian centralizers, in case A only.
+
+    Consequences c and d are pinned at their computed values, False, which
+    does not settle whether the paper claims them for case A: G/Z is a
+    p-group, so F(G) = G and F(G/Z) = G/Z, neither of which is the proper
+    subgroup C(a) or its image."""
+    rep = full_report(make())
+    assert rep.order == order
+    assert rep.category == "two_nacent" and rep.case == "A"
+    data = rep.case_data
+    assert data["p"] == p and data["matched_cases"] == ["A"]
+    assert data["iff"]["forward_ok"] and data["iff"]["converse_ok"]
+    assert list(data["validation"].values()) == [True] * 4
+    cons = rep.consequences
+    assert all(cons[k] for k in ("a", "b", "e", "f", "normal_ca", "ca_group"))
+    assert data["counting"]["formula_ca_over_z"] is True
+    assert data["counting"]["formula_g_over_p"] is False
+    assert cons["c"] is False and cons["d"] is False
+    assert rep.violations == ["consequence c failed", "consequence d failed"]

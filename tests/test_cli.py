@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import nacent.cli
 from nacent import build, save_group
 from nacent.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, REPORT_FIELDS, main
 
@@ -113,13 +114,25 @@ def test_verify_corpus_file_is_input_error(tmp_path, capsys, s3):
     assert err.startswith("error: ") and str(path) in err
 
 
-def test_unwritable_out_is_input_error(tmp_path, capsys):
+def test_unwritable_out_is_input_error(tmp_path, capsys, monkeypatch):
+    """--out is opened before the run: an unwritable path exits 2 having
+    built no report."""
+    calls = []
+    monkeypatch.setattr(nacent.cli, "full_report", lambda *a, **k: calls.append(a))
     dest = tmp_path / "missing" / "x.jsonl"
-    for argv in (["analyze", "--out", str(dest), "cyclic(3)"],
-                 ["verify", "--max-order", "4", "--out", str(dest)]):
+    for argv in (["analyze", "--out", str(dest), "--parallelism", "1", "cyclic(3)"],
+                 ["verify", "--max-order", "200", "--parallelism", "1", "--out", str(dest)]):
         code, out, err = run_cli(argv, capsys)
         assert code == EXIT_INPUT and out == ""
-        assert err.startswith("error: ") and str(dest) in err
+        assert err.startswith(f"error: cannot write {dest}: ")
+    assert calls == []
+
+
+def test_input_error_leaves_out_empty(tmp_path, capsys):
+    dest = tmp_path / "x.jsonl"
+    code, out, err = run_cli(["analyze", "--out", str(dest), "nosuchgroup(3)"], capsys)
+    assert code == EXIT_INPUT and out == "" and err.startswith("error: ")
+    assert dest.read_text() == ""
 
 
 def test_verify_corpus_dir(tmp_path, capsys, s3, q8):

@@ -134,6 +134,21 @@ def test_agl1():
         build("agl1(6)")
 
 
+def test_agl1_is_semidirect_cyclic():
+    """agl1(q) is semidirect_cyclic(q, q-1) renamed: both act by the least
+    primitive root mod q, found here by brute force."""
+    primes = [int(s.name[5:-1]) for s in builtin_catalog(200) if s.name.startswith("agl1(")]
+    assert primes == [2, 3, 5, 7, 11, 13]
+    for q in primes:
+        G = build(f"agl1({q})")
+        g = next(g for g in range(1, q) if len({pow(g, e, q) for e in range(q - 1)}) == q - 1)
+        action = {1: [k * g % q for k in range(q)]} if q > 2 else {}
+        affine = semidirect_product(cyclic(q), cyclic(q - 1), action)
+        assert G.name == f"agl1({q})"
+        assert np.array_equal(G.table, build(f"semidirect_cyclic({q},{q - 1})").table)
+        assert np.array_equal(G.table, affine.table)
+
+
 def test_semidirect_cyclic():
     G = build("semidirect_cyclic(7,3)")
     assert G.order == 21 and not is_abelian(G)

@@ -8,9 +8,11 @@ function that only tests reach belongs in `tests/oracles.py` or nowhere.
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import nacent
+from nacent.cli import REPORT_FIELDS
 
 # exported for users, named in the README, called by no module of the package
 DOCUMENTED_ENTRY_POINTS = ("save_group",)
@@ -48,3 +50,10 @@ def test_documented_entry_points_are_exported_and_documented():
     for name in DOCUMENTED_ENTRY_POINTS:
         assert inspect.isfunction(getattr(nacent, name, None)), name
         assert f"`{name}`" in readme, name
+
+
+def test_readme_lists_the_report_fields():
+    """The README's CLI section names the report fields in schema order."""
+    cli_section = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    listed = re.search(r"with fields\s+`([^`]*)`", cli_section).group(1)
+    assert tuple(name.strip() for name in listed.split(",")) == REPORT_FIELDS
