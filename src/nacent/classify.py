@@ -383,7 +383,8 @@ def _check_consequences(G: FiniteGroup, report: VerificationReport,
     """The derived structural facts of a two-nacent group, into
     ``consequences`` and ``case_data["counting"]``. For other categories
     every consequence is None (not applicable) and there is no counting.
-    Failures are recorded as report violations."""
+    Failures are recorded as report violations, each with the orders it
+    was decided on."""
     report.consequences = {k: None for k in _CONSEQUENCE_KEYS}
     if cls is None or cls.category != CATEGORY_TWO_NACENT:
         return
@@ -411,6 +412,8 @@ def _check_consequences(G: FiniteGroup, report: VerificationReport,
     f_gp = (report.cent_count == cent_ca + g_over_p + 1) if g_over_p else None
     f_k = report.cent_count == cent_ca + kernel_sz + 1
     cons["a"] = bool(f_k or f_gp)
+    evidence = {"a": f"|Cent(G)| = {report.cent_count}, |Cent(C(a))| = {cent_ca}, "
+                     f"|C(a)/Z| = {kernel_sz}" + (f", |G|/p = {g_over_p}" if g_over_p else "")}
     report.case_data["counting"] = {
         "cent_ca": cent_ca,
         "g_over_p": g_over_p,
@@ -420,32 +423,45 @@ def _check_consequences(G: FiniteGroup, report: VerificationReport,
     }
 
     # (b) commutator subgroup inside C(a)
-    cons["b"] = commutator_subgroup(G).mask & ~Ca.mask == 0
+    derived = commutator_subgroup(G).mask
+    cons["b"] = derived & ~Ca.mask == 0
+    evidence["b"] = f"|G'| = {derived.bit_count()}, |G' & C(a)| = {(derived & Ca.mask).bit_count()}"
 
     # (c) image of C(a) is the Fitting subgroup of G/Z
-    cons["c"] = fitting_subgroup(Q).mask == img_ca.mask
+    fit_q = fitting_subgroup(Q)
+    cons["c"] = fit_q.mask == img_ca.mask
+    evidence["c"] = f"|F(G/Z)| = {fit_q.size}, |C(a)/Z| = {img_ca.size}"
 
     # (d) C(a) is the Fitting subgroup of G
-    cons["d"] = fitting_subgroup(G).mask == Ca.mask
+    fit = fitting_subgroup(G)
+    cons["d"] = fit.mask == Ca.mask
+    evidence["d"] = f"|F(G)| = {fit.size}, |C(a)| = {Ca.size}"
 
     # (e) C(a) splits as P x A
     try:
         cons["e"] = decompose_p_times_abelian(Ca) is not None
+        evidence["e"] = f"C(a) of order {Ca.size} has no P x A split"
     except NotNilpotent:
         cons["e"] = False
+        evidence["e"] = f"C(a) of order {Ca.size} is not nilpotent"
 
     # (f) G/C(a) cyclic (requires normality first)
     cons["normal_ca"] = is_normal(G, Ca)
+    evidence["normal_ca"] = evidence["f"] = f"C(a) of order {Ca.size} is not normal"
     if cons["normal_ca"]:
-        cons["f"] = is_cyclic(quotient(G, Ca).quotient)
+        top = quotient(G, Ca).quotient
+        cons["f"] = is_cyclic(top)
+        evidence["f"] = f"G/C(a) of order {top.order} is not cyclic"
     else:
         cons["f"] = False
 
     cons["ca_group"] = is_ca_group(Ca)
+    evidence["ca_group"] = (f"C(a) of order {Ca.size} has a non-abelian centralizer "
+                            f"of a non-central element")
 
     for key in _CONSEQUENCE_KEYS:
         if cons[key] is False:
-            report.violations.append(f"consequence {key} failed")
+            report.violations.append(f"consequence {key} failed: {evidence[key]}")
 
 
 def partition_diagnostics(G: FiniteGroup) -> dict[str, Any]:

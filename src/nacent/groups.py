@@ -39,7 +39,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("order", "table", "generators", "inverses", "ladder", "orders", "name",
-                 "_cache")
+                 "_cache", "__weakref__")
 
     def __init__(self, table: np.ndarray, name: str = "group"):
         table, gens, inverses, ladder = _validate_table(
@@ -84,7 +84,10 @@ def memoized(fn):
     The value is kept in ``G._cache`` under the key ``(fn.__name__, *args)``
     (keyword arguments follow as (name, value) pairs), so it lives as long
     as G and ``G._cache.clear()`` resets it. Arguments after G must be
-    hashable. The wrapper is a plain function.
+    hashable. A value must hold no reference back to G (a Subgroup or
+    QuotientMap of G would), so that G is freed by reference counting once
+    its last user lets go, not only by the cyclic garbage collector. The
+    wrapper is a plain function.
     """
     name = fn.__name__
 

@@ -56,19 +56,33 @@ def _sorted_components(comps) -> tuple[Subgroup, ...]:
     return tuple(sorted(comps, key=lambda c: (c.size, tuple(c.members()))))
 
 
-@memoized
 def center_quotient(G: FiniteGroup) -> QuotientMap:
-    """The quotient of G by its center (cached on G)."""
-    return quotient(G, center(G))
+    """The quotient of G by its center."""
+    Q, projection = _center_quotient_parts(G)
+    return QuotientMap(G, center(G), G if Q is None else Q, projection)
+
+
+@memoized
+def _center_quotient_parts(G: FiniteGroup) -> tuple[FiniteGroup | None, np.ndarray]:
+    """The quotient group by the center, None when the center is trivial
+    and the quotient is G itself, and the projection: G is kept out of its
+    own memo, so it is freed by reference counting."""
+    qm = quotient(G, center(G))
+    return (None if qm.quotient is G else qm.quotient), qm.projection
 
 
 # ---------------------------------------------------------------------------
 # normal-subgroup enumeration
 
 
-@memoized
 def normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
-    """All normal subgroups, via joins of conjugacy-class closures.
+    """All normal subgroups, ordered by (size, mask)."""
+    return tuple(Subgroup(G, m) for m in _normal_masks(G))
+
+
+@memoized
+def _normal_masks(G: FiniteGroup) -> tuple[int, ...]:
+    """Bitsets of all normal subgroups, via joins of conjugacy-class closures.
 
     Every normal subgroup is a union of conjugacy classes and equals the
     join of the closures of the classes it contains, so closing the class
@@ -95,8 +109,7 @@ def normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     for atom in atoms:
         new = {join(m, atom) for m in found}
         found |= new
-    subs = [Subgroup(G, m) for m in found]
-    return tuple(sorted(subs, key=lambda s: (s.size, s.mask)))
+    return tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
 
 
 def normal_closure_mask(G: FiniteGroup, mask: int) -> int:
@@ -122,9 +135,20 @@ def is_partition(Q: FiniteGroup, components) -> bool:
     return acc == full & ~1
 
 
-@memoized
 def centralizer_partition(G: FiniteGroup) -> Partition | None:
-    """The maximal centralizer images in G/Z(G), if they partition it.
+    """The maximal centralizer images in G/Z(G), if they partition it (see
+    `_centralizer_partition_masks`); raises AbelianGroup for abelian input."""
+    masks = _centralizer_partition_masks(G)
+    if masks is None:
+        return None
+    Q = center_quotient(G).quotient
+    return Partition(quotient=Q, components=tuple(Subgroup(Q, m) for m in masks))
+
+
+@memoized
+def _centralizer_partition_masks(G: FiniteGroup) -> tuple[int, ...] | None:
+    """Bitsets over G/Z(G) of the components of the centralizer partition,
+    in component order, or None when there is none.
 
     Candidate components are the distinct images C(x)/Z(G) over
     non-central x, keeping only images not contained in a larger one
@@ -154,7 +178,7 @@ def centralizer_partition(G: FiniteGroup) -> Partition | None:
     comps = _sorted_components(Subgroup(qm.quotient, m) for _, m in kept)
     if not is_partition(qm.quotient, comps):
         return None
-    return Partition(quotient=qm.quotient, components=comps)
+    return tuple(c.mask for c in comps)
 
 
 @memoized
@@ -176,9 +200,14 @@ def is_normal_partition(Q: FiniteGroup, partition: Partition) -> bool:
     return all(masks.issuperset(orbit) for orbit in _component_orbits(Q, masks))
 
 
-@memoized
 def _normal_candidates(Q: FiniteGroup, comp_masks: frozenset[int]) -> tuple[Subgroup, ...]:
-    """Proper non-trivial normal subgroups to test a partition against.
+    return tuple(Subgroup(Q, m) for m in _normal_candidate_masks(Q, comp_masks))
+
+
+@memoized
+def _normal_candidate_masks(Q: FiniteGroup, comp_masks: frozenset[int]) -> tuple[int, ...]:
+    """Bitsets of the proper non-trivial normal subgroups to test a
+    partition against.
 
     All of them up to NORMAL_ENUM_CAP; above it, the normal closures of the
     components (a normal component is its own closure), one per orbit of
@@ -190,7 +219,7 @@ def _normal_candidates(Q: FiniteGroup, comp_masks: frozenset[int]) -> tuple[Subg
     else:
         masks = {normal_closure_mask(Q, orbit[0]) for orbit in _component_orbits(Q, comp_masks)}
     full = (1 << Q.order) - 1
-    return _sorted_components(Subgroup(Q, m) for m in masks if 1 < m < full)
+    return tuple(N.mask for N in _sorted_components(Subgroup(Q, m) for m in masks if 1 < m < full))
 
 
 def is_nonsimple_partition(Q: FiniteGroup, partition: Partition) -> Subgroup | None:

@@ -71,9 +71,14 @@ def _p_part(n: int, p: int) -> int:
     return part
 
 
-@memoized
 def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
-    """A subgroup of order the full p-part of |G|, by normalizer growth.
+    """A subgroup of order the full p-part of |G|."""
+    return Subgroup(G, _sylow_mask(G, p))
+
+
+@memoized
+def _sylow_mask(G: FiniteGroup, p: int) -> int:
+    """Bitset of a Sylow p-subgroup, by normalizer growth.
 
     Start from the span of a p-element; while below the p-part, pick a
     p-element of the normalizer outside the current subgroup and extend.
@@ -96,20 +101,25 @@ def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
             raise AssertionError("normalizer growth stalled below the full p-part")
         seeds = list(indices_of(mask, G.order)) + [int(ext[0])]
         mask = generated_mask(G, seeds)
-    return Subgroup(G, mask)
+    return mask
+
+
+def p_core(G: FiniteGroup, p: int) -> Subgroup:
+    """Largest normal p-subgroup."""
+    return Subgroup(G, _p_core_mask(G, p))
 
 
 @memoized
-def p_core(G: FiniteGroup, p: int) -> Subgroup:
-    """Largest normal p-subgroup: the core of a Sylow p-subgroup P, the
+def _p_core_mask(G: FiniteGroup, p: int) -> int:
+    """Bitset of the p-core: the core of a Sylow p-subgroup P, the
     intersection of its conjugates (every normal p-subgroup lies in each
     Sylow p-subgroup)."""
     if G.order % p != 0:
-        return trivial_subgroup(G)
+        return 1
     core = -1
     for m in conjugates(G, sylow_subgroup(G, p).mask):
         core &= m
-    return Subgroup(G, core)
+    return core
 
 
 def is_nilpotent(x: GroupLike) -> bool:
@@ -123,13 +133,18 @@ def is_nilpotent(x: GroupLike) -> bool:
                for p, a in prime_factorization(H.size))
 
 
-@memoized
 def fitting_subgroup(G: FiniteGroup) -> Subgroup:
-    """Largest normal nilpotent subgroup: join of the p-cores."""
+    """Largest normal nilpotent subgroup."""
+    return Subgroup(G, _fitting_mask(G))
+
+
+@memoized
+def _fitting_mask(G: FiniteGroup) -> int:
+    """Bitset of the Fitting subgroup: the join of the p-cores."""
     seeds: list[int] = []
     for p in primes_dividing(G.order) if G.order > 1 else []:
         seeds.extend(int(v) for v in p_core(G, p).members())
-    return Subgroup(G, generated_mask(G, seeds))
+    return generated_mask(G, seeds)
 
 
 def hughes_subgroup(G: FiniteGroup, p: int) -> Subgroup:

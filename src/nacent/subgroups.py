@@ -123,76 +123,130 @@ class CentralizerTable:
     abelian: tuple[bool, ...]
 
 
-# Side of the square tiles of the commuting pass: a tile and its transposed
-# partner (2 x 512 KB of int16) stay in cache while the partner is read
-# across its rows, which a whole-table `t.T` read cannot do. On the int16
-# table of order 6591, 25 interleaved passes on a 2 MB-L2 Xeon took 0.094 s
-# (median) at side 512, 0.102 s at 256 and 0.099 s at 724.
-_COMMUTE_TILE = 512
-
-
 @memoized
 def centralizer_table(G: FiniteGroup) -> CentralizerTable:
-    """Every C(x), deduplicated, from one pass over the commuting relation.
+    """Every C(x), deduplicated in element order from packed rows.
 
-    The relation t == t.T is symmetric, so its rows packed into bitsets are
-    the centralizers; it is compared in square tiles and packed one block of
-    rows at a time. Which are abelian is read off the packed rows by
-    `_abelian_flags`.
+    A table that fits in one block (n^2 <= BLOCK_CELLS) compares the whole
+    commuting relation t == t.T at once, fewer numpy steps than the class
+    walk's rounds, and every element is its own representative. A larger
+    one reads the rows of its non-central elements off one representative
+    per conjugacy class (`_conjugated_centralizers`), about k*n cells for k
+    classes instead of n^2; a central element, alone in its class, has
+    C(x) = G. Conjugate centralizers are isomorphic, so `_abelian_flags`
+    tests only the centralizers of the identity and of the representatives,
+    and every class takes the flag of its witness's representative.
     """
     t = G.table
     n = G.order
-    side = _COMMUTE_TILE
-    packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
-    commutes = np.empty((min(side, n), n), dtype=bool)  # commutes[x, g]: g commutes with x
-    for i in range(0, n, side):
-        b = min(side, n - i)
-        for j in range(0, n, side):
-            np.equal(t[i:i + side, j:j + side], t[j:j + side, i:i + side].T,
-                     out=commutes[:b, j:j + side])
-        packed[i:i + b] = np.packbits(commutes[:b], axis=1, bitorder="little")
-    class_of: dict[bytes, int] = {}
-    elem_class = np.empty(n, dtype=np.int32)
-    witnesses: list[int] = []
-    for x in range(n):
-        key = packed[x].tobytes()
+    if n * n <= BLOCK_CELLS:
+        elems = rep = np.arange(n)
+        packed = np.packbits(t == t.T, axis=1, bitorder="little")
+    else:
+        rep, conj = _class_walk(G)
+        elems = np.flatnonzero(np.bincount(rep, minlength=n)[rep] > 1)  # the non-central ones
+        packed = _conjugated_centralizers(G, rep, conj, elems)
+    nbytes = (n + 7) // 8
+    class_of = {np.packbits(np.ones(n, dtype=bool), bitorder="little").tobytes(): 0}
+    witnesses = [0]
+    cids = []
+    for x, key in zip(elems.tolist(), packed.view(np.dtype((np.void, nbytes))).ravel().tolist()):
         cid = class_of.get(key)
         if cid is None:
-            cid = len(witnesses)
-            class_of[key] = cid
+            cid = class_of[key] = len(witnesses)
             witnesses.append(x)
-        elem_class[x] = cid
-    rows = packed[witnesses]
+        cids.append(cid)
+    elem_class = np.zeros(n, dtype=np.int32)
+    elem_class[elems] = cids
+    rows = np.frombuffer(b"".join(class_of), dtype=np.uint8).reshape(len(witnesses), nbytes)
+    tested = np.zeros(len(witnesses), dtype=bool)
+    tested[0] = True
+    tested[elem_class[elems[rep[elems] == elems]]] = True
+    flags = np.zeros(len(witnesses), dtype=bool)
+    flags[tested] = _abelian_flags(t, witnesses, rows, np.flatnonzero(tested))
     return CentralizerTable(
         elem_class=elem_class,
-        masks=tuple(int.from_bytes(row.tobytes(), "little") for row in rows),
+        masks=tuple(int.from_bytes(key, "little") for key in class_of),
         witnesses=tuple(witnesses),
-        abelian=_abelian_flags(t, witnesses, rows),
+        abelian=tuple(flags[elem_class[rep[witnesses]]].tolist()),
     )
 
 
-def _abelian_flags(t: np.ndarray, witnesses, rows: np.ndarray) -> tuple[bool, ...]:
-    """Whether each of the given centralizers is abelian, from their packed
-    rows and one witness of each. The centralizers are those of a subgroup H
-    (H = G included) on its own members, one per distinct value, and the
-    witnesses lie in H.
+def _conjugated_centralizers(G: FiniteGroup, rep: np.ndarray, conj: np.ndarray,
+                             elems: np.ndarray) -> np.ndarray:
+    """The packed rows of C(y) for the non-central elements `elems`, given
+    the class walk's `rep` and `conj`.
+
+    For the representatives x among them, C(x) is read off one comparison
+    t[reps] == t[:, reps].T in blocks of rows. Any other y = g^-1 x g of
+    x's class, g = conj[y], has C(y) = g^-1 C(x) g: the members of C(x)
+    conjugated by g in one gather, k*n cells over all y for k classes,
+    scattered into a block of bool rows and packed.
+    """
+    t = G.table
+    n = G.order
+    packed = np.empty((elems.size, (n + 7) // 8), dtype=np.uint8)
+    if not elems.size:
+        return packed
+    reps = elems[rep[elems] == elems]
+    # Both passes run over blocks of rows. A row of the scatter takes n bool
+    # cells and up to n/2 members, each held in about four intp index arrays
+    # (32 bytes), so BLOCK_CELLS // (16 n) rows stay within BLOCK_CELLS bytes.
+    block = max(1, BLOCK_CELLS // (16 * n))
+    # the members of C(x) for the i-th x in reps are mem[starts[i]:starts[i] + counts[i]]
+    counts = np.empty(reps.size, dtype=np.int64)
+    parts = []
+    for i in range(0, reps.size, block):
+        x = reps[i:i + block]
+        commutes = t[x] == t[:, x].T
+        counts[i:i + x.size] = commutes.sum(axis=1)
+        parts.append(np.nonzero(commutes)[1].astype(t.dtype))
+    mem = np.concatenate(parts)
+    starts = np.cumsum(counts) - counts
+    rep_index = np.empty(n, dtype=np.int64)
+    rep_index[reps] = np.arange(reps.size)
+    inv = G.inverses
+    flat = t.ravel()
+    buf = np.empty((min(block, elems.size), n), dtype=bool)
+    for i in range(0, elems.size, block):
+        ys = elems[i:i + block]
+        r = rep_index[rep[ys]]
+        c = counts[r]
+        first = np.cumsum(c) - c
+        at = np.repeat(starts[r] - first, c) + np.arange(first[-1] + c[-1])
+        # g^-1 m g = (g^-1 (g^-1 m)^-1)^-1 for g = conj[y]: both products read
+        # row g^-1 of the table, not the scattered column g
+        row = np.repeat(inv[conj[ys]].astype(np.int64) * n, c)
+        bits = buf[:ys.size]
+        bits[:] = False
+        bits[np.repeat(np.arange(ys.size), c), inv[flat[row + inv[flat[row + mem[at]]]]]] = True
+        packed[i:i + ys.size] = np.packbits(bits, axis=1, bitorder="little")
+    return packed
+
+
+def _abelian_flags(t: np.ndarray, witnesses, rows: np.ndarray,
+                   tested: np.ndarray) -> np.ndarray:
+    """Whether each of the `tested` centralizers is abelian, from the packed
+    rows and one witness of every centralizer. The centralizers are those of
+    a subgroup H (H = G included) on its own members, one per distinct
+    value, and the witnesses lie in H.
 
     C_H(x) is abelian iff it lies inside C_H(y) for each of its members y;
     members of one class share their centralizer, and y lies in C_H(x) iff
-    the witness of y's class does, so the test runs over pairs of classes
-    whose witnesses commute, in blocks of packed rows.
+    the witness of y's class does, so the test runs over pairs of a tested
+    class and a class whose witnesses commute, in blocks of packed rows.
     """
     wit = np.asarray(witnesses, dtype=np.int64)
-    # (c, e): the witness of class e lies in C(witness of c)
-    tw = t[np.ix_(wit, wit)]
-    cs, es = np.nonzero(tw == tw.T)
-    abelian = np.ones(wit.size, dtype=bool)
+    tw = wit[tested]
+    # (c, e): the witness of class e lies in C(witness of tested class c)
+    cs, es = np.nonzero(t[tw[:, None], wit] == t[wit[:, None], tw].T)
+    abelian = np.ones(tested.size, dtype=bool)
     block = max(1, BLOCK_CELLS // rows.shape[1])
     for start in range(0, cs.size, block):
         c, e = cs[start:start + block], es[start:start + block]
-        outside = (rows[c] & ~rows[e]).any(axis=1)  # C(x_c) not inside C(x_e)
+        outside = (rows[tested[c]] & ~rows[e]).any(axis=1)  # C(x_c) not inside C(x_e)
         abelian[c[outside]] = False
-    return tuple(bool(a) for a in abelian)
+    return abelian
 
 
 @memoized
@@ -220,7 +274,8 @@ def subgroup_centralizers(G: FiniteGroup, mask: int) -> tuple[tuple[int, bool], 
     nbytes = (G.order + 7) // 8
     rows = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks),
                          dtype=np.uint8).reshape(len(masks), nbytes)
-    return tuple(zip(masks, _abelian_flags(G.table, list(witness_of.values()), rows)))
+    flags = _abelian_flags(G.table, list(witness_of.values()), rows, np.arange(len(masks)))
+    return tuple(zip(masks, flags.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -334,42 +389,69 @@ def normalizer_mask(G: FiniteGroup, mask: int) -> int:
 
 
 @memoized
-def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Conjugacy classes as ascending index tuples, ordered by least member.
+def _class_walk(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """For every element y, rep[y], the least member of its conjugacy class,
+    and conj[y], an element g with g^-1 rep[y] g = y.
 
-    A class is an orbit of conjugation by the generators of G, grown from
-    its least member by applying each generator's conjugation permutation.
+    Every element starts as its own representative. Each round, every y
+    looks at w = c y c^-1 for each c on the square ladder of a generator (a
+    long cycle of conjugations by one generator is then crossed in about
+    log2 of its length rounds, as in `_extend_closure`), and takes the least
+    rep[w] below its own, with conj[y] = conj[w] c, since y = c^-1 w c. A
+    round in which no representative falls ends the walk: each rep[y] is
+    then no larger than that of any conjugate of y by a generator, so it is
+    the same across the class and equals its least member. On an abelian
+    group the first round ends it. The values are plain arrays, so the memo
+    holds no reference back to G.
     """
-    perms = conjugation_rows(G, np.arange(G.order), by=G.generators).tolist()
-    seen = [False] * G.order
-    classes = []
-    for x in range(G.order):
-        if seen[x]:
-            continue
-        seen[x] = True
-        orbit = [x]
-        for y in orbit:
-            for perm in perms:
-                z = perm[y]
-                if not seen[z]:
-                    seen[z] = True
-                    orbit.append(z)
-        classes.append(tuple(sorted(orbit)))
-    return tuple(classes)
+    t = G.table
+    every = np.arange(G.order)
+    climb = int(G.orders.max()).bit_length()  # rungs x^(2^j) up to the largest order
+    by = np.asarray(list(dict.fromkeys(G.ladder[:climb, G.generators].ravel().tolist())),
+                    dtype=np.int64)
+    pulled = conjugation_rows(G, every, by=G.inverses[by])  # pulled[i, y] = by[i] y by[i]^-1
+    rep = every.astype(t.dtype)
+    conj = np.zeros(G.order, dtype=t.dtype)
+    while by.size:
+        cand = rep[pulled]
+        least = cand.min(axis=0)
+        fell = np.flatnonzero(least < rep)
+        if not fell.size:
+            break
+        i = cand[:, fell].argmin(axis=0)
+        conj[fell] = t[conj[pulled[i, fell]], by[i]]
+        rep[fell] = least[fell]
+    return rep, conj
+
+
+@memoized
+def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """Conjugacy classes as ascending index tuples, ordered by least member:
+    the elements grouped by their `_class_walk` representative."""
+    rep = _class_walk(G)[0]
+    members = np.argsort(rep, kind="stable").tolist()
+    sizes = np.bincount(rep)
+    ends = np.cumsum(sizes[sizes > 0]).tolist()
+    return tuple(tuple(members[a:b]) for a, b in zip([0, *ends], ends))
 
 
 # ---------------------------------------------------------------------------
 # commutators
 
 
-@memoized
 def commutator_subgroup(G: FiniteGroup) -> Subgroup:
-    """Subgroup generated by all commutators: the normal closure of the
+    """Subgroup generated by all commutators."""
+    return Subgroup(G, _commutator_mask(G))
+
+
+@memoized
+def _commutator_mask(G: FiniteGroup) -> int:
+    """Bitset of the commutator subgroup: the normal closure of the
     commutators [s, t] = s^-1 t^-1 s t of pairs of generators of G, read
     off one gather of the conjugates s^-1 t^-1 s."""
     gens = np.asarray(G.generators, dtype=np.int64)
     comms = G.table[conjugation_rows(G, G.inverses[gens], by=gens), gens]
-    return Subgroup(G, _normal_closure_mask(G, comms.ravel()))
+    return _normal_closure_mask(G, comms.ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -51,13 +51,12 @@ def awkward_size(least, *counts):
 def forced_blocks(monkeypatch):
     """`force(n, *counts)` shrinks the blocks of every whole-table pass for a
     table of order n: row blocks of k rows, where k divides neither n nor any
-    of `counts` (the semidirect fill blocks |K| rows), and commuting tiles of
-    about n/8. Each pass then runs over several blocks with a short last one.
-    `BLOCK_CELLS` is patched in every module that reads it."""
+    of `counts` (the semidirect fill blocks |K| rows). Each pass then runs
+    over several blocks with a short last one. `BLOCK_CELLS` is patched in
+    every module that reads it."""
     def force(n, *counts):
         cells = awkward_size(2, n, *counts) * n
         for module in (nacent.groups, nacent.subgroups, nacent.corpus):
             monkeypatch.setattr(module, "BLOCK_CELLS", cells)
-        monkeypatch.setattr(nacent.subgroups, "_COMMUTE_TILE", awkward_size(max(2, n // 8), n))
 
     return force

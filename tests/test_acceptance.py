@@ -283,7 +283,9 @@ def test_case_a_real_groups(make, p, order):
     p-group, so F(G) = G and F(G/Z) = G/Z, neither of which is the proper
     subgroup C(a) or its image."""
     rep = full_report(make())
-    assert rep.order == order
+    center = {128: 4, 243: 3}[order]
+    ca = order // p  # C(a) = N, of index p
+    assert (rep.order, rep.center_order, rep.case_data["ca_size"]) == (order, center, ca)
     assert rep.category == "two_nacent" and rep.case == "A"
     data = rep.case_data
     assert data["p"] == p and data["matched_cases"] == ["A"]
@@ -294,4 +296,8 @@ def test_case_a_real_groups(make, p, order):
     assert data["counting"]["formula_ca_over_z"] is True
     assert data["counting"]["formula_g_over_p"] is False
     assert cons["c"] is False and cons["d"] is False
-    assert rep.violations == ["consequence c failed", "consequence d failed"]
+    # each violation names the orders it was decided on
+    assert rep.violations == [
+        f"consequence c failed: |F(G/Z)| = {order // center}, |C(a)/Z| = {ca // center}",
+        f"consequence d failed: |F(G)| = {order}, |C(a)| = {ca}",
+    ]

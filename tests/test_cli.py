@@ -1,14 +1,16 @@
 """CLI commands, output formats, and exit-code contract."""
 
 import csv
+import gc
 import io
 import json
+import weakref
 
 import pytest
 
 import nacent.cli
-from nacent import build, save_group
-from nacent.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, REPORT_FIELDS, main
+from nacent import FiniteGroup, GroupSpec, build, save_group
+from nacent.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, REPORT_FIELDS, _run_one, main
 
 
 def run_cli(argv, capsys):
@@ -214,3 +216,27 @@ def test_out_file(tmp_path, capsys):
     assert code == EXIT_OK
     assert out == ""
     assert parse_jsonl(dest.read_text())[0]["category"] == "abelian"
+
+
+@pytest.mark.parametrize("spec", ["dihedral(5)", "dihedral(4)"])
+def test_reported_groups_are_freed_by_reference_counting(spec, monkeypatch):
+    # no memoized value holds its own group, so every group built for a
+    # report, its center quotient included, is freed without the cyclic GC:
+    # dihedral(5) has a trivial center (its center quotient is itself),
+    # dihedral(4) has the quotient C2 x C2
+    made = []
+    init = FiniteGroup.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(FiniteGroup, "__init__", recording_init)
+    gc.disable()
+    try:
+        record = _run_one(GroupSpec(spec), None)
+        alive = [G for ref in made if (G := ref()) is not None]
+    finally:
+        gc.enable()
+    assert record["category"] == "ca"
+    assert made and alive == [], alive

@@ -3,8 +3,9 @@ check, the generating set, element orders, generated subgroups, p-cores, the
 commutator subgroup, the centralizer table and center, normal closures,
 conjugation (classes, normalizers, distinct conjugates) and
 semidirect-product tables, on every catalog group of order <= 48 and on the
-order-1029 flagship; the blocked whole-table passes also under forced small
-blocks. The nilpotency test, the orbits of partition components, the
+order-1029 flagship; the class walk and the centralizer table also on two
+case-A groups and on the center quotients of those catalog groups; the
+blocked whole-table passes also under forced small blocks. The nilpotency test, the orbits of partition components, the
 normal-partition and Frobenius-partition tests and the normal candidates
 above the enumeration cap against the definition, on catalog groups of
 order <= 64."""
@@ -35,6 +36,7 @@ from nacent.partitions import (
     _component_orbits,
     _normal_candidates,
     _sorted_components,
+    center_quotient,
     normal_closure_mask,
 )
 from nacent.predicates import (
@@ -45,6 +47,7 @@ from nacent.predicates import (
 )
 from nacent.subgroups import (
     Subgroup,
+    _class_walk,
     center_mask,
     centralizer_table,
     conjugacy_classes,
@@ -54,6 +57,7 @@ from nacent.subgroups import (
     generated_mask,
     indices_of,
     is_normal,
+    mask_of,
     normalizer_mask,
     subgroup_centralizers,
 )
@@ -78,6 +82,7 @@ from oracles import (
     retabled_subgroup_facts,
     table_of,
 )
+from test_acceptance import case_a_group_p2, case_a_group_p3
 
 SMALL = [s.name for s in builtin_catalog(48)]
 
@@ -86,6 +91,19 @@ def groups(flagship):
     for spec in SMALL:
         yield spec, build(spec)
     yield "heisenberg_frobenius(7,3)", flagship
+
+
+def class_groups(flagship):
+    """`groups`, then the case-A groups of orders 128 and 243 (non-trivial
+    centers, many classes of central cosets) and each center quotient of a
+    group in SMALL that is not the group itself."""
+    yield from groups(flagship)
+    yield "case A, order 128", case_a_group_p2()
+    yield "case A, order 243", case_a_group_p3()
+    for spec in SMALL:
+        Q = center_quotient(G := build(spec)).quotient
+        if Q is not G:
+            yield f"{spec}/Z", Q
 
 
 def members(H):
@@ -162,13 +180,48 @@ def check_centralizer_table(spec, G):
         mem = frozenset(int(v) for v in indices_of(mask, G.order))
         assert mem == naive_centralizer(table, x), (spec, x)
         assert abelian == naive_is_abelian_subset(table, mem), (spec, x)
+    # every element's class, numbered by first witness
+    first = {}
+    for x in range(G.order):
+        c = int(ct.elem_class[x])
+        first.setdefault(c, x)
+        assert ct.masks[c] == mask_of(naive_centralizer(table, x)), (spec, x)
+    assert ct.witnesses == tuple(first.values()) == tuple(sorted(first.values())), spec
     center = frozenset(int(v) for v in indices_of(center_mask(G), G.order))
     assert center == naive_center(table), spec
 
 
 def test_centralizer_table_and_center_match_oracle(flagship):
-    for spec, G in groups(flagship):
+    # each of these tables fits in one block: the whole commuting relation
+    for spec, G in class_groups(flagship):
         check_centralizer_table(spec, G)
+
+
+def test_centralizer_table_from_class_representatives_matches_oracle(flagship, forced_blocks):
+    # forced small blocks send the same tables through the class
+    # representatives and the scatter of conjugated centralizers
+    for spec, G in class_groups(flagship):
+        forced_blocks(G.order)
+        G._cache.clear()
+        check_centralizer_table(spec, G)
+
+
+def test_class_walk_matches_oracle(flagship):
+    # the classes in order of least member, each ascending, and for every y
+    # the walk's representative, the least member of its class, and an
+    # element g with g^-1 rep[y] g = y
+    for spec, G in class_groups(flagship):
+        table = table_of(G)
+        inv = naive_inverses(table)
+        classes = conjugacy_classes(G)
+        assert [frozenset(c) for c in classes] == naive_conjugacy_classes(table), spec
+        assert all(list(c) == sorted(c) for c in classes), spec
+        least = {y: c[0] for c in classes for y in c}
+        rep, conj = _class_walk(G)
+        for y in range(G.order):
+            g = int(conj[y])
+            assert rep[y] == least[y], (spec, y)
+            assert table[table[inv[g]][rep[y]]][g] == y, (spec, y)
 
 
 def test_normal_closure_matches_oracle(flagship):
@@ -191,7 +244,6 @@ def test_conjugation_matches_oracle(flagship):
         table = table_of(G)
         inv = naive_inverses(table)
         n = G.order
-        assert [frozenset(c) for c in conjugacy_classes(G)] == naive_conjugacy_classes(table), spec
         rows = conjugation_rows(G, [n - 1, 0, 1 % n], by=G.generators)
         assert rows.tolist() == [[table[table[inv[g]][h]][g] for h in (n - 1, 0, 1 % n)]
                                  for g in G.generators], spec
@@ -216,22 +268,12 @@ def test_conjugation_matches_oracle(flagship):
             assert {frozenset(int(v) for v in indices_of(c, n)) for c in conj} == want, spec
 
 
-def case_a_order_128():
-    """A two-nacent group of case A with p = 2: N = C8 x| C8, the generator
-    y of the second factor acting on x by x -> x^5, then N x| C2 by
-    x^k y^h -> x^-k y^-h. |Z| = 4 and |C(a)| = 64."""
-    m = 8
-    N = semidirect_product(cyclic(m), cyclic(m), {1: [(m // 2 + 1) * k % m for k in range(m)]})
-    flip = [(-k % m) * m + (-h % m) for k in range(m) for h in range(m)]
-    return semidirect_product(N, cyclic(2), {1: flip})
-
-
 def test_subgroup_facts_match_retabled(flagship):
     """C(a)'s own facts read from G's centralizer table (its distinct
     centralizers and abelian flags, abelian, CA, the P x A split) against
     the same facts of C(a) tabled on its own, for every candidate a of the
     catalog up to order 200, of the flagship and of a case-A group."""
-    case_a = case_a_order_128()
+    case_a = case_a_group_p2()  # |Z| = 4, |C(a)| = 64
     groups = [build(spec.name) for spec in builtin_catalog(200)] + [flagship, case_a]
     checked = 0
     for G in groups:
@@ -295,8 +337,8 @@ def test_semidirect_tables_match_oracle(flagship):
 
 
 def test_forced_blocks_accept_and_match_oracles(forced_blocks):
-    # Light's test, the semidirect fill, the commuting tiles and the abelian
-    # test each run over several blocks, the last one short
+    # Light's test, the semidirect fill, the representatives' comparison, the
+    # centralizer scatter and the abelian test each run over several blocks
     for spec in SMALL + ["cyclic(600)", "heisenberg_frobenius(7,3)"]:
         table = table_of(build(spec))
         forced_blocks(len(table))

@@ -13,6 +13,7 @@ from nacent import (
     build,
     builtin_catalog,
     center,
+    centralizer_table,
     exponent,
     from_cayley_table,
     from_permutations,
@@ -222,6 +223,22 @@ def test_validation_peak_memory(flagship):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * table.nbytes, peak / table.nbytes
+
+
+@pytest.mark.parametrize("spec", ["heisenberg(13)", "heisenberg_frobenius(7,3)"])
+def test_centralizer_table_peak_memory(spec):
+    # heisenberg(13) (n^2 above BLOCK_CELLS) runs the class walk, the
+    # representatives' comparison and the blocked scatter of conjugated
+    # centralizers, the flagship the whole commuting relation in one block:
+    # both allocate at most three quarters of a table
+    G = build(spec)
+    tracemalloc.start()
+    try:
+        centralizer_table(G)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * G.table.nbytes, peak / G.table.nbytes
 
 
 def test_relabel_peak_memory(flagship, forced_blocks):
