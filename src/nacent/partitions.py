@@ -18,6 +18,7 @@ from .predicates import is_abelian, primes_dividing
 from .subgroups import (
     QuotientMap,
     Subgroup,
+    _class_walk,
     _normal_closure_mask,
     center,
     centralizer_table,
@@ -52,8 +53,22 @@ class Partition:
         return len(self.components) == 1
 
 
+# Byte b of a bitset, bit-reversed and complemented: bytes compare from the
+# first, so after this translation the least element in one bitset and not
+# the other decides which bitset's key is smaller, as with member tuples.
+_LEAST_FIRST = bytes(~int(f"{b:08b}"[::-1], 2) & 0xFF for b in range(256))
+
+
 def _sorted_components(comps) -> tuple[Subgroup, ...]:
-    return tuple(sorted(comps, key=lambda c: (c.size, tuple(c.members()))))
+    """The subgroups ordered by (size, ascending members). Among subgroups
+    of one size the member tuples first differ where one subgroup holds the
+    least element of the symmetric difference, so that subgroup comes first;
+    the bitset bytes, translated by `_LEAST_FIRST`, sort the same way."""
+    def key(c: Subgroup):
+        nbytes = (c.parent.order + 7) // 8
+        return c.size, c.mask.to_bytes(nbytes, "little").translate(_LEAST_FIRST)
+
+    return tuple(sorted(comps, key=key))
 
 
 def center_quotient(G: FiniteGroup) -> QuotientMap:
@@ -86,17 +101,35 @@ def _normal_masks(G: FiniteGroup) -> tuple[int, ...]:
 
     Every normal subgroup is a union of conjugacy classes and equals the
     join of the closures of the classes it contains, so closing the class
-    closures under pairwise join enumerates them all. Raises
-    OrderLimitExceeded above NORMAL_ENUM_CAP, before any work.
+    closures under pairwise join enumerates them all. The classes of the
+    generators of one cyclic subgroup <x>, the members of <x> of order
+    o(x), have one closure, that of <x>, so one class of each such group
+    is closed. Raises OrderLimitExceeded above NORMAL_ENUM_CAP, before any
+    work.
     """
     if G.order > NORMAL_ENUM_CAP:
         raise OrderLimitExceeded(f"normal-subgroup enumeration capped at order "
                                  f"{NORMAL_ENUM_CAP}, group has {G.order}")
-    atoms = [generated_mask(G, cls) for cls in conjugacy_classes(G)]
+    rep = _class_walk(G)[0]
+    orders = G.orders
+    atoms = []
+    reached: set[int] = set()  # representatives of the classes already closed
+    for cls in conjugacy_classes(G):
+        x = cls[0]
+        if x in reached:
+            continue
+        span = indices_of(cyclic_span_mask(G, x), G.order)
+        reached.update(rep[span[orders[span] == orders[x]]].tolist())
+        atoms.append(generated_mask(G, cls))
     join_memo: dict[int, int] = {1: 1}
 
     def join(m1: int, m2: int) -> int:
-        # both are normal, so their join is the product set m1 * m2
+        # both are normal, so their join is the larger when one holds the
+        # other, and otherwise the product set m1 * m2
+        if m2 & ~m1 == 0:
+            return m1
+        if m1 & ~m2 == 0:
+            return m2
         key = m1 | m2
         got = join_memo.get(key)
         if got is None:
@@ -161,13 +194,7 @@ def _centralizer_partition_masks(G: FiniteGroup) -> tuple[int, ...] | None:
     if is_abelian(G):
         raise AbelianGroup(f"{G.name!r} is abelian; its centralizer images are trivial")
     qm = center_quotient(G)
-    ct = centralizer_table(G)
-    whole = (1 << G.order) - 1
-    images: set[int] = set()
-    for m in ct.masks:
-        if m != whole:
-            images.add(qm.image_mask(Subgroup(G, m)))
-    by_size = sorted(images, key=lambda m: (-m.bit_count(), m))
+    by_size = sorted(_centralizer_images(G, qm), key=lambda m: (-m.bit_count(), m))
     kept: list[tuple[int, int]] = []  # (size, mask), descending size
     for m in by_size:
         size = m.bit_count()
@@ -179,6 +206,30 @@ def _centralizer_partition_masks(G: FiniteGroup) -> tuple[int, ...] | None:
     if not is_partition(qm.quotient, comps):
         return None
     return tuple(c.mask for c in comps)
+
+
+def _centralizer_images(G: FiniteGroup, qm: QuotientMap) -> list[int]:
+    """The bitsets over G/Z of the images of the proper centralizers of G.
+
+    Each C(x) contains Z, so it is a union of cosets of Z, and its image
+    holds a coset iff C(x) holds that coset's least member: one gather of
+    the packed centralizer rows at the least members. On a trivial center
+    the images are the centralizers themselves.
+    """
+    proper = centralizer_table(G).masks[1:]  # class 0 is C(z) = G for central z
+    if qm.quotient is G:
+        return list(proper)
+    t = G.table
+    n = G.order
+    nbytes = (n + 7) // 8
+    rows = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in proper),
+                         dtype=np.uint8).reshape(len(proper), nbytes)
+    # g is the least member of gZ iff g <= g z for every z in Z, and
+    # `quotient` labels the cosets in ascending order of least member
+    least = np.flatnonzero((t[:, qm.kernel.members()] >= np.arange(n)[:, None]).all(axis=1))
+    least = least.astype(t.dtype)
+    packed = np.packbits(rows[:, least >> 3] >> (least & 7) & 1, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 @memoized

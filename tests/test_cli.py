@@ -4,7 +4,11 @@ import csv
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -240,3 +244,18 @@ def test_reported_groups_are_freed_by_reference_counting(spec, monkeypatch):
         gc.enable()
     assert record["category"] == "ca"
     assert made and alive == [], alive
+
+
+def test_verify_never_imports_numpy_ma(tmp_path):
+    # numpy.ma, which some np.unique paths import, adds about 1.6 MB to a
+    # sweep's peak RSS; a fresh interpreter shows whether any step loads it
+    src = Path(nacent.cli.__file__).resolve().parents[1]
+    script = ("import sys\n"
+              "from nacent.cli import main\n"
+              f"main(['verify', '--max-order', '60', '--out', {str(tmp_path / 'out.jsonl')!r}])\n"
+              "print('numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

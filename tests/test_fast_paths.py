@@ -33,6 +33,7 @@ from nacent.classify import _candidates
 from nacent.errors import NotNilpotent
 from nacent.partitions import (
     Partition,
+    _centralizer_images,
     _component_orbits,
     _normal_candidates,
     _sorted_components,
@@ -447,6 +448,24 @@ def test_frobenius_partition_matches_oracle(flagship):
     assert verdicts["heisenberg_frobenius(7,3)"] and verdicts["F9 x| Q8"]
     assert not verdicts["heisenberg(3) spans"]
     assert sum(verdicts.values()) >= 20 and len(verdicts) - sum(verdicts.values()) >= 20
+
+
+def test_centralizer_images_match_image_mask():
+    # the images read at the least member of each center coset, against the
+    # projection of every member; the case-A groups have |Z| = 4 and 3
+    checked = 0
+    cases = [(s.name, build(s.name)) for s in builtin_catalog(64)]
+    cases += [("case A, order 128", case_a_group_p2()), ("case A, order 243", case_a_group_p3())]
+    for spec, G in cases:
+        if is_abelian(G):
+            continue
+        qm = center_quotient(G)
+        whole = (1 << G.order) - 1
+        want = {qm.image_mask(Subgroup(G, m)) for m in centralizer_table(G).masks if m != whole}
+        got = _centralizer_images(G, qm)
+        assert len(got) == len(want) and set(got) == want, spec
+        checked += qm.quotient is not G
+    assert checked >= 50
 
 
 def test_normal_candidates_above_the_enumeration_cap(monkeypatch):

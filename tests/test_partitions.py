@@ -2,12 +2,15 @@
 
 import pytest
 
+import nacent.partitions
 from nacent import (
     AbelianGroup,
     OrderLimitExceeded,
     build,
+    builtin_catalog,
     center,
     centralizer_partition,
+    is_abelian,
     is_elementary_partition,
     is_frobenius_partition,
     is_nonsimple_partition,
@@ -18,7 +21,15 @@ from nacent import (
 )
 from nacent.partitions import Partition, _sorted_components, center_quotient
 from nacent.subgroups import Subgroup, generated_mask, whole_subgroup
-from oracles import centralizer, naive_normal_subgroups, table_of
+from oracles import (
+    centralizer,
+    naive_class_join_normals,
+    naive_closure,
+    naive_conjugate,
+    naive_inverses,
+    naive_normal_subgroups,
+    table_of,
+)
 
 
 def spans_of_order(G, k):
@@ -41,6 +52,48 @@ def test_normal_subgroups_match_bruteforce():
         want = naive_normal_subgroups(table_of(G))
         got = {frozenset(s.members().tolist()) for s in normal_subgroups(G)}
         assert got == want, spec
+
+
+def naive_cyclic_subgroup_classes(table) -> int:
+    """The number of conjugacy classes of cyclic subgroups, each <x> closed
+    naively and conjugated by every element."""
+    inv = naive_inverses(table)
+    seen: set[frozenset[int]] = set()
+    count = 0
+    for H in {naive_closure(table, [x]) for x in range(len(table))}:
+        if H not in seen:
+            count += 1
+            seen.update(naive_conjugate(table, inv, H, g) for g in range(len(table)))
+    return count
+
+
+def test_normal_subgroups_of_every_center_quotient_match_oracle(monkeypatch):
+    # every non-abelian group of order <= 200, through the quotient the
+    # partition tests enumerate; each cyclic subgroup class is closed once
+    calls = 0
+    closed = nacent.partitions.generated_mask
+
+    def counted(G, seeds):
+        nonlocal calls
+        calls += 1
+        return closed(G, seeds)
+
+    monkeypatch.setattr(nacent.partitions, "generated_mask", counted)
+    checked = 0
+    for spec in builtin_catalog(200):
+        G = build(spec.name)
+        if is_abelian(G):
+            continue
+        Q = center_quotient(G).quotient
+        table = table_of(Q)
+        calls = 0
+        got = {frozenset(s.members().tolist()) for s in normal_subgroups(Q)}
+        assert got == naive_class_join_normals(table), spec.name
+        # distinct normal closures can be fewer: <(12)> and <(1234)> of S4
+        # are not conjugate but both close to S4
+        assert calls == naive_cyclic_subgroup_classes(table), spec.name
+        checked += 1
+    assert checked == 187
 
 
 def test_normal_subgroups_cap():

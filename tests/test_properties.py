@@ -5,11 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from nacent import (
     Subgroup,
+    build,
     center,
     exponent,
     from_permutations,
     is_normal,
 )
+from nacent.partitions import _sorted_components
 from nacent.subgroups import conjugates, generated_mask
 from oracles import centralizer
 
@@ -96,3 +98,22 @@ def test_intersection_is_subgroup(G, data):
     assert G.order % inter.size == 0
     mem = inter.members()
     assert inter.member_bool()[G.table[np.ix_(mem, mem)]].all()
+
+
+def masks_of_width(n):
+    """Bitsets over n elements, some of them all of one size, so that the
+    order among equal sizes is exercised."""
+    half = st.sets(st.integers(0, n - 1), min_size=n // 2, max_size=n // 2)
+    return st.lists(st.integers(1, 2**n - 1) | half.map(lambda s: sum(1 << i for i in s) | 1),
+                    max_size=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 70).flatmap(lambda n: st.tuples(st.just(n), masks_of_width(n))))
+def test_component_order_is_size_then_members(case):
+    # widths that are not a multiple of 8 leave padding bits in the last byte
+    n, masks = case
+    G = build(f"cyclic({n})")
+    comps = [Subgroup(G, m) for m in masks]
+    want = sorted(comps, key=lambda c: (c.size, tuple(c.members())))
+    assert list(_sorted_components(comps)) == want
