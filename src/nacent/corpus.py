@@ -195,26 +195,38 @@ def semidirect_product(K: FiniteGroup, H: FiniteGroup,
     if len(phi) != nh:
         raise InvalidAction("given elements do not generate the acting group")
 
+    table = _semidirect_table(K.table, H.table, phi)
+    return FiniteGroup(table, name=name or f"semidirect({K.name},{H.name})")
+
+
+def _semidirect_table(ktable: np.ndarray, htable: np.ndarray,
+                      phi: dict[int, np.ndarray]) -> np.ndarray:
+    """The table of K x| H, pairs (k, h) encoded as k * |H| + h, for the
+    automorphisms phi[h] of K; its fill buffers are freed on return, before
+    the table is validated.
+
+    view[k1, h1] is the row of (k1, h1); across it, column (k2, h2) holds
+    (k1 * phi_h1(k2)) * |H| + h1 * h2. Rows are filled whole, in blocks of
+    k1 of at most BLOCK_CELLS // 4 cells: each block of K's rows is scaled
+    by |H| once, then for each h1 gathered into one reused buffer and added
+    to h1's row of H (`mode="clip"` changes no index, phi_h1 being a checked
+    permutation, and keeps `np.take` from buffering `out`).
+    """
+    nk, nh = ktable.shape[0], htable.shape[0]
     n = nk * nh
     dt = table_dtype(n)
     table = np.empty((n, n), dtype=dt)
-    # view[k1, h1] is the row of (k1, h1); across it, column (k2, h2) holds
-    # (k1 * phi_h1(k2)) * |H| + h1 * h2. Rows are filled whole, in blocks of
-    # k1 of at most BLOCK_CELLS cells, each gathered from K's table scaled by
-    # |H| into one reused buffer (`mode="clip"` changes no index, phi_h1
-    # being a checked permutation, and keeps `np.take` from buffering `out`).
     view = table.reshape(nk, nh, n)
-    rows = max(1, min(nk, BLOCK_CELLS // n))
+    rows = max(1, min(nk, BLOCK_CELLS // (4 * n)))
     kbuf = np.empty((rows, n), dtype=dt)
-    kscaled = _scaled(K.table, nh, dt)
-    for h1 in range(nh):
-        cols = np.repeat(phi[h1], nh)          # column (k2, h2) -> phi_h1(k2)
-        hpart = np.tile(H.table[h1], nk)       # column (k2, h2) -> h1 * h2
-        for start in range(0, nk, rows):
-            kpart = kbuf[:min(rows, nk - start)]
-            np.take(kscaled[start:start + rows], cols, axis=1, out=kpart, mode="clip")
-            np.add(kpart, hpart, out=view[start:start + rows, h1])
-    return FiniteGroup(table, name=name or f"semidirect({K.name},{H.name})")
+    for start in range(0, nk, rows):
+        kscaled = _scaled(ktable[start:start + rows], nh, dt)
+        kpart = kbuf[:kscaled.shape[0]]
+        for h1 in range(nh):
+            cols = np.repeat(phi[h1], nh)      # column (k2, h2) -> phi_h1(k2)
+            np.take(kscaled, cols, axis=1, out=kpart, mode="clip")
+            np.add(kpart, np.tile(htable[h1], nk), out=view[start:start + rows, h1])  # + h1 * h2
+    return table
 
 
 def _scaled(table: np.ndarray, factor: int, dt: np.dtype) -> np.ndarray:

@@ -11,7 +11,9 @@ import numpy as np
 from .config import order_guard
 from .errors import InvalidPermutation, NotAGroup, OrderLimitExceeded
 
-# Whole-table passes work in row blocks of at most this many cells.
+# Whole-table passes work in row blocks of at most this many cells; those
+# over rows of the table take BLOCK_CELLS // (4 n) rows, about 1M cells (2 MB
+# in int16) per buffer.
 BLOCK_CELLS = 4_000_000
 
 # Associativity is verified exactly at every order by Light's test: the
@@ -147,7 +149,7 @@ def _relabeled(arr: np.ndarray, e: int) -> np.ndarray:
     old = np.arange(n)  # old[new name] = old name
     old[:e + 1] = np.roll(old[:e + 1], 1)
     new = np.argsort(old)
-    rows = max(1, min(n, BLOCK_CELLS // n))
+    rows = max(1, min(n, BLOCK_CELLS // (4 * n)))
     buf = np.empty((rows, n), dtype=arr.dtype)
     low = np.empty((rows, n), dtype=bool)
     out = np.empty_like(arr)
@@ -319,7 +321,7 @@ def _check_latin_square(table: np.ndarray) -> None:
     of 0..n-1. Columns are read in slabs of a transposed view, not a copy.
     """
     n = table.shape[0]
-    block = max(1, min(n, BLOCK_CELLS // n))
+    block = max(1, min(n, BLOCK_CELLS // (4 * n)))
     seen = np.zeros((block, n + 1), dtype=bool)
     for kind, lines_of in (("row", table), ("column", table.T)):
         for start in range(0, n, block):
@@ -412,7 +414,7 @@ def _check_associativity(table: np.ndarray, gens: tuple[int, ...]) -> None:
     `mode="raise"`.
     """
     n = table.shape[0]
-    block = max(1, min(n, BLOCK_CELLS // n))
+    block = max(1, min(n, BLOCK_CELLS // (4 * n)))
     left_buf = np.empty((block, n), dtype=table.dtype)
     diff_buf = np.empty((block, n), dtype=table.dtype)
     for s in gens:

@@ -219,15 +219,12 @@ def _centralizer_images(G: FiniteGroup, qm: QuotientMap) -> list[int]:
     proper = centralizer_table(G).masks[1:]  # class 0 is C(z) = G for central z
     if qm.quotient is G:
         return list(proper)
-    t = G.table
-    n = G.order
-    nbytes = (n + 7) // 8
+    nbytes = (G.order + 7) // 8
     rows = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in proper),
                          dtype=np.uint8).reshape(len(proper), nbytes)
-    # g is the least member of gZ iff g <= g z for every z in Z, and
-    # `quotient` labels the cosets in ascending order of least member
-    least = np.flatnonzero((t[:, qm.kernel.members()] >= np.arange(n)[:, None]).all(axis=1))
-    least = least.astype(t.dtype)
+    # `quotient` labels the cosets in ascending order of least member, so
+    # the least members are the first elements of each label, in order
+    least = np.unique(qm.projection, return_index=True)[1].astype(G.table.dtype)
     packed = np.packbits(rows[:, least >> 3] >> (least & 7) & 1, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 

@@ -503,14 +503,19 @@ def quotient(G: FiniteGroup, N: Subgroup) -> QuotientMap:
     else:
         t = G.table
         mem = N.members()
-        proj = np.full(n, -1, dtype=dt)
-        reps = []
-        for g in range(n):
-            if proj[g] < 0:
-                proj[t[g, mem]] = len(reps)
-                reps.append(g)
-        reps_arr = np.asarray(reps, dtype=np.int64)
-        qtable = proj[t[np.ix_(reps_arr, reps_arr)]]
+        # N is normal, so the least member of gN = Ng is the least z g, z in
+        # N: the column minima of N's rows, read in blocks of BLOCK_CELLS //
+        # (4 n) rows. g leads its coset iff it is its own least member, and
+        # the cosets are labeled in ascending order of leader.
+        least = np.arange(n, dtype=t.dtype)  # g = 1 g
+        rows = max(1, BLOCK_CELLS // (4 * n))
+        for start in range(0, mem.size, rows):
+            np.minimum(least, t[mem[start:start + rows]].min(axis=0), out=least)
+        reps = np.flatnonzero(least == np.arange(n))
+        label = np.zeros(n, dtype=dt)
+        label[reps] = np.arange(reps.size)
+        proj = label[least]
+        qtable = proj[t[np.ix_(reps, reps)]]
         q = FiniteGroup(qtable, name=f"{G.name}/{N.size}")
     qm = QuotientMap(G, N, q, proj)
     _validate_quotient(qm)

@@ -53,10 +53,14 @@ def forced_blocks(monkeypatch):
     table of order n: row blocks of k rows, where k divides neither n nor any
     of `counts` (the semidirect fill blocks |K| rows). Each pass then runs
     over several blocks with a short last one. `BLOCK_CELLS` is patched in
-    every module that reads it."""
+    every module that reads it: to 4 k n in `groups` and `corpus`, whose
+    passes over table rows take BLOCK_CELLS // (4 n) rows, and to k n in
+    `subgroups`, so that a table of order above k leaves the one-block
+    centralizer path (n^2 <= BLOCK_CELLS)."""
     def force(n, *counts):
-        cells = awkward_size(2, n, *counts) * n
-        for module in (nacent.groups, nacent.subgroups, nacent.corpus):
-            monkeypatch.setattr(module, "BLOCK_CELLS", cells)
+        k = awkward_size(2, n, *counts)
+        monkeypatch.setattr(nacent.groups, "BLOCK_CELLS", 4 * k * n)
+        monkeypatch.setattr(nacent.corpus, "BLOCK_CELLS", 4 * k * n)
+        monkeypatch.setattr(nacent.subgroups, "BLOCK_CELLS", k * n)
 
     return force

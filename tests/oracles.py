@@ -354,6 +354,19 @@ def naive_semidirect_table(k_table, h_table, action) -> list[list[int]]:
             for k1 in range(nk) for h1 in range(nh)]
 
 
+def naive_coset_labels(table, members) -> list[int]:
+    """The coset gN of each element g, numbered in order of first element
+    reached: each g not yet labeled opens the next coset, g * members."""
+    label = [-1] * len(table)
+    count = 0
+    for g in range(len(table)):
+        if label[g] < 0:
+            for z in members:
+                label[table[g][z]] = count
+            count += 1
+    return label
+
+
 def subgroup_as_group(H, name: str | None = None):
     """H copied out as a group of its own on compacted indices, and the
     array mapping its element i to the parent index. The identity stays

@@ -1,6 +1,7 @@
 """Constructors, catalog contract, and group-file round-trips."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,19 @@ def test_heisenberg_rejects_nonprime():
 def test_heisenberg_frobenius_flagship(flagship):
     assert flagship.order == 1029
     assert center(flagship).size == 1
+
+
+def test_build_peak_memory():
+    # the order-6591 flagship, built and validated: its fill buffers are
+    # freed before validation, and every scratch array of either is a
+    # block of rows, so the peak is K's table and blocks beyond the table
+    tracemalloc.start()
+    try:
+        G = build("heisenberg_frobenius(13,3)", max_order=7000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * G.table.nbytes, peak / G.table.nbytes
 
 
 def test_heisenberg_frobenius_fixed_point_free():

@@ -3,7 +3,8 @@ check, the generating set, element orders, generated subgroups, p-cores, the
 commutator subgroup, the centralizer table and center, normal closures,
 conjugation (classes, normalizers, distinct conjugates) and
 semidirect-product tables, on every catalog group of order <= 48 and on the
-order-1029 flagship; the class walk and the centralizer table also on two
+order-1029 flagship; the coset labels of quotients on every catalog group of
+order <= 200; the class walk and the centralizer table also on two
 case-A groups and on the center quotients of those catalog groups; the
 blocked whole-table passes also under forced small blocks. The nilpotency test, the orbits of partition components, the
 normal-partition and Frobenius-partition tests and the normal candidates
@@ -11,6 +12,7 @@ above the enumeration cap against the definition, on catalog groups of
 order <= 64."""
 
 import nacent.partitions
+import nacent.subgroups
 from nacent import (
     build,
     builtin_catalog,
@@ -49,6 +51,7 @@ from nacent.predicates import (
 from nacent.subgroups import (
     Subgroup,
     _class_walk,
+    center,
     center_mask,
     centralizer_table,
     conjugacy_classes,
@@ -60,6 +63,7 @@ from nacent.subgroups import (
     is_normal,
     mask_of,
     normalizer_mask,
+    quotient,
     subgroup_centralizers,
 )
 from oracles import (
@@ -67,6 +71,7 @@ from oracles import (
     naive_centralizer,
     naive_closure,
     naive_commutator_subgroup,
+    naive_coset_labels,
     naive_conjugacy_classes,
     naive_conjugate,
     naive_generators,
@@ -329,6 +334,24 @@ def semidirect_cases():
          {1: [k * 4 % 9 for k in range(9)]}),
         ("heisenberg_frobenius(7,3)", heisenberg_table(7), cyclic_table(3), {1: scale}),
     ]
+
+
+def test_quotient_projection_matches_oracle(monkeypatch):
+    # the center quotient and the abelianization of every catalog group of
+    # order <= 200: the cosets labeled by least member, read off the
+    # kernel's rows in one block and in blocks of 3 rows
+    checked = 0
+    for spec in builtin_catalog(200):
+        G = build(spec.name)
+        table = table_of(G)
+        for N in (center(G), commutator_subgroup(G)):
+            want = naive_coset_labels(table, [int(z) for z in N.members()])
+            assert quotient(G, N).projection.tolist() == want, spec.name
+            monkeypatch.setattr(nacent.subgroups, "BLOCK_CELLS", 4 * 3 * G.order)
+            assert quotient(G, N).projection.tolist() == want, spec.name
+            monkeypatch.undo()
+            checked += 1 < N.size < G.order
+    assert checked >= 300
 
 
 def test_semidirect_tables_match_oracle(flagship):
