@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from functools import partial
 from typing import TextIO
@@ -38,6 +37,9 @@ def _run_all(specs: list[GroupSpec], max_order: int | None, parallelism: int) ->
     if parallelism <= 1 or len(specs) <= 1:
         results = [run(s) for s in specs]
     else:
+        # imported here: it loads multiprocessing, socket and subprocess
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             results = list(pool.map(run, specs, chunksize=4))
     return sorted(results, key=lambda r: r["group_id"])

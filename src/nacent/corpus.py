@@ -7,7 +7,6 @@ the string doubles as the stable group id in reports.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
@@ -69,37 +68,52 @@ def cyclic(n: int, max_order: int | None = None) -> FiniteGroup:
     if n < 1:
         raise InvalidParams(f"cyclic order must be >= 1, got {n}")
     _guarded(n, max_order)
-    idx = np.arange(n, dtype=np.int64)
-    return FiniteGroup((idx[:, None] + idx[None, :]) % n, name=f"cyclic({n})")
+    return FiniteGroup(_rotations(n, table_dtype(n)), name=f"cyclic({n})")
+
+
+def _rotations(n: int, dt: np.dtype) -> np.ndarray:
+    """The n x n table of addition mod n in dt: row i is arange(n) rotated
+    left by i, a window of arange(n) written twice."""
+    twice = np.tile(np.arange(n, dtype=dt), 2)
+    return np.lib.stride_tricks.sliding_window_view(twice, n)[:n].copy()
 
 
 def dihedral(n: int, max_order: int | None = None) -> FiniteGroup:
-    """Dihedral group of order 2n: rotations r^i and reflections r^i s."""
+    """Dihedral group of order 2n: rotations r^i and reflections r^i s.
+
+    With C the table of addition mod n and D = C with its columns negated
+    mod n, so D[i, j] = i - j mod n, the table is [[C, C + n], [D + n, D]]:
+    a reflection on the left turns r^j into r^-j."""
     if n < 1:
         raise InvalidParams(f"dihedral parameter must be >= 1, got {n}")
     _guarded(2 * n, max_order)
-    idx = np.arange(2 * n, dtype=np.int64)
-    rot, flip = idx % n, idx // n
-    r1, f1 = rot[:, None], flip[:, None]
-    r2, f2 = rot[None, :], flip[None, :]
-    r = np.where(f1 == 0, r1 + r2, r1 - r2) % n
-    table = r + n * ((f1 + f2) % 2)
-    return FiniteGroup(table, name=f"dihedral({n})")
+    dt = table_dtype(2 * n)
+    rot = _rotations(n, dt)
+    a = np.arange(n)
+    table = np.empty((2, n, 2, n), dtype=dt)  # [f1, i, f2, j]: r^i s^f1 times r^j s^f2
+    for f1, f2 in np.ndindex(2, 2):
+        np.add(rot[:, -a % n if f1 else a], n * (f1 ^ f2), out=table[f1, :, f2, :])
+    return FiniteGroup(table.reshape(2 * n, 2 * n), name=f"dihedral({n})")
 
 
 def dicyclic(n: int, max_order: int | None = None) -> FiniteGroup:
-    """Dicyclic group of order 4n (n=2 gives the quaternion group)."""
+    """Dicyclic group of order 4n (n=2 gives the quaternion group).
+
+    Element 2i + j is a^i b^j, with a of order 2n, b^2 = a^n and
+    b a b^-1 = a^-1. With C the table of addition mod 2n, the a-exponent
+    of a^i b^j times a^k b^l is C[i, k] when j = 0, C[i, -k] when j = 1,
+    l = 0 and C[i, n - k] when j = l = 1; the b-exponent is j xor l."""
     if n < 1:
         raise InvalidParams(f"dicyclic parameter must be >= 1, got {n}")
     _guarded(4 * n, max_order)
-    idx = np.arange(4 * n, dtype=np.int64)
-    a, b = idx >> 1, idx & 1  # a^i b^j with b^2 = a^n, b a b^-1 = a^-1
-    a1, b1 = a[:, None], b[:, None]
-    a2, b2 = a[None, :], b[None, :]
-    ares = np.where(b1 == 0, a1 + a2, a1 - a2)
-    ares = (ares + np.where((b1 == 1) & (b2 == 1), n, 0)) % (2 * n)
-    table = ares * 2 + ((b1 + b2) % 2)
-    return FiniteGroup(table, name=f"dicyclic({n})")
+    dt = table_dtype(4 * n)
+    m = 2 * n
+    twice = _rotations(m, dt) * 2
+    a = np.arange(m)
+    table = np.empty((m, 2, m, 2), dtype=dt)  # [i, j, k, l]: a^i b^j times a^k b^l
+    for j, l in np.ndindex(2, 2):
+        np.add(twice[:, (l * n - a) % m if j else a], j ^ l, out=table[:, j, :, l])
+    return FiniteGroup(table.reshape(4 * n, 4 * n), name=f"dicyclic({n})")
 
 
 def symmetric(n: int, max_order: int | None = None) -> FiniteGroup:
@@ -472,6 +486,8 @@ def spec_id(spec: GroupSpec | str) -> str:
 
 
 def file_group_id(path: str) -> str:
+    import hashlib  # maps OpenSSL's libcrypto, which only file specs need
+
     digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()[:12]
     return f"{path}#{digest}"
 

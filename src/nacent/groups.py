@@ -172,6 +172,12 @@ def from_permutations(generators: Sequence[Sequence[int]],
     Elements are enumerated breadth-first from the identity with the
     generators applied (on the right) in the given order, so the
     enumeration is deterministic. Composition is (a*b)(x) = a(b(x)).
+
+    The walk records right[k, i], the index of element k times generator
+    i, and finds each element b but the identity as p*g, p on the level
+    before. Column b of the table is then x*b = (x*p)*g = right[x*p, g],
+    one gather over column p, and the columns of a level are gathered at
+    once; no two elements are composed and no product is looked up.
     """
     gens = []
     degree = 0
@@ -188,31 +194,39 @@ def from_permutations(generators: Sequence[Sequence[int]],
     ident = tuple(range(degree))
     elems = [ident]
     index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                p = tuple(a[g[x]] for x in range(degree))
-                if p not in index:
+    right: list[int] = []
+    parent, via = [0], [0]  # elems[k] = elems[parent[k]] * gens[via[k]] for k > 0
+    bounds = [0]  # level d of the walk is elems[bounds[d]:bounds[d + 1]]
+    while bounds[-1] < len(elems):
+        bounds.append(len(elems))
+        for k in range(bounds[-2], bounds[-1]):
+            a = elems[k]
+            for i, g in enumerate(gens):
+                p = tuple(a[x] for x in g)
+                j = index.get(p)
+                if j is None:
                     if len(elems) >= limit:
                         raise OrderLimitExceeded(
                             f"permutation closure exceeds limit {limit}")
-                    index[p] = len(elems)
+                    j = index[p] = len(elems)
                     elems.append(p)
-                    nxt.append(p)
-        frontier = nxt
+                    parent.append(k)
+                    via.append(i)
+                right.append(j)
     n = len(elems)
-    table = np.empty((n, n), dtype=table_dtype(n))
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            table[i, j] = index[tuple(a[b[x]] for x in range(degree))]
+    dt = table_dtype(n)
+    right_of = np.array(right, dtype=dt).reshape(n, len(gens))
+    parent_of, via_of = np.array(parent), np.array(via)
+    table = np.empty((n, n), dtype=dt)
+    table[:, 0] = np.arange(n)
+    for lo, hi in zip(bounds[1:], bounds[2:]):
+        table[:, lo:hi] = right_of[table[:, parent_of[lo:hi]], via_of[lo:hi]]
     return FiniteGroup(table, name=name)
 
 
 def exponent(G: FiniteGroup) -> int:
     """Least common multiple of all element orders."""
-    return math.lcm(*(int(o) for o in np.unique(G.orders)))
+    return math.lcm(*np.flatnonzero(np.bincount(G.orders)).tolist())
 
 
 def prime_factorization(n: int) -> list[tuple[int, int]]:

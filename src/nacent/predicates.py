@@ -202,7 +202,8 @@ def decompose_p_times_abelian(x: GroupLike) -> tuple[Subgroup, Subgroup, int | N
     # elementwise commuting of P with A: A lies in C(y) for every y in P,
     # and members of one class of G share C(y)
     ct = centralizer_table(G)
-    if any(A.mask & ~ct.masks[c] for c in np.unique(ct.elem_class[P.members()])):
+    met = np.flatnonzero(np.bincount(ct.elem_class[P.members()]))  # the classes meeting P
+    if any(A.mask & ~ct.masks[c] for c in met):
         return None
     if not is_ca_group(P):
         return None

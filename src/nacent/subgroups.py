@@ -365,12 +365,14 @@ def _normal_closure_mask(G: FiniteGroup, seeds) -> int:
     member = np.zeros(G.order, dtype=bool)
     member[0] = True
     n_gens: list[int] = []
-    fresh = np.unique(np.asarray(list(seeds), dtype=np.int64))
-    while fresh.size:
-        added = _extend_closure(G.table, G.ladder, member, n_gens, fresh)
+    fresh = np.zeros(G.order, dtype=bool)  # the pending seeds, read in ascending order
+    fresh[np.asarray(seeds, dtype=np.int64)] = True
+    while fresh.any():
+        added = _extend_closure(G.table, G.ladder, member, n_gens, np.flatnonzero(fresh))
         n_gens += added
-        conj = conjugation_rows(G, added, by=g_gens)
-        fresh = np.unique(conj[~member[conj]])
+        fresh[:] = False
+        fresh[conjugation_rows(G, added, by=g_gens)] = True
+        np.greater(fresh, member, out=fresh)  # outside N
     return mask_of_bool(member)
 
 

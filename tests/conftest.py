@@ -1,3 +1,6 @@
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,6 +12,25 @@ import nacent.corpus
 import nacent.groups
 import nacent.subgroups
 from nacent import build
+
+
+@pytest.fixture(scope="session")
+def run_fresh():
+    """`run_fresh(script)` runs the Python source `script` in a fresh
+    interpreter that imports this checkout's `nacent`, and returns its last
+    stdout line parsed as JSON; a non-zero exit fails the test with its
+    stderr. It shows what one run imports or peaks at, which the test
+    process, holding every earlier test's imports and allocations, cannot."""
+    src = Path(nacent.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run(script: str):
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    return run
 
 
 @pytest.fixture(scope="session")

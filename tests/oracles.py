@@ -1,10 +1,11 @@
 """Naive reference implementations used to cross-check the library.
 
 Everything here but the last four functions is definitional and works over
-a raw multiplication table (list of lists); nothing else reuses the
-package's bitset machinery. All of it is pure Python except the all-triples
-associativity scan, which uses numpy slices because n^3 interpreted steps
-are out of reach at order 1029. The last four take a group and use the
+or builds a raw multiplication table (list of lists); nothing else reuses
+the package's bitset machinery. All of it is pure Python except the
+all-triples associativity scan, which uses numpy slices because n^3
+interpreted steps are out of reach at order 1029, and the cyclic, dihedral
+and dicyclic tables, which are their int64 formulas mod n. The last four take a group and use the
 package's subgroups and predicates: `subgroup_as_group` and
 `retabled_subgroup_facts` keep the slower route to a subgroup's own facts,
 the subgroup copied out as a group of its own and analysed there;
@@ -352,6 +353,54 @@ def naive_semidirect_table(k_table, h_table, action) -> list[list[int]]:
     return [[k_table[k1][phi[h1][k2]] * nh + h_table[h1][h2]
              for k2 in range(nk) for h2 in range(nh)]
             for k1 in range(nk) for h1 in range(nh)]
+
+
+def naive_cyclic_table(n: int) -> np.ndarray:
+    """Addition mod n."""
+    idx = np.arange(n, dtype=np.int64)
+    return (idx[:, None] + idx[None, :]) % n
+
+
+def naive_dihedral_table(n: int) -> np.ndarray:
+    """r^i s^f as f * n + i, with s r s = r^-1."""
+    idx = np.arange(2 * n, dtype=np.int64)
+    rot, flip = idx % n, idx // n
+    r1, f1 = rot[:, None], flip[:, None]
+    r2, f2 = rot[None, :], flip[None, :]
+    r = np.where(f1 == 0, r1 + r2, r1 - r2) % n
+    return r + n * ((f1 + f2) % 2)
+
+
+def naive_dicyclic_table(n: int) -> np.ndarray:
+    """a^i b^j as 2 i + j, with a of order 2n, b^2 = a^n, b a b^-1 = a^-1."""
+    idx = np.arange(4 * n, dtype=np.int64)
+    a, b = idx >> 1, idx & 1
+    a1, b1 = a[:, None], b[:, None]
+    a2, b2 = a[None, :], b[None, :]
+    ares = np.where(b1 == 0, a1 + a2, a1 - a2)
+    ares = (ares + np.where((b1 == 1) & (b2 == 1), n, 0)) % (2 * n)
+    return ares * 2 + ((b1 + b2) % 2)
+
+
+def naive_permutation_table(generators) -> list[list[int]]:
+    """Table of the group the permutations generate, elements in the order
+    a breadth-first walk from the identity reaches them, the generators
+    applied on the right in the given order; every product a*b, with
+    (a*b)(x) = a(b(x)), composed and looked up."""
+    degree = len(generators[0]) if generators else 0
+    ident = tuple(range(degree))
+    elems, index, frontier = [ident], {ident: 0}, [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in generators:
+                p = tuple(a[g[x]] for x in range(degree))
+                if p not in index:
+                    index[p] = len(elems)
+                    elems.append(p)
+                    nxt.append(p)
+        frontier = nxt
+    return [[index[tuple(a[b[x]] for x in range(degree))] for b in elems] for a in elems]
 
 
 def naive_coset_labels(table, members) -> list[int]:

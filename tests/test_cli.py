@@ -4,17 +4,14 @@ import csv
 import gc
 import io
 import json
-import os
-import subprocess
-import sys
 import weakref
-from pathlib import Path
 
 import pytest
 
 import nacent.cli
 from nacent import FiniteGroup, GroupSpec, build, save_group
 from nacent.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, REPORT_FIELDS, _run_one, main
+from nacent.groups import table_dtype
 
 
 def run_cli(argv, capsys):
@@ -246,16 +243,38 @@ def test_reported_groups_are_freed_by_reference_counting(spec, monkeypatch):
     assert made and alive == [], alive
 
 
-def test_verify_never_imports_numpy_ma(tmp_path):
-    # numpy.ma, which some np.unique paths import, adds about 1.6 MB to a
-    # sweep's peak RSS; a fresh interpreter shows whether any step loads it
-    src = Path(nacent.cli.__file__).resolve().parents[1]
-    script = ("import sys\n"
-              "from nacent.cli import main\n"
-              f"main(['verify', '--max-order', '60', '--out', {str(tmp_path / 'out.jsonl')!r}])\n"
-              "print('numpy.ma' in sys.modules)\n")
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+# loaded by what a default run never calls: numpy.ma by some np.unique
+# paths (1.6 MB), hashlib's OpenSSL by file ids (3.5 MB), the process pool
+# by --parallelism above 1 (1.9 MB)
+UNUSED_MODULES = ("numpy.ma", "hashlib", "_hashlib", "multiprocessing",
+                  "concurrent.futures.process")
+
+
+def test_runs_load_only_what_they_use(tmp_path, run_fresh):
+    out = str(tmp_path / "out.jsonl")
+    loaded = run_fresh(
+        "import json, sys\n"
+        "from nacent.cli import main\n"
+        f"main(['verify', '--max-order', '60', '--out', {out!r}])\n"
+        f"main(['analyze', 'heisenberg_frobenius(7,3)', '--out', {out!r}])\n"
+        f"print(json.dumps([m for m in {UNUSED_MODULES!r} if m in sys.modules]))\n")
+    assert loaded == []
+
+
+def test_analyze_peak_rss_within_table_multiple(tmp_path, run_fresh):
+    # a whole `analyze` run of the order-6591 flagship, less the floor of an
+    # interpreter that has only imported nacent.cli, stays within 1.3 times
+    # its table; ru_maxrss is in KiB on Linux
+    maxrss = "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss"
+    floor = run_fresh(f"import resource\nimport nacent.cli\nprint({maxrss})\n")
+    out = tmp_path / "out.jsonl"
+    code, peak = run_fresh(
+        "import json, os, resource\n"
+        "os.environ['NACENT_MAX_ORDER'] = '7000'\n"
+        "from nacent.cli import main\n"
+        f"code = main(['analyze', 'heisenberg_frobenius(13,3)', '--out', {str(out)!r}])\n"
+        f"print(json.dumps([code, {maxrss}]))\n")
+    assert code == EXIT_OK
+    n = json.loads(out.read_text())["order"]
+    table_bytes = n * n * table_dtype(n).itemsize
+    assert (peak - floor) * 1024 <= 1.3 * table_bytes, (peak - floor) * 1024 / table_bytes

@@ -32,7 +32,13 @@ from nacent.corpus import (
     render_spec,
     spec_id,
 )
-from oracles import centralizer
+from nacent.groups import table_dtype
+from oracles import (
+    centralizer,
+    naive_cyclic_table,
+    naive_dicyclic_table,
+    naive_dihedral_table,
+)
 
 
 def test_cyclic_basics():
@@ -57,6 +63,20 @@ def test_dicyclic():
     g = build("dicyclic(3)")
     assert g.order == 12 and not is_abelian(g)
     assert dicyclic(1).order == 4
+
+
+@pytest.mark.parametrize("kind, oracle, size", [
+    ("cyclic", naive_cyclic_table, 1),
+    ("dihedral", naive_dihedral_table, 2),
+    ("dicyclic", naive_dicyclic_table, 4),
+], ids=["cyclic", "dihedral", "dicyclic"])
+def test_tables_match_modular_formulas(kind, oracle, size):
+    # every parameter up to order 200, the catalog's among them; the table
+    # is written in its stored type, equal entry for entry to the formula
+    for n in range(1, 200 // size + 1):
+        G = build(f"{kind}({n})")
+        assert G.table.dtype == table_dtype(G.order)
+        assert np.array_equal(G.table, oracle(n)), n
 
 
 def test_symmetric_alternating():

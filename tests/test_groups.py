@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import nacent.corpus
 from nacent import (
     FiniteGroup,
     InvalidPermutation,
@@ -25,6 +26,7 @@ from oracles import (
     centralizer,
     naive_is_associative,
     naive_orders,
+    naive_permutation_table,
     subgroup_as_group,
     table_of,
 )
@@ -313,6 +315,22 @@ def test_redundant_generator_same_table():
     ab = tuple(a[b[i]] for i in range(3))
     G2 = from_permutations([a, b, ab])
     assert np.array_equal(G1.table, G2.table)
+
+
+@pytest.mark.parametrize("spec", ["symmetric(3)", "symmetric(4)", "symmetric(5)",
+                                  "symmetric(6)", "alternating(4)", "alternating(5)",
+                                  "alternating(6)", "sl23"])
+def test_permutation_fill_matches_composed_products(spec, monkeypatch):
+    # the constructor's own generators, caught on their way in
+    gens = []
+
+    def catch(generators, **kwargs):
+        gens.append(generators)
+        return from_permutations(generators, **kwargs)
+
+    monkeypatch.setattr(nacent.corpus, "from_permutations", catch)
+    G = build(spec)
+    assert table_of(G) == naive_permutation_table(gens[0])
 
 
 def test_element_order_matches_naive(s4):
