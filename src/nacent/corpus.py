@@ -209,24 +209,24 @@ def semidirect_product(K: FiniteGroup, H: FiniteGroup,
     if len(phi) != nh:
         raise InvalidAction("given elements do not generate the acting group")
 
-    table = _semidirect_table(K.table, H.table, phi)
+    table = _semidirect_table(lambda a, b: K.table[a:b], nk, H.table, phi)
     return FiniteGroup(table, name=name or f"semidirect({K.name},{H.name})")
 
 
-def _semidirect_table(ktable: np.ndarray, htable: np.ndarray,
-                      phi: dict[int, np.ndarray]) -> np.ndarray:
+def _semidirect_table(krows, nk: int, htable: np.ndarray, phi) -> np.ndarray:
     """The table of K x| H, pairs (k, h) encoded as k * |H| + h, for the
-    automorphisms phi[h] of K; its fill buffers are freed on return, before
-    the table is validated.
+    permutations phi[h] of K's elements; `krows(a, b)` gives rows a..b-1 of
+    K's table, of order nk, so K need not be tabled whole. The fill buffers
+    are freed on return, before the table is validated.
 
     view[k1, h1] is the row of (k1, h1); across it, column (k2, h2) holds
     (k1 * phi_h1(k2)) * |H| + h1 * h2. Rows are filled whole, in blocks of
     k1 of at most BLOCK_CELLS // 4 cells: each block of K's rows is scaled
     by |H| once, then for each h1 gathered into one reused buffer and added
-    to h1's row of H (`mode="clip"` changes no index, phi_h1 being a checked
+    to h1's row of H (`mode="clip"` changes no index, phi_h1 being a
     permutation, and keeps `np.take` from buffering `out`).
     """
-    nk, nh = ktable.shape[0], htable.shape[0]
+    nh = htable.shape[0]
     n = nk * nh
     dt = table_dtype(n)
     table = np.empty((n, n), dtype=dt)
@@ -234,7 +234,7 @@ def _semidirect_table(ktable: np.ndarray, htable: np.ndarray,
     rows = max(1, min(nk, BLOCK_CELLS // (4 * n)))
     kbuf = np.empty((rows, n), dtype=dt)
     for start in range(0, nk, rows):
-        kscaled = _scaled(ktable[start:start + rows], nh, dt)
+        kscaled = _scaled(krows(start, min(start + rows, nk)), nh, dt)
         kpart = kbuf[:kscaled.shape[0]]
         for h1 in range(nh):
             cols = np.repeat(phi[h1], nh)      # column (k2, h2) -> phi_h1(k2)
@@ -258,14 +258,21 @@ def heisenberg(p: int, max_order: int | None = None) -> FiniteGroup:
         raise InvalidParams(f"heisenberg(p) needs a prime, got {p}")
     _guarded(p ** 3, max_order)
     n = p ** 3
-    # one p-sized axis per coordinate, (x1, y1, z1) down and (x2, y2, z2)
-    # across, so only the table itself is n x n
-    a = np.arange(p, dtype=table_dtype(n))
-    add, mul = (a[:, None] + a) % p, a[:, None] * a % p
-    x1, y1, z1, x2, y2, z2 = (a.reshape([p if k == i else 1 for k in range(6)])
-                              for i in range(6))
-    table = (add[x1, x2] * p + add[y1, y2]) * p + add[add[z1, z2], mul[x1, y2]]
-    return FiniteGroup(table.reshape(n, n), name=f"heisenberg({p})")
+    return FiniteGroup(_heisenberg_rows(p, 0, n, table_dtype(n)), name=f"heisenberg({p})")
+
+
+def _heisenberg_rows(p: int, a: int, b: int, dt: np.dtype) -> np.ndarray:
+    """Rows a..b-1 of heisenberg(p)'s table in dt, element (x, y, z) being
+    (x * p + y) * p + z. Each row coordinate is a column of b - a values
+    and each column coordinate a p-sized axis, through p x p add and mul
+    tables mod p, so only the rows themselves are (b - a) x p^3."""
+    v = np.arange(p, dtype=dt)
+    add, mul = (v[:, None] + v) % p, v[:, None] * v % p
+    r = np.arange(a, b).reshape(-1, 1, 1, 1)
+    x1, y1, z1 = r // (p * p), r // p % p, r % p
+    x2, y2, z2 = (v.reshape([p if k == i else 1 for k in range(3)]) for i in range(3))
+    rows = (add[x1, x2] * p + add[y1, y2]) * p + add[add[z1, z2], mul[x1, y2]]
+    return rows.reshape(b - a, p ** 3)
 
 
 def _multiplicative_order(c: int, n: int) -> int:
@@ -296,6 +303,11 @@ def heisenberg_frobenius(p: int, q: int, max_order: int | None = None) -> Finite
     exactly q mod p; because q is an odd prime, no non-trivial power of
     the action fixes a non-identity triple, which is verified
     element-wise at build time.
+
+    The table is filled from rows of heisenberg(p)'s product rule and the
+    powers phi_h = perm^h of the action, with no table of the kernel, and
+    only the product is validated: an action that were not an automorphism
+    would break associativity there, which Light's test rejects.
     """
     if not is_prime(p) or not is_prime(q):
         raise InvalidParams(f"heisenberg_frobenius needs primes, got ({p}, {q})")
@@ -306,24 +318,23 @@ def heisenberg_frobenius(p: int, q: int, max_order: int | None = None) -> Finite
     lam = _least_of_order(q, p)
     if lam is None:
         raise InvalidParams(f"no element of order {q} mod {p}")
-    K = heisenberg(p, max_order=max_order)
-    n = K.order
+    n = p ** 3
     idx = np.arange(n, dtype=np.int64)
     zc = idx % p
     yc = (idx // p) % p
     xc = idx // (p * p)
     perm = ((xc * lam % p) * p + (yc * lam % p)) * p + (zc * lam * lam % p)
-    step = perm.copy()
+    phi = [idx]  # phi[h] = perm^h
     for j in range(1, q):
-        fixed = int((step == idx).sum())
+        phi.append(phi[-1][perm])
+        fixed = int((phi[j] == idx).sum())
         if fixed != 1:
             raise InvalidAction(
                 f"action power {j} fixes {fixed} elements; not fixed-point-free")
-        step = step[perm]
-    H = cyclic(q, max_order=max_order)
-    return semidirect_product(K, H, {1: perm},
-                              name=f"heisenberg_frobenius({p},{q})",
-                              max_order=max_order)
+    dt = table_dtype(n)
+    table = _semidirect_table(lambda a, b: _heisenberg_rows(p, a, b, dt), n,
+                              cyclic(q, max_order=max_order).table, phi)
+    return FiniteGroup(table, name=f"heisenberg_frobenius({p},{q})")
 
 
 def agl1(q: int, max_order: int | None = None) -> FiniteGroup:

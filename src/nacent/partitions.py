@@ -8,6 +8,7 @@ explicitly given component lists; nothing is assumed to exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import takewhile
 
 import numpy as np
@@ -45,7 +46,7 @@ class Partition:
     quotient: FiniteGroup
     components: tuple[Subgroup, ...]
 
-    @property
+    @cached_property
     def component_masks(self) -> frozenset[int]:
         return frozenset(c.mask for c in self.components)
 

@@ -133,31 +133,34 @@ def centralizer_table(G: FiniteGroup) -> CentralizerTable:
     one reads the rows of its non-central elements off one representative
     per conjugacy class (`_conjugated_centralizers`), about k*n cells for k
     classes instead of n^2; a central element, alone in its class, has
-    C(x) = G. Conjugate centralizers are isomorphic, so `_abelian_flags`
-    tests only the centralizers of the identity and of the representatives,
-    and every class takes the flag of its witness's representative.
+    C(x) = G. Each block of rows is deduplicated as it arrives, so only the
+    distinct rows are kept. Conjugate centralizers are isomorphic, so
+    `_abelian_flags` tests only the centralizers of the identity and of the
+    representatives, and every class takes the flag of its witness's
+    representative.
     """
     t = G.table
     n = G.order
     if n * n <= BLOCK_CELLS:
         elems = rep = np.arange(n)
-        packed = np.packbits(t == t.T, axis=1, bitorder="little")
+        blocks = [(elems, np.packbits(t == t.T, axis=1, bitorder="little"))]
     else:
         rep, conj = _class_walk(G)
         elems = np.flatnonzero(np.bincount(rep, minlength=n)[rep] > 1)  # the non-central ones
-        packed = _conjugated_centralizers(G, rep, conj, elems)
+        blocks = _conjugated_centralizers(G, rep, conj, elems)
     nbytes = (n + 7) // 8
     class_of = {np.packbits(np.ones(n, dtype=bool), bitorder="little").tobytes(): 0}
     witnesses = [0]
-    cids = []
-    for x, key in zip(elems.tolist(), packed.view(np.dtype((np.void, nbytes))).ravel().tolist()):
-        cid = class_of.get(key)
-        if cid is None:
-            cid = class_of[key] = len(witnesses)
-            witnesses.append(x)
-        cids.append(cid)
     elem_class = np.zeros(n, dtype=np.int32)
-    elem_class[elems] = cids
+    for ys, packed in blocks:
+        cids = []
+        for x, key in zip(ys.tolist(), packed.view(np.dtype((np.void, nbytes))).ravel().tolist()):
+            cid = class_of.get(key)
+            if cid is None:
+                cid = class_of[key] = len(witnesses)
+                witnesses.append(x)
+            cids.append(cid)
+        elem_class[ys] = cids
     rows = np.frombuffer(b"".join(class_of), dtype=np.uint8).reshape(len(witnesses), nbytes)
     tested = np.zeros(len(witnesses), dtype=bool)
     tested[0] = True
@@ -173,9 +176,10 @@ def centralizer_table(G: FiniteGroup) -> CentralizerTable:
 
 
 def _conjugated_centralizers(G: FiniteGroup, rep: np.ndarray, conj: np.ndarray,
-                             elems: np.ndarray) -> np.ndarray:
-    """The packed rows of C(y) for the non-central elements `elems`, given
-    the class walk's `rep` and `conj`.
+                             elems: np.ndarray):
+    """Yield (ys, the packed rows of C(y) for y in ys) for consecutive
+    blocks ys of the non-central elements `elems`, given the class walk's
+    `rep` and `conj`.
 
     For the representatives x among them, C(x) is read off one comparison
     t[reps] == t[:, reps].T in blocks of rows. Any other y = g^-1 x g of
@@ -185,9 +189,8 @@ def _conjugated_centralizers(G: FiniteGroup, rep: np.ndarray, conj: np.ndarray,
     """
     t = G.table
     n = G.order
-    packed = np.empty((elems.size, (n + 7) // 8), dtype=np.uint8)
     if not elems.size:
-        return packed
+        return
     reps = elems[rep[elems] == elems]
     # Both passes run over blocks of rows. A row of the scatter takes n bool
     # cells and up to n/2 members, each held in about four intp index arrays
@@ -220,8 +223,7 @@ def _conjugated_centralizers(G: FiniteGroup, rep: np.ndarray, conj: np.ndarray,
         bits = buf[:ys.size]
         bits[:] = False
         bits[np.repeat(np.arange(ys.size), c), inv[flat[row + inv[flat[row + mem[at]]]]]] = True
-        packed[i:i + ys.size] = np.packbits(bits, axis=1, bitorder="little")
-    return packed
+        yield ys, np.packbits(bits, axis=1, bitorder="little")
 
 
 def _abelian_flags(t: np.ndarray, witnesses, rows: np.ndarray,

@@ -12,6 +12,7 @@ import nacent.corpus
 import nacent.groups
 import nacent.subgroups
 from nacent import build
+from nacent.groups import table_dtype
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +30,31 @@ def run_fresh():
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.splitlines()[-1])
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def analyze_fresh(run_fresh, tmp_path_factory):
+    """`analyze_fresh(spec, max_order)` runs `analyze spec` through
+    `nacent.cli.main` in a fresh interpreter and returns its exit code, its
+    wall time in seconds and its peak RSS beyond the floor of an interpreter
+    that has only imported `nacent.cli`, in multiples of the group's stored
+    table. ru_maxrss is in KiB on Linux."""
+    maxrss = "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss"
+    floor = run_fresh(f"import resource\nimport nacent.cli\nprint({maxrss})\n")
+    out = tmp_path_factory.mktemp("analyze") / "out.jsonl"
+
+    def run(spec: str, max_order: int):
+        code, wall, peak = run_fresh(
+            "import json, os, resource, time\n"
+            f"os.environ['NACENT_MAX_ORDER'] = '{max_order}'\n"
+            "from nacent.cli import main\n"
+            "start = time.monotonic()\n"
+            f"code = main(['analyze', {spec!r}, '--out', {str(out)!r}])\n"
+            f"print(json.dumps([code, time.monotonic() - start, {maxrss}]))\n")
+        n = json.loads(out.read_text())["order"]
+        return code, wall, (peak - floor) * 1024 / (n * n * table_dtype(n).itemsize)
 
     return run
 

@@ -4,8 +4,9 @@ Everything here but the last four functions is definitional and works over
 or builds a raw multiplication table (list of lists); nothing else reuses
 the package's bitset machinery. All of it is pure Python except the
 all-triples associativity scan, which uses numpy slices because n^3
-interpreted steps are out of reach at order 1029, and the cyclic, dihedral
-and dicyclic tables, which are their int64 formulas mod n. The last four take a group and use the
+interpreted steps are out of reach at order 1029, and the cyclic, dihedral,
+dicyclic and Heisenberg tables, which are their int64 formulas mod n or p.
+The last four take a group and use the
 package's subgroups and predicates: `subgroup_as_group` and
 `retabled_subgroup_facts` keep the slower route to a subgroup's own facts,
 the subgroup copied out as a group of its own and analysed there;
@@ -380,6 +381,18 @@ def naive_dicyclic_table(n: int) -> np.ndarray:
     ares = np.where(b1 == 0, a1 + a2, a1 - a2)
     ares = (ares + np.where((b1 == 1) & (b2 == 1), n, 0)) % (2 * n)
     return ares * 2 + ((b1 + b2) % 2)
+
+
+def naive_heisenberg_table(p: int) -> np.ndarray:
+    """(x, y, z) mod p as (x p + y) p + z, with
+    (x,y,z)(x',y',z') = (x+x', y+y', z+z'+x y'), one row at a time."""
+    n = p ** 3
+    idx = np.arange(n, dtype=np.int64)
+    x, y, z = idx // (p * p), idx // p % p, idx % p
+    table = np.empty((n, n), dtype=np.int64)
+    for i in range(n):
+        table[i] = ((x[i] + x) % p * p + (y[i] + y) % p) * p + (z[i] + z + x[i] * y) % p
+    return table
 
 
 def naive_permutation_table(generators) -> list[list[int]]:

@@ -252,6 +252,18 @@ def test_criterion_9_reference_outputs_byte_identical(sweep):
     assert not bad, bad
 
 
+def test_order_limit_heisenberg_frobenius_19_3(analyze_fresh):
+    """The largest group the suite analyzes: order 20577, whose int16 table
+    is 808 MiB. A whole `analyze` run in a fresh interpreter exits 0 within
+    the acceptance time gate, and peaks within 1.1 tables beyond the floor
+    of an interpreter that has only imported nacent.cli."""
+    code, elapsed, tables = analyze_fresh("heisenberg_frobenius(19,3)", 21000)
+    ok = code == 0 and elapsed < 30.0 and tables <= 1.1
+    report_line(10, "order 20577 analyzed within 30 s and 1.1 tables", ok,
+                f"exit {code}, {elapsed:.1f} s, {tables:.3f} tables")
+    assert ok, (code, elapsed, tables)
+
+
 def case_a_group_p2():
     """Order 128: N = <x, y | x^8 = y^8 = 1, y^-1 x y = x^5> (element k*8 + h
     is x^k y^h), extended by the involution x^k y^h -> x^-k y^-h."""

@@ -11,7 +11,6 @@ import pytest
 import nacent.cli
 from nacent import FiniteGroup, GroupSpec, build, save_group
 from nacent.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, REPORT_FIELDS, _run_one, main
-from nacent.groups import table_dtype
 
 
 def run_cli(argv, capsys):
@@ -261,20 +260,10 @@ def test_runs_load_only_what_they_use(tmp_path, run_fresh):
     assert loaded == []
 
 
-def test_analyze_peak_rss_within_table_multiple(tmp_path, run_fresh):
+def test_analyze_peak_rss_within_table_multiple(analyze_fresh):
     # a whole `analyze` run of the order-6591 flagship, less the floor of an
-    # interpreter that has only imported nacent.cli, stays within 1.3 times
-    # its table; ru_maxrss is in KiB on Linux
-    maxrss = "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss"
-    floor = run_fresh(f"import resource\nimport nacent.cli\nprint({maxrss})\n")
-    out = tmp_path / "out.jsonl"
-    code, peak = run_fresh(
-        "import json, os, resource\n"
-        "os.environ['NACENT_MAX_ORDER'] = '7000'\n"
-        "from nacent.cli import main\n"
-        f"code = main(['analyze', 'heisenberg_frobenius(13,3)', '--out', {str(out)!r}])\n"
-        f"print(json.dumps([code, {maxrss}]))\n")
+    # interpreter that has only imported nacent.cli, stays within 1.15 times
+    # its table
+    code, _, tables = analyze_fresh("heisenberg_frobenius(13,3)", 7000)
     assert code == EXIT_OK
-    n = json.loads(out.read_text())["order"]
-    table_bytes = n * n * table_dtype(n).itemsize
-    assert (peak - floor) * 1024 <= 1.3 * table_bytes, (peak - floor) * 1024 / table_bytes
+    assert tables <= 1.15, tables

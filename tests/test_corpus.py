@@ -15,6 +15,7 @@ from nacent import (
     build,
     builtin_catalog,
     center,
+    centralizer_table,
     commutator_subgroup,
     exponent,
     is_abelian,
@@ -28,6 +29,7 @@ from nacent.corpus import (
     dicyclic,
     dihedral,
     heisenberg,
+    heisenberg_frobenius,
     parse_spec_string,
     render_spec,
     spec_id,
@@ -38,6 +40,7 @@ from oracles import (
     naive_cyclic_table,
     naive_dicyclic_table,
     naive_dihedral_table,
+    naive_heisenberg_table,
 )
 
 
@@ -124,30 +127,50 @@ def test_heisenberg_frobenius_flagship(flagship):
     assert center(flagship).size == 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_heisenberg_matches_coordinate_product(p):
+    G = heisenberg(p)
+    assert G.table.dtype == table_dtype(G.order)
+    assert np.array_equal(G.table, naive_heisenberg_table(p))
+
+
+@pytest.mark.parametrize("p, q", [(7, 3), (11, 5), (13, 3)])
+def test_heisenberg_frobenius_equals_checked_semidirect_product(p, q):
+    # filled from Heisenberg rows with no kernel table, it equals entry for
+    # entry the product that semidirect_product builds from heisenberg(p),
+    # checking that the scaling by c, of order q mod p, is an automorphism
+    c = next(c for c in range(2, p) if pow(c, q, p) == 1)
+    perm = [((x * c % p) * p + y * c % p) * p + z * c * c % p
+            for x in range(p) for y in range(p) for z in range(p)]
+    G = heisenberg_frobenius(p, q, max_order=7000)
+    checked = semidirect_product(heisenberg(p), cyclic(q), {1: perm}, max_order=7000)
+    assert np.array_equal(G.table, checked.table)
+
+
 def test_build_peak_memory():
-    # the order-6591 flagship, built and validated: its fill buffers are
-    # freed before validation, and every scratch array of either is a
-    # block of rows, so the peak is K's table and blocks beyond the table
+    # the order-6591 flagship, built and validated: the kernel is never
+    # tabled, the fill buffers are freed before validation, and every
+    # scratch array of either is a block of rows, so the peak is blocks
+    # beyond the table
     tracemalloc.start()
     try:
         G = build("heisenberg_frobenius(13,3)", max_order=7000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * G.table.nbytes, peak / G.table.nbytes
+    assert peak <= 1.1 * G.table.nbytes, peak / G.table.nbytes
 
 
 def test_heisenberg_frobenius_fixed_point_free():
-    # the complement generator and its powers move every non-identity
-    # kernel element: no centralizer of a complement element meets the
-    # kernel outside the identity
-    G = build("heisenberg_frobenius(7,3)")
-    kernel_size = 343
-    for x in range(G.order):
-        if G.orders[x] == 3:
-            c = centralizer(G, x)
-            assert c.size == 3
-            break
+    # no power of the complement generator fixes a non-identity kernel
+    # element, so every element of order q, that is every element outside
+    # the kernel, centralizes only its own cyclic subgroup
+    for p, q in ((7, 3), (11, 5)):
+        G = heisenberg_frobenius(p, q, max_order=7000)
+        ct = centralizer_table(G)
+        of_order_q = np.flatnonzero(G.orders == q)
+        assert of_order_q.size == (q - 1) * p ** 3
+        assert {ct.masks[c].bit_count() for c in ct.elem_class[of_order_q].tolist()} == {q}
 
 
 def test_heisenberg_frobenius_param_validation():
