@@ -25,6 +25,7 @@ from .subgroups import (
     centralizer_table,
     conjugacy_classes,
     conjugates,
+    coset_leaders,
     cyclic_span_mask,
     generated_mask,
     indices_of,
@@ -214,8 +215,9 @@ def _centralizer_images(G: FiniteGroup, qm: QuotientMap) -> list[int]:
 
     Each C(x) contains Z, so it is a union of cosets of Z, and its image
     holds a coset iff C(x) holds that coset's least member: one gather of
-    the packed centralizer rows at the least members. On a trivial center
-    the images are the centralizers themselves.
+    the packed centralizer rows at the coset leaders of Z, in ascending
+    order as `quotient` labels them. On a trivial center the images are
+    the centralizers themselves.
     """
     proper = centralizer_table(G).masks[1:]  # class 0 is C(z) = G for central z
     if qm.quotient is G:
@@ -223,17 +225,16 @@ def _centralizer_images(G: FiniteGroup, qm: QuotientMap) -> list[int]:
     nbytes = (G.order + 7) // 8
     rows = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in proper),
                          dtype=np.uint8).reshape(len(proper), nbytes)
-    # `quotient` labels the cosets in ascending order of least member, so
-    # the least members are the first elements of each label, in order
-    least = np.unique(qm.projection, return_index=True)[1].astype(G.table.dtype)
-    packed = np.packbits(rows[:, least >> 3] >> (least & 7) & 1, axis=1, bitorder="little")
+    leaders = np.flatnonzero(coset_leaders(G, qm.kernel.mask) == np.arange(G.order))
+    packed = np.packbits(rows[:, leaders >> 3] >> (leaders & 7) & 1, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 @memoized
 def _component_orbits(Q: FiniteGroup, comp_masks: frozenset[int]) -> tuple[tuple[int, ...], ...]:
-    """The orbits under conjugation of the given components, each walked
-    once by `conjugates` from its least component not yet reached."""
+    """The orbits under conjugation of the given components: for the least
+    component not yet reached, its conjugates by the right coset leaders of
+    its normalizer, one `conjugates` gather per orbit."""
     pending, orbits = set(comp_masks), []
     while pending:
         orbit = conjugates(Q, min(pending))

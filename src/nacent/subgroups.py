@@ -319,24 +319,18 @@ def conjugation_rows(G: FiniteGroup, elems, by=None) -> np.ndarray:
 def conjugates(G: FiniteGroup, mask: int) -> tuple[int, ...]:
     """The distinct conjugates g^-1 H g of a subgroup bitset, H first.
 
-    Walked level by level: the conjugates first reached at one level are
-    conjugated by every generator of G in one gather, and the unseen ones
-    make the next level. The orbit of H under the generators is its orbit
-    under G, since G is generated by them. The value is plain ints, so the
-    memo holds no reference back to G.
+    g^-1 H g depends only on the right coset N(H) g, and distinct cosets
+    give distinct conjugates (orbit-stabilizer), so the conjugates are those
+    by the leaders of the right cosets of N(H), `coset_leaders`: one gather
+    of |G:N(H)| |H| <= n cells. The identity leads N(H), so H comes first.
+    The value is plain ints, so the memo holds no reference back to G.
     """
-    seen = {mask: None}
-    level = indices_of(mask, G.order)[None, :]
-    while level.size:
-        rows = conjugation_rows(G, level.ravel(), by=G.generators).reshape(-1, level.shape[1])
-        fresh = []
-        for row in rows.tolist():
-            m = mask_of(row)
-            if m not in seen:
-                seen[m] = None
-                fresh.append(row)
-        level = np.asarray(fresh, dtype=np.int64).reshape(-1, level.shape[1])
-    return tuple(seen)
+    normalizer = normalizer_mask(G, mask)
+    if normalizer.bit_count() == G.order:
+        return (mask,)
+    leaders = np.flatnonzero(coset_leaders(G, normalizer) == np.arange(G.order))
+    rows = conjugation_rows(G, indices_of(mask, G.order), by=leaders)
+    return tuple(mask_of(row) for row in rows.tolist())
 
 
 def is_normal(G: FiniteGroup, H: Subgroup, exhaustive: bool = False) -> bool:
@@ -484,8 +478,24 @@ class QuotientMap:
         return Subgroup(self.quotient, self.image_mask(H))
 
 
+def coset_leaders(G: FiniteGroup, mask: int) -> np.ndarray:
+    """least[g], the least member of the right coset Hg of the subgroup H
+    with bitset `mask`: the least z g over z in H, the column minima of H's
+    rows, read in blocks of BLOCK_CELLS // (4 n) rows. g leads its coset iff
+    least[g] == g. For a normal H, Hg = gH."""
+    t = G.table
+    n = G.order
+    mem = indices_of(mask, n)
+    least = np.arange(n, dtype=t.dtype)  # g = 1 g
+    rows = max(1, BLOCK_CELLS // (4 * n))
+    for start in range(0, mem.size, rows):
+        np.minimum(least, t[mem[start:start + rows]].min(axis=0), out=least)
+    return least
+
+
 def quotient(G: FiniteGroup, N: Subgroup) -> QuotientMap:
-    """Quotient of G by a normal subgroup, cosets labeled by least member.
+    """Quotient of G by a normal subgroup, cosets labeled in ascending order
+    of their least member, `coset_leaders`.
 
     A trivial kernel gives the identity map onto G itself; any other
     projection is checked by `_validate_quotient`. The projection is
@@ -501,26 +511,12 @@ def quotient(G: FiniteGroup, N: Subgroup) -> QuotientMap:
         proj = np.arange(n, dtype=dt)
         proj.setflags(write=False)
         return QuotientMap(G, N, G, proj)
-    if N.is_whole():
-        proj = np.zeros(n, dtype=dt)
-        q = FiniteGroup(np.zeros((1, 1), dtype=dt), name=f"{G.name}/G")
-    else:
-        t = G.table
-        mem = N.members()
-        # N is normal, so the least member of gN = Ng is the least z g, z in
-        # N: the column minima of N's rows, read in blocks of BLOCK_CELLS //
-        # (4 n) rows. g leads its coset iff it is its own least member, and
-        # the cosets are labeled in ascending order of leader.
-        least = np.arange(n, dtype=t.dtype)  # g = 1 g
-        rows = max(1, BLOCK_CELLS // (4 * n))
-        for start in range(0, mem.size, rows):
-            np.minimum(least, t[mem[start:start + rows]].min(axis=0), out=least)
-        reps = np.flatnonzero(least == np.arange(n))
-        label = np.zeros(n, dtype=dt)
-        label[reps] = np.arange(reps.size)
-        proj = label[least]
-        qtable = proj[t[np.ix_(reps, reps)]]
-        q = FiniteGroup(qtable, name=f"{G.name}/{N.size}")
+    least = coset_leaders(G, N.mask)
+    reps = np.flatnonzero(least == np.arange(n))
+    label = np.zeros(n, dtype=dt)
+    label[reps] = np.arange(reps.size)
+    proj = label[least]
+    q = FiniteGroup(proj[G.table[np.ix_(reps, reps)]], name=f"{G.name}/{N.size}")
     qm = QuotientMap(G, N, q, proj)
     _validate_quotient(qm)
     proj.setflags(write=False)

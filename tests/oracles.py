@@ -429,6 +429,11 @@ def naive_coset_labels(table, members) -> list[int]:
     return label
 
 
+def naive_right_coset_leaders(table, members) -> list[int]:
+    """The least member of each right coset Hg: min(z * g) over z in H."""
+    return [min(table[z][g] for z in members) for g in range(len(table))]
+
+
 def subgroup_as_group(H, name: str | None = None):
     """H copied out as a group of its own on compacted indices, and the
     array mapping its element i to the parent index. The identity stays

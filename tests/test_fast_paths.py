@@ -1,9 +1,10 @@
 """The fast kernels against their definitional oracles: the associativity
 check, the generating set, element orders, generated subgroups, p-cores, the
 commutator subgroup, the centralizer table and center, normal closures,
-conjugation (classes, normalizers, distinct conjugates) and
-semidirect-product tables, on every catalog group of order <= 48 and on the
-order-1029 flagship; the coset labels of quotients on every catalog group of
+conjugation (classes, normalizers, distinct conjugates), the right coset
+leaders of subgroups that need not be normal and semidirect-product
+tables, on every catalog group of order <= 48 and on the order-1029
+flagship; the coset labels of quotients on every catalog group of
 order <= 200; the class walk and the centralizer table also on two
 case-A groups and on the center quotients of those catalog groups; the
 blocked whole-table passes also under forced small blocks. The nilpotency test, the orbits of partition components, the
@@ -57,6 +58,7 @@ from nacent.subgroups import (
     conjugacy_classes,
     conjugates,
     conjugation_rows,
+    coset_leaders,
     cyclic_span_mask,
     generated_mask,
     indices_of,
@@ -84,6 +86,7 @@ from oracles import (
     naive_normalizer,
     naive_orders,
     naive_p_core,
+    naive_right_coset_leaders,
     naive_semidirect_table,
     retabled_subgroup_facts,
     table_of,
@@ -270,8 +273,31 @@ def test_conjugation_matches_oracle(flagship):
             mem = frozenset(int(v) for v in indices_of(m, n))
             conj = conjugates(G, m)
             assert conj[0] == m and len(set(conj)) == len(conj), spec
+            assert len(conj) == n // normalizer_mask(G, m).bit_count(), spec
             want = {naive_conjugate(table, inv, mem, g) for g in range(n)}
             assert {frozenset(int(v) for v in indices_of(c, n)) for c in conj} == want, spec
+
+
+def test_coset_leaders_match_oracle(flagship, monkeypatch):
+    # the least member of every right coset Hg of the subgroups
+    # `test_conjugation_matches_oracle` conjugates (centralizers and the
+    # cyclic subgroups of the generators, most of them not normal), read off
+    # H's rows in one block and in blocks of 3 rows
+    checked = 0
+    for spec, G in groups(flagship):
+        table = table_of(G)
+        n = G.order
+        ct = centralizer_table(G)
+        masks = list(ct.masks[:None if n <= 48 else 6])
+        masks += [cyclic_span_mask(G, g) for g in G.generators]
+        for m in masks:
+            want = naive_right_coset_leaders(table, [int(z) for z in indices_of(m, n)])
+            assert coset_leaders(G, m).tolist() == want, spec
+            monkeypatch.setattr(nacent.subgroups, "BLOCK_CELLS", 4 * 3 * n)
+            assert coset_leaders(G, m).tolist() == want, spec
+            monkeypatch.undo()
+            checked += normalizer_mask(G, m).bit_count() < n
+    assert checked >= 400
 
 
 def test_subgroup_facts_match_retabled(flagship):
