@@ -44,7 +44,6 @@ from .errors import (
     OrderLimitExceeded,
     ParentMismatch,
     ParseError,
-    PrimeDoesNotDivide,
     TheoremViolation,
 )
 from .groups import FiniteGroup, exponent, from_cayley_table, from_permutations
@@ -67,9 +66,7 @@ from .predicates import (
     is_cyclic,
     is_nilpotent,
     is_p_group,
-    p_core,
     prime_factorization,
-    sylow_subgroup,
 )
 from .subgroups import (
     CentralizerTable,

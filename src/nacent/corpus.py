@@ -159,7 +159,7 @@ def semidirect_product(K: FiniteGroup, H: FiniteGroup,
                        max_order: int | None = None) -> FiniteGroup:
     """Semidirect product K x| H for an action given on generators of H.
 
-    `action` maps H-element indices (which must generate H) to
+    `action` maps H-element indices 0..|H|-1 (which must generate H) to
     permutations of K's element indices. Each permutation must be an
     automorphism of K, and the generator assignment must extend to a
     homomorphism from H; InvalidAction is raised otherwise. Pairs (k, h)
@@ -178,6 +178,8 @@ def semidirect_product(K: FiniteGroup, H: FiniteGroup,
     gens: list[int] = []
     gen_perm: dict[int, np.ndarray] = {}
     for h, perm in action.items():
+        if not 0 <= h < nh:
+            raise InvalidAction(f"action key {h} is not an element index 0..{nh - 1} of H")
         arr = np.asarray(perm, dtype=np.int64)
         if arr.shape != (nk,) or not np.array_equal(np.sort(arr), np.arange(nk)):
             raise InvalidAction(f"action of {h} is not a permutation of {nk} elements")

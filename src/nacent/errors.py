@@ -41,10 +41,6 @@ class ParentMismatch(NacentError):
     """Two subgroups of different parent groups were combined."""
 
 
-class PrimeDoesNotDivide(NacentError):
-    """A Sylow subgroup was requested for a prime not dividing the order."""
-
-
 class NotNilpotent(NacentError):
     """A decomposition that requires nilpotency was applied to a
     non-nilpotent group."""

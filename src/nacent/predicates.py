@@ -8,16 +8,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotNilpotent, PrimeDoesNotDivide
+from .errors import NotNilpotent
 from .groups import FiniteGroup, memoized, prime_factorization
 from .subgroups import (
     Subgroup,
+    _normal_closure_mask,
+    bool_of,
+    center_mask,
     centralizer_table,
-    conjugates,
+    conjugation_rows,
     generated_mask,
-    indices_of,
     mask_of,
-    normalizer_mask,
+    mask_of_bool,
     subgroup_centralizers,
     trivial_subgroup,
     whole_subgroup,
@@ -63,65 +65,6 @@ def is_p_group(x: GroupLike) -> int | None:
     return None
 
 
-def _p_part(n: int, p: int) -> int:
-    part = 1
-    while n % p == 0:
-        n //= p
-        part *= p
-    return part
-
-
-def sylow_subgroup(G: FiniteGroup, p: int) -> Subgroup:
-    """A subgroup of order the full p-part of |G|."""
-    return Subgroup(G, _sylow_mask(G, p))
-
-
-@memoized
-def _sylow_mask(G: FiniteGroup, p: int) -> int:
-    """Bitset of a Sylow p-subgroup, by normalizer growth.
-
-    Start from the span of a p-element; while below the p-part, pick a
-    p-element of the normalizer outside the current subgroup and extend.
-    """
-    if G.order % p != 0:
-        raise PrimeDoesNotDivide(f"{p} does not divide group order {G.order}")
-    part = _p_part(G.order, p)
-    orders = G.orders
-    # p-elements: a non-trivial order dividing the p-part (every order divides |G|)
-    is_p_elem = (part % orders == 0) & (orders > 1)
-
-    start = int(np.nonzero(is_p_elem)[0][0])
-    mask = generated_mask(G, [start])
-    while mask.bit_count() < part:
-        norm = normalizer_mask(G, mask)
-        cand = norm & ~mask
-        mem = indices_of(cand, G.order)
-        ext = mem[is_p_elem[mem]]
-        if ext.size == 0:
-            raise AssertionError("normalizer growth stalled below the full p-part")
-        seeds = list(indices_of(mask, G.order)) + [int(ext[0])]
-        mask = generated_mask(G, seeds)
-    return mask
-
-
-def p_core(G: FiniteGroup, p: int) -> Subgroup:
-    """Largest normal p-subgroup."""
-    return Subgroup(G, _p_core_mask(G, p))
-
-
-@memoized
-def _p_core_mask(G: FiniteGroup, p: int) -> int:
-    """Bitset of the p-core: the core of a Sylow p-subgroup P, the
-    intersection of its conjugates (every normal p-subgroup lies in each
-    Sylow p-subgroup)."""
-    if G.order % p != 0:
-        return 1
-    core = -1
-    for m in conjugates(G, sylow_subgroup(G, p).mask):
-        core &= m
-    return core
-
-
 def is_nilpotent(x: GroupLike) -> bool:
     """Every Sylow subgroup is normal: for each p^a exactly dividing the
     order, exactly p^a members have an order dividing p^a (the elements of
@@ -140,11 +83,31 @@ def fitting_subgroup(G: FiniteGroup) -> Subgroup:
 
 @memoized
 def _fitting_mask(G: FiniteGroup) -> int:
-    """Bitset of the Fitting subgroup: the join of the p-cores."""
-    seeds: list[int] = []
-    for p in primes_dividing(G.order) if G.order > 1 else []:
-        seeds.extend(int(v) for v in p_core(G, p).members())
-    return generated_mask(G, seeds)
+    """Bitset of the Fitting subgroup F, grown from the center Z.
+
+    F contains every normal nilpotent subgroup of G (Fitting's theorem;
+    Robinson, A Course in the Theory of Groups, 5.2.8). So for a normal
+    nilpotent F0 inside F and an x outside it, the normal closure of F0 and
+    x is nilpotent exactly when x lies in F; it is then the new F0. Z is
+    normal and nilpotent, so the growth starts there. When x is not in F,
+    neither is any x^g z with z in Z: x's class times Z, at most n
+    elements (Z lies in C(x)), is set aside at once.
+    """
+    n = G.order
+    inside = bool_of(center_mask(G), n)
+    center = np.flatnonzero(inside)
+    done = inside.copy()  # in F0 or set aside
+    while not done.all():
+        x = int(np.argmin(done))
+        grown = _normal_closure_mask(G, np.append(np.flatnonzero(inside), x))
+        if is_nilpotent(Subgroup(G, grown)):
+            inside = bool_of(grown, n)
+            done |= inside
+        else:
+            cls = np.zeros(n, dtype=bool)
+            cls[conjugation_rows(G, [x])] = True
+            done[G.table[np.flatnonzero(cls)[:, None], center]] = True
+    return mask_of_bool(inside)
 
 
 def hughes_subgroup(G: FiniteGroup, p: int) -> Subgroup:

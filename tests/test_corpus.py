@@ -247,6 +247,14 @@ def test_semidirect_action_validation():
     assert G.order == 10 and not is_abelian(G)
 
 
+def test_semidirect_rejects_action_keys_outside_h():
+    # -1 would index the last element of H and 2 would index past it
+    inversion = [0, 4, 3, 2, 1]
+    for key in (-1, 2):
+        with pytest.raises(InvalidAction, match="action key"):
+            semidirect_product(cyclic(5), cyclic(2), {key: inversion})
+
+
 def test_semidirect_rejects_non_automorphisms():
     # the check runs over K's generators only; on a non-abelian K it must
     # still reject bijections fixing the identity that are not automorphisms

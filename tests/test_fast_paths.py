@@ -1,13 +1,14 @@
 """The fast kernels against their definitional oracles: the associativity
-check, the generating set, element orders, generated subgroups, p-cores, the
+check, the generating set, element orders, generated subgroups, the
 commutator subgroup, the centralizer table and center, normal closures,
 conjugation (classes, normalizers, distinct conjugates), the right coset
 leaders of subgroups that need not be normal and semidirect-product
 tables, on every catalog group of order <= 48 and on the order-1029
 flagship; the coset labels of quotients on every catalog group of
-order <= 200; the class walk and the centralizer table also on two
-case-A groups and on the center quotients of those catalog groups; the
-blocked whole-table passes also under forced small blocks. The nilpotency test, the orbits of partition components, the
+order <= 200; the class walk, the centralizer table and the Fitting
+subgroup also on two case-A groups and on the center quotients of those
+catalog groups; the blocked whole-table passes also under forced small
+blocks. The nilpotency test, the orbits of partition components, the
 normal-partition and Frobenius-partition tests and the normal candidates
 above the enumeration cap against the definition, on catalog groups of
 order <= 64."""
@@ -22,6 +23,7 @@ from nacent import (
     cyclic,
     dicyclic,
     direct_product,
+    fitting_subgroup,
     from_cayley_table,
     hughes_subgroup,
     is_abelian,
@@ -29,7 +31,6 @@ from nacent import (
     is_nilpotent,
     is_normal_partition,
     is_partition,
-    p_core,
     semidirect_product,
 )
 from nacent.classify import _candidates
@@ -47,7 +48,6 @@ from nacent.predicates import (
     decompose_p_times_abelian,
     is_ca_group,
     primes_dividing,
-    sylow_subgroup,
 )
 from nacent.subgroups import (
     Subgroup,
@@ -88,6 +88,7 @@ from oracles import (
     naive_p_core,
     naive_right_coset_leaders,
     naive_semidirect_table,
+    naive_sylow,
     retabled_subgroup_facts,
     table_of,
 )
@@ -126,11 +127,13 @@ def test_accepted_tables_are_associative(flagship):
         assert from_cayley_table(table).order == G.order, spec
 
 
-def test_p_core_matches_oracle(flagship):
-    for spec, G in groups(flagship):
+def test_fitting_matches_oracle(flagship):
+    # F(G) is the join of the p-cores, each the intersection of the
+    # conjugates of a Sylow subgroup, all by definition
+    for spec, G in class_groups(flagship):
         table = table_of(G)
-        for p in primes_dividing(G.order):
-            assert members(p_core(G, p)) == naive_p_core(table, p), (spec, p)
+        cores = [x for p in primes_dividing(G.order) for x in naive_p_core(table, p)]
+        assert members(fitting_subgroup(G)) == naive_closure(table, cores), spec
 
 
 def test_commutator_subgroup_matches_oracle(flagship):
@@ -263,7 +266,7 @@ def test_conjugation_matches_oracle(flagship):
         masks += [cyclic_span_mask(G, g) for g in G.generators]
         # normalizers also of every Sylow subgroup of the flagship, and of C(a)
         more = [] if G is not flagship else (
-            [m for p in primes_dividing(n) for m in conjugates(G, sylow_subgroup(G, p).mask)]
+            [m for p in primes_dividing(n) for m in conjugates(G, mask_of(naive_sylow(table, p)))]
             + [ct.masks[ct.elem_class[a]] for a in _candidates(ct)])
         for m in masks + more:
             mem = frozenset(int(v) for v in indices_of(m, n))
@@ -272,6 +275,7 @@ def test_conjugation_matches_oracle(flagship):
         for m in masks:
             mem = frozenset(int(v) for v in indices_of(m, n))
             conj = conjugates(G, m)
+            assert conjugates(G, mask=m) == conj, spec  # memoized by keyword as well
             assert conj[0] == m and len(set(conj)) == len(conj), spec
             assert len(conj) == n // normalizer_mask(G, m).bit_count(), spec
             want = {naive_conjugate(table, inv, mem, g) for g in range(n)}

@@ -1,11 +1,10 @@
-"""Structure predicates: abelian/cyclic/p-group, Sylow machinery, Fitting,
+"""Structure predicates: abelian/cyclic/p-group, nilpotency, Fitting and
 Hughes subgroups, CA test, and the P x A decomposition."""
 
 import pytest
 
 from nacent import (
     NotNilpotent,
-    PrimeDoesNotDivide,
     build,
     decompose_p_times_abelian,
     fitting_subgroup,
@@ -15,9 +14,7 @@ from nacent import (
     is_cyclic,
     is_nilpotent,
     is_p_group,
-    p_core,
     prime_factorization,
-    sylow_subgroup,
 )
 from nacent.predicates import primes_dividing
 from nacent.subgroups import Subgroup, generated_mask, is_normal
@@ -57,38 +54,6 @@ def test_is_p_group(q8, z6):
     assert is_p_group(build("cyclic(1)")) is None
 
 
-def test_sylow_sizes(s3, s4, z6):
-    assert sylow_subgroup(z6, 3).size == 3
-    assert sylow_subgroup(s3, 2).size == 2
-    assert sylow_subgroup(s4, 2).size == 8
-    assert sylow_subgroup(s4, 3).size == 3
-    a5 = build("alternating(5)")
-    assert sylow_subgroup(a5, 2).size == 4
-    assert sylow_subgroup(a5, 5).size == 5
-    # memoized on the group, by keyword as well as by position
-    assert sylow_subgroup(a5, p=5) == sylow_subgroup(a5, 5)
-    assert p_core(s4, p=2) == p_core(s4, 2)
-
-
-def test_sylow_rejects_bad_prime(s3):
-    with pytest.raises(PrimeDoesNotDivide):
-        sylow_subgroup(s3, 5)
-
-
-def test_sylow_is_p_subgroup(s4):
-    for p in (2, 3):
-        P = sylow_subgroup(s4, p)
-        assert is_p_group(P) == p
-
-
-def test_p_core(s3, s4, z6):
-    assert p_core(z6, 2).size == 2
-    assert p_core(s3, 2).size == 1
-    assert p_core(s4, 2).size == 4
-    assert p_core(s3, 5).size == 1  # prime not dividing: trivial
-    assert is_normal(s4, p_core(s4, 2), exhaustive=True)
-
-
 def test_is_nilpotent(q8, s3, z6):
     assert is_nilpotent(z6)
     assert is_nilpotent(q8)
@@ -97,16 +62,13 @@ def test_is_nilpotent(q8, s3, z6):
     assert not is_nilpotent(build("symmetric(4)"))
 
 
-def test_nilpotent_iff_sylows_are_cores():
-    # two independent paths must agree across the small catalog
+def test_nilpotent_iff_fitting_is_whole():
+    # nilpotency read from element orders against the Fitting subgroup
+    # grown by normal closures, across the small catalog
     from nacent import builtin_catalog
     for spec in builtin_catalog(64):
         G = build(spec.name)
-        via_series = is_nilpotent(G)
-        via_sylow = all(
-            sylow_subgroup(G, p).mask == p_core(G, p).mask
-            for p in primes_dividing(G.order))
-        assert via_series == via_sylow, spec.name
+        assert is_nilpotent(G) == fitting_subgroup(G).is_whole(), spec.name
 
 
 def test_fitting(s3, s4, q8):

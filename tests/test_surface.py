@@ -4,6 +4,8 @@ Every function `nacent` exports is either used by a module of the package
 (a name loaded, an attribute read or a name imported, outside
 `__init__.py`) or a documented entry point that no module calls. A
 function that only tests reach belongs in `tests/oracles.py` or nowhere.
+Every exported error type is raised by some module, and no module but
+`__init__.py` imports a name it never uses.
 """
 
 import ast
@@ -21,14 +23,20 @@ SRC = Path(nacent.__file__).resolve().parent
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def package_modules():
+    """(file name, syntax tree) of every module of the package."""
+    for path in sorted(SRC.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def names_used_by_the_package() -> set[str]:
     """Names the modules other than `__init__.py` refer to; a function's own
     definition is not a reference to it."""
     used: set[str] = set()
-    for path in SRC.glob("*.py"):
-        if path.name == "__init__.py":
+    for name, tree in package_modules():
+        if name == "__init__.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -43,6 +51,36 @@ def test_every_exported_function_is_used_or_documented():
                 if inspect.isfunction(obj) and not name.startswith("_")}
     unused = exported - names_used_by_the_package() - set(DOCUMENTED_ENTRY_POINTS)
     assert sorted(unused) == []
+
+
+def test_every_exported_error_is_raised():
+    exported = {name for name, obj in vars(nacent).items()
+                if inspect.isclass(obj) and issubclass(obj, nacent.NacentError)
+                and obj is not nacent.NacentError}
+    raised: set[str] = set()
+    for _, tree in package_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert sorted(exported - raised) == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for name, tree in package_modules():
+        if name == "__init__.py":
+            continue
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name}: {imp}" for imp in sorted(imported - loaded)]
+    assert unused == []
 
 
 def test_documented_entry_points_are_exported_and_documented():
