@@ -475,16 +475,15 @@ def partition_diagnostics(G: FiniteGroup) -> dict[str, Any]:
     diag["exists"] = part is not None
     if part is None:
         return diag
-    Q = part.quotient
     diag["component_count"] = len(part.components)
     diag["component_sizes"] = sorted(c.size for c in part.components)
-    diag["is_normal"] = is_normal_partition(Q, part)
-    witness = is_nonsimple_partition(Q, part)
-    diag["normal_enumeration_complete"] = Q.order <= NORMAL_ENUM_CAP
+    diag["is_normal"] = is_normal_partition(part)
+    witness = is_nonsimple_partition(part)
+    diag["normal_enumeration_complete"] = part.quotient.order <= NORMAL_ENUM_CAP
     diag["nonsimple_witness_size"] = witness.size if witness else None
-    elem = is_elementary_partition(Q, part)
+    elem = is_elementary_partition(part)
     diag["elementary"] = {"k_size": elem[0].size, "p": elem[1]} if elem else None
-    diag["frobenius"] = is_frobenius_partition(Q, part)
+    diag["frobenius"] = is_frobenius_partition(part)
     return diag
 
 

@@ -23,7 +23,14 @@ from .errors import (
     OrderLimitExceeded,
     ParseError,
 )
-from .groups import BLOCK_CELLS, FiniteGroup, from_cayley_table, from_permutations, table_dtype
+from .groups import (
+    BLOCK_CELLS,
+    FiniteGroup,
+    _integer_table,
+    from_cayley_table,
+    from_permutations,
+    table_dtype,
+)
 from .predicates import is_prime
 
 KINDS = ("construction", "file")
@@ -180,7 +187,8 @@ def semidirect_product(K: FiniteGroup, H: FiniteGroup,
     for h, perm in action.items():
         if not 0 <= h < nh:
             raise InvalidAction(f"action key {h} is not an element index 0..{nh - 1} of H")
-        arr = np.asarray(perm, dtype=np.int64)
+        arr = _integer_table(np.asarray(perm), lambda at, msg: InvalidAction(
+            f"action of {h} is not a permutation: {msg}"))
         if arr.shape != (nk,) or not np.array_equal(np.sort(arr), np.arange(nk)):
             raise InvalidAction(f"action of {h} is not a permutation of {nk} elements")
         if arr[0] != 0:

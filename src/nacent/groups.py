@@ -182,7 +182,8 @@ def from_permutations(generators: Sequence[Sequence[int]],
     gens = []
     degree = 0
     for g in generators:
-        p = tuple(int(x) for x in g)
+        p = tuple(_integer_table(np.asarray(g), lambda at, msg: InvalidPermutation(
+            f"{g!r} is not a permutation: {msg}")).tolist())
         if sorted(p) != list(range(len(p))):
             raise InvalidPermutation(f"{g!r} is not a permutation of 0..{len(p) - 1}")
         gens.append(p)
@@ -251,22 +252,23 @@ def prime_factorization(n: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # validation internals
 
-def _integer_table(arr: np.ndarray) -> np.ndarray:
+def _integer_table(arr: np.ndarray,
+                   reject=lambda at, msg: NotAGroup("entry-range", at, msg)) -> np.ndarray:
     """arr itself when its type is an integer type. Otherwise arr as int64,
     once every entry is known to be a finite integral value, so that no
-    entry is truncated into a valid index; NotAGroup names the first entry
-    that is not one."""
+    entry is truncated into a valid index; `reject(at, message)` names the
+    first entry that is not one and is raised (NotAGroup by default)."""
     if arr.dtype.kind in "iu":
         return arr
     try:
         with np.errstate(invalid="ignore"):  # a non-finite entry casts to junk, caught below
             exact = arr.astype(np.int64)
     except (TypeError, ValueError):  # an entry with no integer value, such as None
-        raise NotAGroup("entry-range", (), f"an entry of {arr.dtype} type is not a number")
+        raise reject((), f"an entry of {arr.dtype} type is not a number")
     bad = exact != arr
     if bad.any():
         at = tuple(int(v) for v in np.argwhere(bad)[0])
-        raise NotAGroup("entry-range", at, f"entry {arr[at]} is not an integer index")
+        raise reject(at, f"entry {arr[at]} is not an integer index")
     return exact
 
 

@@ -55,22 +55,8 @@ class Partition:
         return len(self.components) == 1
 
 
-# Byte b of a bitset, bit-reversed and complemented: bytes compare from the
-# first, so after this translation the least element in one bitset and not
-# the other decides which bitset's key is smaller, as with member tuples.
-_LEAST_FIRST = bytes(~int(f"{b:08b}"[::-1], 2) & 0xFF for b in range(256))
-
-
-def _sorted_components(comps) -> tuple[Subgroup, ...]:
-    """The subgroups ordered by (size, ascending members). Among subgroups
-    of one size the member tuples first differ where one subgroup holds the
-    least element of the symmetric difference, so that subgroup comes first;
-    the bitset bytes, translated by `_LEAST_FIRST`, sort the same way."""
-    def key(c: Subgroup):
-        nbytes = (c.parent.order + 7) // 8
-        return c.size, c.mask.to_bytes(nbytes, "little").translate(_LEAST_FIRST)
-
-    return tuple(sorted(comps, key=key))
+def _size_then_mask(mask: int) -> tuple[int, int]:
+    return mask.bit_count(), mask  # the one order of subgroup bitsets here
 
 
 def center_quotient(G: FiniteGroup) -> QuotientMap:
@@ -144,7 +130,7 @@ def _normal_masks(G: FiniteGroup) -> tuple[int, ...]:
     for atom in atoms:
         new = {join(m, atom) for m in found}
         found |= new
-    return tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
+    return tuple(sorted(found, key=_size_then_mask))
 
 
 def normal_closure_mask(G: FiniteGroup, mask: int) -> int:
@@ -183,7 +169,7 @@ def centralizer_partition(G: FiniteGroup) -> Partition | None:
 @memoized
 def _centralizer_partition_masks(G: FiniteGroup) -> tuple[int, ...] | None:
     """Bitsets over G/Z(G) of the components of the centralizer partition,
-    in component order, or None when there is none.
+    ordered by (size, mask), or None when there is none.
 
     Candidate components are the distinct images C(x)/Z(G) over
     non-central x, keeping only images not contained in a larger one
@@ -196,7 +182,7 @@ def _centralizer_partition_masks(G: FiniteGroup) -> tuple[int, ...] | None:
     if is_abelian(G):
         raise AbelianGroup(f"{G.name!r} is abelian; its centralizer images are trivial")
     qm = center_quotient(G)
-    by_size = sorted(_centralizer_images(G, qm), key=lambda m: (-m.bit_count(), m))
+    by_size = sorted(_centralizer_images(G, qm), key=_size_then_mask, reverse=True)
     kept: list[tuple[int, int]] = []  # (size, mask), descending size
     for m in by_size:
         size = m.bit_count()
@@ -204,10 +190,10 @@ def _centralizer_partition_masks(G: FiniteGroup) -> tuple[int, ...] | None:
         if any(m & ~km == 0 for _, km in takewhile(lambda k: k[0] > size, kept)):
             continue
         kept.append((size, m))
-    comps = _sorted_components(Subgroup(qm.quotient, m) for _, m in kept)
-    if not is_partition(qm.quotient, comps):
+    masks = sorted((m for _, m in kept), key=_size_then_mask)
+    if not is_partition(qm.quotient, [Subgroup(qm.quotient, m) for m in masks]):
         return None
-    return tuple(c.mask for c in comps)
+    return tuple(masks)
 
 
 def _centralizer_images(G: FiniteGroup, qm: QuotientMap) -> list[int]:
@@ -243,71 +229,58 @@ def _component_orbits(Q: FiniteGroup, comp_masks: frozenset[int]) -> tuple[tuple
     return tuple(orbits)
 
 
-def is_normal_partition(Q: FiniteGroup, partition: Partition) -> bool:
+def is_normal_partition(partition: Partition) -> bool:
     """True iff conjugation permutes the component set: every orbit of a
     component lies inside it."""
     masks = partition.component_masks
-    return all(masks.issuperset(orbit) for orbit in _component_orbits(Q, masks))
-
-
-def _normal_candidates(Q: FiniteGroup, comp_masks: frozenset[int]) -> tuple[Subgroup, ...]:
-    return tuple(Subgroup(Q, m) for m in _normal_candidate_masks(Q, comp_masks))
+    return all(masks.issuperset(orbit) for orbit in _component_orbits(partition.quotient, masks))
 
 
 @memoized
 def _normal_candidate_masks(Q: FiniteGroup, comp_masks: frozenset[int]) -> tuple[int, ...]:
     """Bitsets of the proper non-trivial normal subgroups to test a
-    partition against.
+    partition against, ordered by (size, mask).
 
     All of them up to NORMAL_ENUM_CAP; above it, the normal closures of the
     components (a normal component is its own closure), one per orbit of
     the components under conjugation, since conjugate components have one
-    closure. Both are normal by construction. Ordered by (size, members).
+    closure. Both are normal by construction.
     """
     if Q.order <= NORMAL_ENUM_CAP:
-        masks = {s.mask for s in normal_subgroups(Q)}
+        masks = {N.mask for N in normal_subgroups(Q)}
     else:
         masks = {normal_closure_mask(Q, orbit[0]) for orbit in _component_orbits(Q, comp_masks)}
     full = (1 << Q.order) - 1
-    return tuple(N.mask for N in _sorted_components(Subgroup(Q, m) for m in masks if 1 < m < full))
+    return tuple(sorted((m for m in masks if 1 < m < full), key=_size_then_mask))
 
 
-def is_nonsimple_partition(Q: FiniteGroup, partition: Partition) -> Subgroup | None:
-    """A proper normal N with every component inside N or meeting it
-    trivially, if one exists among the candidates."""
-    for N in _normal_candidates(Q, partition.component_masks):
-        ok = True
-        for comp in partition.components:
-            inter = comp.mask & N.mask
-            if inter != 1 and comp.mask & ~N.mask:
-                ok = False
-                break
-        if ok:
-            return N
+def is_nonsimple_partition(partition: Partition) -> Subgroup | None:
+    """The first proper normal N, among the candidates, with every
+    component inside N or meeting it trivially, if there is one."""
+    comps = partition.component_masks
+    for N in _normal_candidate_masks(partition.quotient, comps):
+        if all(c & N == 1 or c & ~N == 0 for c in comps):
+            return Subgroup(partition.quotient, N)
     return None
 
 
-def is_elementary_partition(Q: FiniteGroup, partition: Partition) -> tuple[Subgroup, int] | None:
-    """A normal K of prime index p with every cyclic subgroup outside K of
-    order p and itself a component, if such a witness exists.
+def is_elementary_partition(partition: Partition) -> tuple[Subgroup, int] | None:
+    """A normal K of prime index p, least p first, with every cyclic
+    subgroup outside K of order p and itself a component, if one exists.
 
-    Trivial partitions are not elementary; None is returned for them.
+    A component of order p holding x is <x>, so this says that K holds
+    every element outside U_p, the union of the components of order p. A
+    trivial partition is never elementary: the candidates are proper.
     """
-    if partition.is_trivial():
-        return None
-    masks = partition.component_masks
-    orders = np.asarray(Q.orders)
-    candidates = _normal_candidates(Q, partition.component_masks)
+    Q, comps = partition.quotient, partition.component_masks
+    unions: dict[int, int] = {}  # size -> union of the components of that size
+    for c in comps:
+        unions[c.bit_count()] = unions.get(c.bit_count(), 0) | c
     for p in primes_dividing(Q.order):
-        target = Q.order // p
-        for K in candidates:
-            if K.size != target:
-                continue
-            outside = np.nonzero(~K.member_bool())[0]
-            if not (orders[outside] == p).all():
-                continue
-            if all(cyclic_span_mask(Q, int(x)) in masks for x in outside):
-                return K, p
+        outside = (1 << Q.order) - 1 & ~unions.get(p, 0)
+        for K in _normal_candidate_masks(Q, comps):
+            if K.bit_count() == Q.order // p and outside & ~K == 0:
+                return Subgroup(Q, K), p
     return None
 
 
@@ -331,14 +304,17 @@ def _validate_frobenius(Q: FiniteGroup, K: Subgroup, H: Subgroup) -> bool:
     return union == full & ~K.mask
 
 
-def is_frobenius_partition(Q: FiniteGroup, partition: Partition) -> bool:
+def is_frobenius_partition(partition: Partition) -> bool:
     """The partition is a Frobenius kernel plus all complement conjugates.
 
     A Frobenius complement H has |H| dividing |K| - 1, so the kernel K is
     larger than every complement conjugate: in a Frobenius partition it is
     the unique largest component, and any other component is a complement.
     """
-    *rest, K = partition.components
-    if not rest or not is_normal(Q, K) or not _validate_frobenius(Q, K, rest[0]):
+    Q, masks = partition.quotient, partition.component_masks
+    if len(masks) < 2:
         return False
-    return {*conjugates(Q, rest[0].mask), K.mask} == partition.component_masks
+    K = Subgroup(Q, max(masks, key=int.bit_count))
+    H = Subgroup(Q, min(masks - {K.mask}))  # any other component
+    return (is_normal(Q, K) and _validate_frobenius(Q, K, H)
+            and {*conjugates(Q, H.mask), K.mask} == masks)

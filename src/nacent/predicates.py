@@ -13,11 +13,11 @@ from .groups import FiniteGroup, memoized, prime_factorization
 from .subgroups import (
     Subgroup,
     _normal_closure_mask,
-    bool_of,
     center_mask,
     centralizer_table,
     conjugation_rows,
     generated_mask,
+    indices_of,
     mask_of,
     mask_of_bool,
     subgroup_centralizers,
@@ -89,19 +89,23 @@ def _fitting_mask(G: FiniteGroup) -> int:
     Robinson, A Course in the Theory of Groups, 5.2.8). So for a normal
     nilpotent F0 inside F and an x outside it, the normal closure of F0 and
     x is nilpotent exactly when x lies in F; it is then the new F0. Z is
-    normal and nilpotent, so the growth starts there. When x is not in F,
-    neither is any x^g z with z in Z: x's class times Z, at most n
-    elements (Z lies in C(x)), is set aside at once.
+    normal and nilpotent, so the growth starts there. Each closure grows a
+    copy of F0 with F0's generators, so it adds only x's conjugates. When x
+    is not in F, neither is any x^g z with z in Z: x's class times Z, at
+    most n elements (Z lies in C(x)), is set aside at once.
     """
     n = G.order
-    inside = bool_of(center_mask(G), n)
-    center = np.flatnonzero(inside)
+    center = indices_of(center_mask(G), n)
+    inside = np.zeros(n, dtype=bool)
+    inside[0] = True
+    gens: list[int] = []  # generate F0, which `inside` holds
+    _normal_closure_mask(G, center, inside, gens)
     done = inside.copy()  # in F0 or set aside
     while not done.all():
         x = int(np.argmin(done))
-        grown = _normal_closure_mask(G, np.append(np.flatnonzero(inside), x))
-        if is_nilpotent(Subgroup(G, grown)):
-            inside = bool_of(grown, n)
+        grown, grown_gens = inside.copy(), gens.copy()
+        if is_nilpotent(Subgroup(G, _normal_closure_mask(G, [x], grown, grown_gens))):
+            inside, gens = grown, grown_gens
             done |= inside
         else:
             cls = np.zeros(n, dtype=bool)

@@ -348,8 +348,10 @@ def is_normal(G: FiniteGroup, H: Subgroup, exhaustive: bool = False) -> bool:
     return bool(inside[rows].all())
 
 
-def _normal_closure_mask(G: FiniteGroup, seeds) -> int:
-    """Bitset of the smallest normal subgroup containing the seed elements.
+def _normal_closure_mask(G: FiniteGroup, seeds, member=None, n_gens=None) -> int:
+    """Bitset of the smallest normal subgroup containing the seed elements
+    and `member`, a bool array of a normal subgroup generated by the list
+    `n_gens` (the trivial group when None); both grow in place.
 
     Keeps a generating list for the closure N and adds each conjugate, by a
     generator of G, of a generator of N that N does not contain, until the
@@ -358,9 +360,10 @@ def _normal_closure_mask(G: FiniteGroup, seeds) -> int:
     by the newest generators only.
     """
     g_gens = G.generators
-    member = np.zeros(G.order, dtype=bool)
-    member[0] = True
-    n_gens: list[int] = []
+    if member is None:
+        member = np.zeros(G.order, dtype=bool)
+        member[0] = True
+        n_gens = []
     fresh = np.zeros(G.order, dtype=bool)  # the pending seeds, read in ascending order
     fresh[np.asarray(seeds, dtype=np.int64)] = True
     while fresh.any():

@@ -261,6 +261,34 @@ def naive_class_join_normals(table) -> set[frozenset[int]]:
     return found
 
 
+def naive_nonsimple_witness_size(table, components, normals=None) -> int | None:
+    """The least size of a proper non-trivial normal N such that every
+    component lies inside N or meets it in the identity only, or None;
+    `normals` is `naive_class_join_normals(table)`, when known."""
+    n = len(table)
+    normals = naive_class_join_normals(table) if normals is None else normals
+    comps = [frozenset(c) for c in components]
+    return min((len(N) for N in normals
+                if 1 < len(N) < n and all(c <= N or c & N == {0} for c in comps)), default=None)
+
+
+def naive_elementary(table, components, normals=None) -> tuple[int, int] | None:
+    """(|K|, p) for the least prime p with a non-trivial normal K of index p
+    such that every x outside K has order p and <x> is a component, or None;
+    `normals` is `naive_class_join_normals(table)`, when known."""
+    n = len(table)
+    normals = naive_class_join_normals(table) if normals is None else normals
+    orders = naive_orders(table)
+    comps = {frozenset(c) for c in components}
+    for p in sorted(_prime_powers(n)):
+        for K in normals:
+            if 1 < len(K) and len(K) * p == n and all(
+                    orders[x] == p and naive_closure(table, [x]) in comps
+                    for x in range(n) if x not in K):
+                return len(K), p
+    return None
+
+
 def naive_fitting(table) -> frozenset[int]:
     """Join of all normal nilpotent subgroups."""
     normals = naive_class_join_normals(table)

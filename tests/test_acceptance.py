@@ -186,14 +186,14 @@ def test_criterion_7_partition_machinery(sweep):
     part = centralizer_partition(s3)
     ok_s3 = (part is not None and len(part.components) == 4
              and is_partition(part.quotient, part.components)
-             and is_normal_partition(part.quotient, part))
+             and is_normal_partition(part))
 
     q8 = build("dicyclic(2)")
     part = centralizer_partition(q8)
     ok_q8 = (part is not None and len(part.components) == 3
              and part.quotient.order == 4
              and is_partition(part.quotient, part.components)
-             and is_normal_partition(part.quotient, part))
+             and is_normal_partition(part))
 
     ok = not bad and ok_s3 and ok_q8
     report_line(7, "centralizer partition exists on two-nacent groups; "

@@ -247,6 +247,14 @@ def test_semidirect_action_validation():
     assert G.order == 10 and not is_abelian(G)
 
 
+def test_semidirect_rejects_non_integral_action_entries():
+    # 4.9 would truncate to 4 and give the dihedral group of order 10; an
+    # integral float still passes
+    with pytest.raises(InvalidAction, match="4.9"):
+        semidirect_product(cyclic(5), cyclic(2), {1: [0, 4.9, 3, 2, 1]})
+    assert semidirect_product(cyclic(5), cyclic(2), {1: [0, 4.0, 3, 2, 1]}).order == 10
+
+
 def test_semidirect_rejects_action_keys_outside_h():
     # -1 would index the last element of H and 2 would index past it
     inversion = [0, 4, 3, 2, 1]

@@ -9,9 +9,9 @@ order <= 200; the class walk, the centralizer table and the Fitting
 subgroup also on two case-A groups and on the center quotients of those
 catalog groups; the blocked whole-table passes also under forced small
 blocks. The nilpotency test, the orbits of partition components, the
-normal-partition and Frobenius-partition tests and the normal candidates
-above the enumeration cap against the definition, on catalog groups of
-order <= 64."""
+normal-partition, non-simple, elementary and Frobenius-partition tests
+and the normal candidates above the enumeration cap against the
+definition, on catalog groups of order <= 64."""
 
 import nacent.partitions
 import nacent.subgroups
@@ -27,8 +27,10 @@ from nacent import (
     from_cayley_table,
     hughes_subgroup,
     is_abelian,
+    is_elementary_partition,
     is_frobenius_partition,
     is_nilpotent,
+    is_nonsimple_partition,
     is_normal_partition,
     is_partition,
     semidirect_product,
@@ -39,8 +41,7 @@ from nacent.partitions import (
     Partition,
     _centralizer_images,
     _component_orbits,
-    _normal_candidates,
-    _sorted_components,
+    _normal_candidate_masks,
     center_quotient,
     normal_closure_mask,
 )
@@ -71,17 +72,20 @@ from nacent.subgroups import (
 from oracles import (
     naive_center,
     naive_centralizer,
+    naive_class_join_normals,
     naive_closure,
     naive_commutator_subgroup,
     naive_coset_labels,
     naive_conjugacy_classes,
     naive_conjugate,
+    naive_elementary,
     naive_generators,
     naive_inverses,
     naive_is_abelian_subset,
     naive_is_associative,
     naive_is_frobenius_partition,
     naive_is_nilpotent,
+    naive_nonsimple_witness_size,
     naive_normal_closure,
     naive_normalizer,
     naive_orders,
@@ -421,7 +425,7 @@ def exponent_3_spans():
     size: the largest component is no kernel."""
     G = build("heisenberg(3)")
     spans = {cyclic_span_mask(G, x) for x in range(1, G.order)}
-    return Partition(quotient=G, components=_sorted_components(Subgroup(G, m) for m in spans))
+    return Partition(quotient=G, components=tuple(Subgroup(G, m) for m in spans))
 
 
 def s4_stabilizer_and_spans():
@@ -434,7 +438,7 @@ def s4_stabilizer_and_spans():
     stab = next(m for pair in pairs if (m := generated_mask(G, pair)).bit_count() == 6)
     spans = {cyclic_span_mask(G, x) for x in range(G.order) if not stab >> x & 1}
     comps = {stab} | {m for m in spans if not any(m != k and m & ~k == 0 for k in spans)}
-    return Partition(quotient=G, components=_sorted_components(Subgroup(G, m) for m in comps))
+    return Partition(quotient=G, components=tuple(Subgroup(G, m) for m in comps))
 
 
 def catalog_partitions(flagship):
@@ -485,7 +489,7 @@ def test_component_orbits_match_oracle(flagship):
         comps = [members(c) for c in part.components]
         want = all(naive_conjugate(table, inv, c, g) in comps
                    for c in comps for g in range(Q.order))
-        assert is_normal_partition(Q, part) == want, spec
+        assert is_normal_partition(part) == want, spec
         verdicts[spec] = want
     # conjugation permutes the centralizers, so only the S4 partition is not normal
     assert [spec for spec, normal in verdicts.items() if not normal] == ["symmetric(4) mixed"]
@@ -494,13 +498,33 @@ def test_component_orbits_match_oracle(flagship):
 def test_frobenius_partition_matches_oracle(flagship):
     verdicts = {}
     for spec, part in catalog_partitions(flagship):
-        Q = part.quotient
-        want = naive_is_frobenius_partition(table_of(Q), [members(c) for c in part.components])
-        assert is_frobenius_partition(Q, part) == want, spec
+        want = naive_is_frobenius_partition(table_of(part.quotient),
+                                            [members(c) for c in part.components])
+        assert is_frobenius_partition(part) == want, spec
         verdicts[spec] = want
     assert verdicts["heisenberg_frobenius(7,3)"] and verdicts["F9 x| Q8"]
     assert not verdicts["heisenberg(3) spans"]
     assert sum(verdicts.values()) >= 20 and len(verdicts) - sum(verdicts.values()) >= 20
+
+
+def test_nonsimple_and_elementary_match_oracle(flagship):
+    # the least witness size and (|K|, p) against the definitions over every
+    # normal subgroup; all these quotients are within the enumeration cap
+    nonsimple = elementary = 0
+    parts = catalog_partitions(flagship)
+    for spec, part in parts:
+        table = table_of(part.quotient)
+        comps = [members(c) for c in part.components]
+        normals = naive_class_join_normals(table)
+        witness = is_nonsimple_partition(part)
+        got = None if witness is None else witness.size
+        assert got == naive_nonsimple_witness_size(table, comps, normals), spec
+        elem = is_elementary_partition(part)
+        got = None if elem is None else (elem[0].size, elem[1])
+        assert got == naive_elementary(table, comps, normals), spec
+        nonsimple += witness is not None
+        elementary += elem is not None
+    assert (len(parts), elementary, nonsimple) == (75, 69, 73)
 
 
 def test_centralizer_images_match_image_mask():
@@ -533,8 +557,9 @@ def test_normal_candidates_above_the_enumeration_cap(monkeypatch):
         Q = part.quotient
         Q._cache.clear()  # no candidates memoized under the real cap
         table = table_of(Q)
-        candidates = _normal_candidates(Q, part.component_masks)
-        assert list(candidates) == sorted(candidates, key=lambda N: (N.size, tuple(N.members())))
+        masks = _normal_candidate_masks(Q, part.component_masks)
+        assert list(masks) == sorted(masks, key=lambda m: (m.bit_count(), m))
+        candidates = [Subgroup(Q, m) for m in masks]
         got = {members(N) for N in candidates}
         closures = {naive_normal_closure(table, members(c)) for c in part.components}
         assert got == {c for c in closures if 1 < len(c) < Q.order}, spec.name

@@ -304,6 +304,13 @@ def test_from_permutations_rejects_non_bijection():
         from_permutations([(0, 0, 1)])
 
 
+def test_from_permutations_rejects_non_integral_entries():
+    # 1.7 would truncate to 1 and close to S3; an integral float still passes
+    with pytest.raises(InvalidPermutation, match="1.7"):
+        from_permutations([[1.7, 0, 2], [0, 2, 1]])
+    assert from_permutations([[1.0, 0, 2.0], [0, 2, 1]]).order == 6
+
+
 def test_from_permutations_order_limit():
     with pytest.raises(OrderLimitExceeded):
         from_permutations([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], max_order=10)

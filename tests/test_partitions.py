@@ -19,7 +19,7 @@ from nacent import (
     normal_subgroups,
     quotient,
 )
-from nacent.partitions import Partition, _sorted_components, center_quotient
+from nacent.partitions import Partition, center_quotient
 from nacent.subgroups import Subgroup, generated_mask, whole_subgroup
 from oracles import (
     centralizer,
@@ -176,12 +176,12 @@ def test_centralizer_partition_flagship(flagship):
 
 def test_normal_partition_s3(s3):
     part = centralizer_partition(s3)
-    assert is_normal_partition(s3, part)
+    assert is_normal_partition(part)
 
 
 def test_normal_partition_trivial(s3):
     triv = Partition(quotient=s3, components=(whole_subgroup(s3),))
-    assert is_normal_partition(s3, triv)
+    assert is_normal_partition(triv)
 
 
 def test_normal_partition_fails_on_incomplete_conjugates(s3):
@@ -189,31 +189,31 @@ def test_normal_partition_fails_on_incomplete_conjugates(s3):
     # all, but conjugation also moves the 2-element component away
     a3 = spans_of_order(s3, 3)[0]
     t = spans_of_order(s3, 2)[0]
-    broken = Partition(quotient=s3, components=_sorted_components([a3, t]))
-    assert not is_normal_partition(s3, broken)
+    broken = Partition(quotient=s3, components=(a3, t))
+    assert not is_normal_partition(broken)
 
 
 def test_nonsimple_s3(s3):
     part = centralizer_partition(s3)
-    witness = is_nonsimple_partition(s3, part)
+    witness = is_nonsimple_partition(part)
     assert witness is not None and witness.size == 3
 
 
 def test_nonsimple_trivial_partition_none(s3):
     triv = Partition(quotient=s3, components=(whole_subgroup(s3),))
-    assert is_nonsimple_partition(s3, triv) is None
+    assert is_nonsimple_partition(triv) is None
 
 
 def test_nonsimple_v4_lines():
     v4 = build("direct_product(cyclic(2),cyclic(2))")
-    part = Partition(quotient=v4, components=_sorted_components(spans_of_order(v4, 2)))
-    witness = is_nonsimple_partition(v4, part)
+    part = Partition(quotient=v4, components=tuple(spans_of_order(v4, 2)))
+    witness = is_nonsimple_partition(part)
     assert witness is not None and witness.size == 2
 
 
 def test_elementary_s3(s3):
     part = centralizer_partition(s3)
-    out = is_elementary_partition(s3, part)
+    out = is_elementary_partition(part)
     assert out is not None
     K, p = out
     assert K.size == 3 and p == 2
@@ -221,12 +221,12 @@ def test_elementary_s3(s3):
 
 def test_elementary_trivial_none(s3):
     triv = Partition(quotient=s3, components=(whole_subgroup(s3),))
-    assert is_elementary_partition(s3, triv) is None
+    assert is_elementary_partition(triv) is None
 
 
 def test_elementary_q8_quotient(q8):
     part = centralizer_partition(q8)
-    out = is_elementary_partition(part.quotient, part)
+    out = is_elementary_partition(part)
     assert out is not None
     K, p = out
     assert K.size == 2 and p == 2
@@ -235,8 +235,8 @@ def test_elementary_q8_quotient(q8):
 def frobenius_kernel_and_complements(part):
     """Kernel and complement components of a partition that must pass the
     Frobenius-partition test."""
-    assert is_frobenius_partition(part.quotient, part)
-    *complements, kernel = part.components
+    assert is_frobenius_partition(part)
+    *complements, kernel = sorted(part.components, key=lambda c: c.size)
     return kernel, complements
 
 
@@ -252,7 +252,7 @@ def test_frobenius_a4_from_sl23_quotient():
     sl = build("sl23")
     a4 = quotient(sl, center(sl)).quotient
     v4 = [N for N in normal_subgroups(a4) if N.size == 4]
-    part = Partition(quotient=a4, components=_sorted_components(v4 + spans_of_order(a4, 3)))
+    part = Partition(quotient=a4, components=tuple(v4 + spans_of_order(a4, 3)))
     kernel, complements = frobenius_kernel_and_complements(part)
     assert kernel.size == 4 and {c.size for c in complements} == {3}
     assert len(complements) == 4
@@ -266,27 +266,26 @@ def test_frobenius_agl1():
 
 def test_frobenius_partition_s3(s3):
     part = centralizer_partition(s3)
-    assert is_frobenius_partition(s3, part)
+    assert is_frobenius_partition(part)
 
 
 def test_frobenius_partition_v4_false(q8):
     part = centralizer_partition(q8)
-    assert not is_frobenius_partition(part.quotient, part)
+    assert not is_frobenius_partition(part)
 
 
 def test_frobenius_partition_trivial_false(s3):
     triv = Partition(quotient=s3, components=(whole_subgroup(s3),))
-    assert not is_frobenius_partition(s3, triv)
+    assert not is_frobenius_partition(triv)
 
 
 def test_frobenius_implies_normal_nonsimple(s3, flagship):
     for G in (s3, flagship):
         part = centralizer_partition(G)
-        if part is None or not is_frobenius_partition(part.quotient, part):
+        if part is None or not is_frobenius_partition(part):
             continue
-        assert is_normal_partition(part.quotient, part)
-        qm = center_quotient(G)
-        assert is_nonsimple_partition(part.quotient, part) is not None
+        assert is_normal_partition(part)
+        assert is_nonsimple_partition(part) is not None
 
 
 def test_partition_dichotomy_corpus():
@@ -302,13 +301,13 @@ def test_partition_dichotomy_corpus():
         if part is None:
             continue
         Q = part.quotient
-        if part.is_trivial() or not is_normal_partition(Q, part):
+        if part.is_trivial() or not is_normal_partition(part):
             continue
-        if is_frobenius_partition(Q, part):
+        if is_frobenius_partition(part):
             continue
-        if is_nonsimple_partition(Q, part) is None:
+        if is_nonsimple_partition(part) is None:
             continue
-        out = is_elementary_partition(Q, part)
+        out = is_elementary_partition(part)
         assert out is not None, spec.name
         K, p = out
         assert Q.order == p * K.size, spec.name
@@ -330,9 +329,9 @@ def test_elementary_for_exponent_gt_p_quotients():
             continue
         Q = part.quotient
         p = is_p_group(Q)
-        if p is None or exponent(Q) <= p or not is_normal_partition(Q, part):
+        if p is None or exponent(Q) <= p or not is_normal_partition(part):
             continue
-        assert is_elementary_partition(Q, part) is not None, spec.name
+        assert is_elementary_partition(part) is not None, spec.name
         hits += 1
     assert hits >= 1
 

@@ -1,19 +1,26 @@
-"""Property-based invariants over randomly generated small groups."""
+"""Property-based invariants over randomly generated small groups, and
+partition verdicts under shuffled components."""
+
+from functools import cache
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from nacent import (
     Subgroup,
-    build,
     center,
     exponent,
     from_permutations,
+    is_elementary_partition,
+    is_frobenius_partition,
+    is_nonsimple_partition,
     is_normal,
+    is_normal_partition,
 )
-from nacent.partitions import _sorted_components
+from nacent.partitions import Partition
 from nacent.subgroups import conjugates, generated_mask
 from oracles import centralizer
+from test_fast_paths import catalog_partitions
 
 
 def permutations_of(n):
@@ -100,20 +107,25 @@ def test_intersection_is_subgroup(G, data):
     assert inter.member_bool()[G.table[np.ix_(mem, mem)]].all()
 
 
-def masks_of_width(n):
-    """Bitsets over n elements, some of them all of one size, so that the
-    order among equal sizes is exercised."""
-    half = st.sets(st.integers(0, n - 1), min_size=n // 2, max_size=n // 2)
-    return st.lists(st.integers(1, 2**n - 1) | half.map(lambda s: sum(1 << i for i in s) | 1),
-                    max_size=12)
+@cache
+def partitions(flagship):
+    return catalog_partitions(flagship)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 70).flatmap(lambda n: st.tuples(st.just(n), masks_of_width(n))))
-def test_component_order_is_size_then_members(case):
-    # widths that are not a multiple of 8 leave padding bits in the last byte
-    n, masks = case
-    G = build(f"cyclic({n})")
-    comps = [Subgroup(G, m) for m in masks]
-    want = sorted(comps, key=lambda c: (c.size, tuple(c.members())))
-    assert list(_sorted_components(comps)) == want
+def verdicts(part):
+    witness = is_nonsimple_partition(part)
+    elem = is_elementary_partition(part)
+    return (is_normal_partition(part), witness and witness.mask,
+            elem and (elem[0].mask, elem[1]), is_frobenius_partition(part))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_partition_verdicts_ignore_component_order(flagship, rnd):
+    # every catalog and hand-built partition, its components shuffled; in
+    # most draws S3's kernel is not listed last
+    for spec, part in partitions(flagship):
+        comps = list(part.components)
+        rnd.shuffle(comps)
+        shuffled = Partition(quotient=part.quotient, components=tuple(comps))
+        assert verdicts(shuffled) == verdicts(part), spec
