@@ -400,15 +400,16 @@ def _loop_generators(table: np.ndarray, ladder: np.ndarray) -> tuple[int, ...]:
 
     The greedy pass adds the least unreached element until all are reached;
     then each generator, in that order, is dropped if the others still
-    reach every element. Reached means in the closure of {0} under right
-    multiplication by the generators and their ladders; only the identity
-    at 0 is assumed, not the group laws.
+    reach every element. The last is not tested: it lies outside what those
+    before it reach, so it is always kept. Reached means in the closure of
+    {0} under right multiplication by the generators and their ladders;
+    only the identity at 0 is assumed, not the group laws.
     """
     n = table.shape[0]
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
     gens = _extend_closure(table, ladder, reached, (), np.arange(n))
-    for x in list(gens):
+    for x in gens[:-1]:
         rest = [g for g in gens if g != x]
         reached[1:] = False
         _extend_closure(table, ladder, reached, (), rest)

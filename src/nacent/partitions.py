@@ -8,8 +8,9 @@ explicitly given component lists; nothing is assumed to exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import takewhile
+from operator import or_
 
 import numpy as np
 
@@ -20,7 +21,9 @@ from .subgroups import (
     QuotientMap,
     Subgroup,
     _class_walk,
+    _commutator_mask,
     _normal_closure_mask,
+    bool_of,
     center,
     centralizer_table,
     conjugacy_classes,
@@ -29,14 +32,12 @@ from .subgroups import (
     cyclic_span_mask,
     generated_mask,
     indices_of,
-    is_normal,
     mask_of_bool,
     quotient,
 )
 
-# Normal-subgroup enumeration works on the conjugacy-class join lattice and
-# is refused above this order; the partition tests then take the normal
-# closures of the components as their candidates instead.
+# `normal_subgroups` enumerates on the conjugacy-class join lattice and is
+# refused above this order; the partition tests do not enumerate.
 NORMAL_ENUM_CAP = 2000
 
 
@@ -236,51 +237,81 @@ def is_normal_partition(partition: Partition) -> bool:
     return all(masks.issuperset(orbit) for orbit in _component_orbits(partition.quotient, masks))
 
 
-@memoized
-def _normal_candidate_masks(Q: FiniteGroup, comp_masks: frozenset[int]) -> tuple[int, ...]:
-    """Bitsets of the proper non-trivial normal subgroups to test a
-    partition against, ordered by (size, mask).
-
-    All of them up to NORMAL_ENUM_CAP; above it, the normal closures of the
-    components (a normal component is its own closure), one per orbit of
-    the components under conjugation, since conjugate components have one
-    closure. Both are normal by construction.
-    """
-    if Q.order <= NORMAL_ENUM_CAP:
-        masks = {N.mask for N in normal_subgroups(Q)}
-    else:
-        masks = {normal_closure_mask(Q, orbit[0]) for orbit in _component_orbits(Q, comp_masks)}
-    full = (1 << Q.order) - 1
-    return tuple(sorted((m for m in masks if 1 < m < full), key=_size_then_mask))
+def _saturation(Q: FiniteGroup, comp_masks: frozenset[int], orbit: tuple[int, ...]) -> int:
+    """The least normal subgroup of Q holding the first component of the
+    orbit with every component inside it or meeting it trivially: close
+    normally, add every component the closure meets, and repeat until
+    nothing is added. A normal component (an orbit of one) meets no other
+    component, so it is its own saturation."""
+    if len(orbit) == 1:
+        return orbit[0]
+    N, grown = 0, orbit[0]
+    while grown != N:
+        N = normal_closure_mask(Q, grown)
+        grown = reduce(or_, (c for c in comp_masks if c & N != 1), N)
+    return N
 
 
 def is_nonsimple_partition(partition: Partition) -> Subgroup | None:
-    """The first proper normal N, among the candidates, with every
-    component inside N or meeting it trivially, if there is one."""
-    comps = partition.component_masks
-    for N in _normal_candidate_masks(partition.quotient, comps):
-        if all(c & N == 1 or c & ~N == 0 for c in comps):
-            return Subgroup(partition.quotient, N)
-    return None
+    """The least proper normal N, by (size, mask), with every component
+    inside N or meeting it trivially, if there is one.
+
+    Such an N is the union of the components it holds, and these N are
+    closed under intersection, so N holds the saturation of each of its
+    components (`_saturation`), and the least N is the least saturation
+    that is proper. Conjugate components have one saturation, which holds
+    their whole orbit: one saturation per orbit is taken, in ascending size
+    of the orbit's union, until that union outgrows the best one found.
+    """
+    Q, comps = partition.quotient, partition.component_masks
+    full = (1 << Q.order) - 1
+    best = None
+    unions = [(reduce(or_, orbit), orbit) for orbit in _component_orbits(Q, comps)]
+    for union, orbit in sorted(unions, key=lambda u: _size_then_mask(u[0])):
+        if best is not None and union.bit_count() > best.bit_count():
+            break
+        N = _saturation(Q, comps, orbit)
+        if N != full and (best is None or _size_then_mask(N) < _size_then_mask(best)):
+            best = N
+    return None if best is None else Subgroup(Q, best)
 
 
 def is_elementary_partition(partition: Partition) -> tuple[Subgroup, int] | None:
-    """A normal K of prime index p, least p first, with every cyclic
-    subgroup outside K of order p and itself a component, if one exists.
+    """A non-trivial normal K of prime index p, least p first, with every
+    cyclic subgroup outside K of order p and itself a component, if one
+    exists.
 
-    A component of order p holding x is <x>, so this says that K holds
-    every element outside U_p, the union of the components of order p. A
-    trivial partition is never elementary: the candidates are proper.
+    A component of order p holding x is <x>, so this says that K holds S,
+    the elements outside U_p, the union of the components of order p. Then
+    K holds M = <S^Q, Q', Q^p>, since Q/K has order p; and when M != Q,
+    Q/M is elementary abelian, so M grown by least elements to index p is
+    such a K, normal since it holds Q'. M is S with the identity when that
+    is a normal component, and Q' and Q^p join the normal closure only when
+    its index is not already p. A trivial partition is never elementary.
     """
     Q, comps = partition.quotient, partition.component_masks
+    n = Q.order
     unions: dict[int, int] = {}  # size -> union of the components of that size
     for c in comps:
         unions[c.bit_count()] = unions.get(c.bit_count(), 0) | c
-    for p in primes_dividing(Q.order):
-        outside = (1 << Q.order) - 1 & ~unions.get(p, 0)
-        for K in _normal_candidate_masks(Q, comps):
-            if K.bit_count() == Q.order // p and outside & ~K == 0:
-                return Subgroup(Q, K), p
+    normal = {orbit[0] for orbit in _component_orbits(Q, comps) if len(orbit) == 1}
+    for p in primes_dividing(n):
+        k = n // p
+        inside = (1 << n) - 1 & ~unions.get(p, 0) | 1  # S and the identity
+        if k == 1 or inside.bit_count() > k:
+            continue
+        K = inside if inside in normal else normal_closure_mask(Q, inside)
+        if K.bit_count() < k:  # Q' and Q^p join K, then least elements
+            powers = np.zeros(n, dtype=np.int64)  # x^p from the square ladder
+            for j in range(p.bit_length()):
+                if p >> j & 1:
+                    powers = Q.table[powers, Q.ladder[j]]
+            seeds = np.concatenate([indices_of(K | _commutator_mask(Q), n), powers])
+            K = _normal_closure_mask(Q, seeds)
+            while K.bit_count() < k:
+                K = generated_mask(Q, [*indices_of(K, n), int(np.argmin(bool_of(K, n)))])
+        if K.bit_count() == k:
+            return Subgroup(Q, K), p
     return None
 
 
@@ -309,12 +340,17 @@ def is_frobenius_partition(partition: Partition) -> bool:
 
     A Frobenius complement H has |H| dividing |K| - 1, so the kernel K is
     larger than every complement conjugate: in a Frobenius partition it is
-    the unique largest component, and any other component is a complement.
+    the unique largest component, normal, so an orbit of its own among the
+    orbits `is_normal_partition` walks, and the other components are one
+    orbit, the conjugates of a complement.
     """
     Q, masks = partition.quotient, partition.component_masks
-    if len(masks) < 2:
+    orbits = _component_orbits(Q, masks)
+    if len(orbits) != 2:
         return False
-    K = Subgroup(Q, max(masks, key=int.bit_count))
-    H = Subgroup(Q, min(masks - {K.mask}))  # any other component
-    return (is_normal(Q, K) and _validate_frobenius(Q, K, H)
-            and {*conjugates(Q, H.mask), K.mask} == masks)
+    K = max(masks, key=int.bit_count)
+    if (K,) not in orbits:
+        return False
+    complements = orbits[1] if orbits[0] == (K,) else orbits[0]
+    return masks.issuperset(complements) and _validate_frobenius(
+        Q, Subgroup(Q, K), Subgroup(Q, complements[0]))

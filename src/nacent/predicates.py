@@ -92,7 +92,9 @@ def _fitting_mask(G: FiniteGroup) -> int:
     normal and nilpotent, so the growth starts there. Each closure grows a
     copy of F0 with F0's generators, so it adds only x's conjugates. When x
     is not in F, neither is any x^g z with z in Z: x's class times Z, at
-    most n elements (Z lies in C(x)), is set aside at once.
+    most n elements (Z lies in C(x)), is set aside at once. F is nilpotent,
+    the product of its Sylow subgroups, so it is generated by its elements
+    of prime-power order: the others are set aside before the first trial.
     """
     n = G.order
     center = indices_of(center_mask(G), n)
@@ -100,7 +102,10 @@ def _fitting_mask(G: FiniteGroup) -> int:
     inside[0] = True
     gens: list[int] = []  # generate F0, which `inside` holds
     _normal_closure_mask(G, center, inside, gens)
-    done = inside.copy()  # in F0 or set aside
+    prime_power = np.zeros(n, dtype=bool)
+    for p, a in prime_factorization(n):
+        prime_power |= p**a % G.orders == 0  # the orders dividing p^a
+    done = inside | ~prime_power  # in F0 or set aside
     while not done.all():
         x = int(np.argmin(done))
         grown, grown_gens = inside.copy(), gens.copy()

@@ -243,11 +243,12 @@ def _abelian_flags(t: np.ndarray, witnesses, rows: np.ndarray,
     # (c, e): the witness of class e lies in C(witness of tested class c)
     cs, es = np.nonzero(t[tw[:, None], wit] == t[wit[:, None], tw].T)
     abelian = np.ones(tested.size, dtype=bool)
-    block = max(1, BLOCK_CELLS // rows.shape[1])
+    block = max(1, BLOCK_CELLS // (4 * rows.shape[1]))
     for start in range(0, cs.size, block):
         c, e = cs[start:start + block], es[start:start + block]
-        outside = (rows[tested[c]] & ~rows[e]).any(axis=1)  # C(x_c) not inside C(x_e)
-        abelian[c[outside]] = False
+        beyond = np.invert(rows[e])
+        beyond &= rows[tested[c]]
+        abelian[c[beyond.any(axis=1)]] = False  # C(x_c) not inside C(x_e)
     return abelian
 
 

@@ -1,5 +1,7 @@
 """Partition predicates, the Frobenius-partition test among them."""
 
+from functools import cache
+
 import pytest
 
 import nacent.partitions
@@ -10,6 +12,7 @@ from nacent import (
     builtin_catalog,
     center,
     centralizer_partition,
+    full_report,
     is_abelian,
     is_elementary_partition,
     is_frobenius_partition,
@@ -30,6 +33,7 @@ from oracles import (
     naive_normal_subgroups,
     table_of,
 )
+from test_fast_paths import witness_sizes
 
 
 def spans_of_order(G, k):
@@ -67,9 +71,15 @@ def naive_cyclic_subgroup_classes(table) -> int:
     return count
 
 
+@cache
+def center_quotient_normals(name):
+    """The normal subgroups of G/Z, by `naive_class_join_normals`."""
+    return naive_class_join_normals(table_of(center_quotient(build(name)).quotient))
+
+
 def test_normal_subgroups_of_every_center_quotient_match_oracle(monkeypatch):
     # every non-abelian group of order <= 200, through the quotient the
-    # partition tests enumerate; each cyclic subgroup class is closed once
+    # partition tests read; each cyclic subgroup class is closed once
     calls = 0
     closed = nacent.partitions.generated_mask
 
@@ -88,12 +98,36 @@ def test_normal_subgroups_of_every_center_quotient_match_oracle(monkeypatch):
         table = table_of(Q)
         calls = 0
         got = {frozenset(s.members().tolist()) for s in normal_subgroups(Q)}
-        assert got == naive_class_join_normals(table), spec.name
+        assert got == center_quotient_normals(spec.name), spec.name
         # distinct normal closures can be fewer: <(12)> and <(1234)> of S4
         # are not conjugate but both close to S4
         assert calls == naive_cyclic_subgroup_classes(table), spec.name
         checked += 1
     assert checked == 187
+
+
+def test_witnesses_of_every_center_quotient_match_oracle():
+    # the non-simple and elementary witnesses of every centralizer
+    # partition of a group of order <= 200 against the definitions
+    got = []
+    for spec in builtin_catalog(200):
+        G = build(spec.name)
+        if is_abelian(G) or (part := centralizer_partition(G)) is None:
+            continue
+        got.append(witness_sizes(part, center_quotient_normals(spec.name)))
+    nonsimple = sum(w is not None for w, _ in got)
+    elementary = sum(e is not None for _, e in got)
+    assert (len(got), nonsimple, elementary) == (179, 178, 173)
+
+
+def test_reports_do_not_enumerate_normal_subgroups(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("normal-subgroup enumeration called")
+
+    monkeypatch.setattr(nacent.partitions, "normal_subgroups", refuse)
+    monkeypatch.setattr(nacent.partitions, "_normal_masks", refuse)
+    for spec in builtin_catalog(200):
+        assert full_report(build(spec.name)).ok, spec.name
 
 
 def test_normal_subgroups_cap():

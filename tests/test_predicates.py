@@ -3,6 +3,7 @@ Hughes subgroups, CA test, and the P x A decomposition."""
 
 import pytest
 
+import nacent.predicates
 from nacent import (
     NotNilpotent,
     build,
@@ -19,6 +20,7 @@ from nacent import (
 from nacent.predicates import primes_dividing
 from nacent.subgroups import Subgroup, generated_mask, is_normal
 from oracles import is_hughes_thompson_type, naive_fitting, table_of
+from test_acceptance import case_a_group_p2, case_a_group_p3
 
 
 def test_prime_factorization():
@@ -89,11 +91,33 @@ def test_fitting_matches_bruteforce_small():
     specs = ["symmetric(3)", "symmetric(4)", "alternating(4)", "dihedral(6)",
              "dicyclic(3)", "sl23", "direct_product(cyclic(2),dihedral(4))",
              "agl1(5)", "heisenberg(3)", "cyclic(30)"]
-    for spec in specs:
-        G = build(spec)
+    cases = [(spec, build(spec)) for spec in specs]
+    cases += [("case A, order 128", case_a_group_p2()), ("case A, order 243", case_a_group_p3())]
+    for spec, G in cases:
         want = naive_fitting(table_of(G))
         got = set(fitting_subgroup(G).members().tolist())
         assert got == want, spec
+
+
+def test_fitting_of_a_direct_product(monkeypatch):
+    # F(A x B) = F(A) x F(B), pairs (a, b) at a * |B| + b; of the 9360
+    # elements, 1440 have prime-power order, and 6 of their trials fail
+    monkeypatch.setenv("NACENT_MAX_ORDER", "9360")
+    calls = 0
+    closure = nacent.predicates._normal_closure_mask
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return closure(*args)
+
+    monkeypatch.setattr(nacent.predicates, "_normal_closure_mask", counted)
+    G = build("direct_product(agl1(13),cyclic(60))")
+    got = set(fitting_subgroup(G).members().tolist())
+    want = {a * 60 + b for a in naive_fitting(table_of(build("agl1(13)")))
+            for b in naive_fitting(table_of(build("cyclic(60)")))}
+    assert len(want) == 780 and got == want
+    assert calls == 7  # Z, then one closure per trial
 
 
 def test_fitting_is_normal_nilpotent(s4):

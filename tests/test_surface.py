@@ -17,7 +17,7 @@ import nacent
 from nacent.cli import REPORT_FIELDS
 
 # exported for users, named in the README, called by no module of the package
-DOCUMENTED_ENTRY_POINTS = ("save_group",)
+DOCUMENTED_ENTRY_POINTS = ("normal_subgroups", "save_group")
 
 SRC = Path(nacent.__file__).resolve().parent
 README = Path(__file__).resolve().parent.parent / "README.md"
