@@ -55,7 +55,6 @@ from .partitions import (
     is_nonsimple_partition,
     is_normal_partition,
     is_partition,
-    normal_subgroups,
 )
 from .predicates import (
     decompose_p_times_abelian,

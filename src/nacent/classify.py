@@ -25,7 +25,6 @@ from typing import Any
 from .errors import NotNilpotent, TheoremViolation
 from .groups import FiniteGroup, exponent, memoized
 from .partitions import (
-    NORMAL_ENUM_CAP,
     _validate_frobenius,
     center_quotient,
     centralizer_partition,
@@ -479,7 +478,9 @@ def partition_diagnostics(G: FiniteGroup) -> dict[str, Any]:
     diag["component_sizes"] = sorted(c.size for c in part.components)
     diag["is_normal"] = is_normal_partition(part)
     witness = is_nonsimple_partition(part)
-    diag["normal_enumeration_complete"] = part.quotient.order <= NORMAL_ENUM_CAP
+    # retired field: the cap of the deleted normal-subgroup enumeration, kept
+    # byte-stable until the output change of ROADMAP item 4
+    diag["normal_enumeration_complete"] = part.quotient.order <= 2000
     diag["nonsimple_witness_size"] = witness.size if witness else None
     elem = is_elementary_partition(part)
     diag["elementary"] = {"k_size": elem[0].size, "p": elem[1]} if elem else None

@@ -264,9 +264,9 @@ def _scaled(table: np.ndarray, factor: int, dt: np.dtype) -> np.ndarray:
 def heisenberg(p: int, max_order: int | None = None) -> FiniteGroup:
     """Group of order p^3: triples (x, y, z) mod p with
     (x,y,z)(x',y',z') = (x+x', y+y', z+z'+x*y')."""
+    _guarded(p ** 3, max_order)  # before the primality test, which is slow on huge p
     if not is_prime(p):
         raise InvalidParams(f"heisenberg(p) needs a prime, got {p}")
-    _guarded(p ** 3, max_order)
     n = p ** 3
     return FiniteGroup(_heisenberg_rows(p, 0, n, table_dtype(n)), name=f"heisenberg({p})")
 
@@ -319,12 +319,12 @@ def heisenberg_frobenius(p: int, q: int, max_order: int | None = None) -> Finite
     only the product is validated: an action that were not an automorphism
     would break associativity there, which Light's test rejects.
     """
+    _guarded(p ** 3 * q, max_order)
     if not is_prime(p) or not is_prime(q):
         raise InvalidParams(f"heisenberg_frobenius needs primes, got ({p}, {q})")
     if q == 2 or (p - 1) % q != 0:
         raise InvalidParams(
             f"heisenberg_frobenius needs an odd prime q dividing p-1, got ({p}, {q})")
-    _guarded(p ** 3 * q, max_order)
     lam = _least_of_order(q, p)
     if lam is None:
         raise InvalidParams(f"no element of order {q} mod {p}")
@@ -350,6 +350,7 @@ def heisenberg_frobenius(p: int, q: int, max_order: int | None = None) -> Finite
 def agl1(q: int, max_order: int | None = None) -> FiniteGroup:
     """Affine group of the line over a prime field: semidirect_cyclic(q, q-1),
     where the least unit of order q-1 is the least primitive root mod q."""
+    _guarded(q * (q - 1), max_order)
     if not is_prime(q):
         raise InvalidParams(f"agl1(q) needs a prime, got {q}")
     G = semidirect_cyclic(q, q - 1, max_order=max_order)
@@ -412,7 +413,11 @@ def parse_spec_string(s: str):
     return node
 
 
-def _parse_expr(text: str, pos: int, whole: str):
+def _parse_expr(text: str, pos: int, whole: str, depth: int = 1):
+    # each non-trivial factor at least doubles the order, so no usable spec
+    # nests this deep; the bound keeps the tree walks off the recursion limit
+    if depth > 256:
+        raise ParseError("spec nested more than 256 deep", field=whole)
     while pos < len(text) and text[pos].isspace():
         pos += 1
     m = _NAME_RE.match(text, pos)
@@ -437,7 +442,7 @@ def _parse_expr(text: str, pos: int, whole: str):
                 args.append(int(m.group(0)))
                 pos += m.end()
             else:
-                sub, pos = _parse_expr(text, pos, whole)
+                sub, pos = _parse_expr(text, pos, whole, depth + 1)
                 args.append(sub)
             while pos < len(text) and text[pos].isspace():
                 pos += 1

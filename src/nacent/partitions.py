@@ -14,31 +14,23 @@ from operator import or_
 
 import numpy as np
 
-from .errors import AbelianGroup, OrderLimitExceeded
+from .errors import AbelianGroup
 from .groups import FiniteGroup, memoized
 from .predicates import is_abelian, primes_dividing
 from .subgroups import (
     QuotientMap,
     Subgroup,
-    _class_walk,
     _commutator_mask,
     _normal_closure_mask,
     bool_of,
     center,
     centralizer_table,
-    conjugacy_classes,
     conjugates,
     coset_leaders,
-    cyclic_span_mask,
     generated_mask,
     indices_of,
-    mask_of_bool,
     quotient,
 )
-
-# `normal_subgroups` enumerates on the conjugacy-class join lattice and is
-# refused above this order; the partition tests do not enumerate.
-NORMAL_ENUM_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -73,65 +65,6 @@ def _center_quotient_parts(G: FiniteGroup) -> tuple[FiniteGroup | None, np.ndarr
     own memo, so it is freed by reference counting."""
     qm = quotient(G, center(G))
     return (None if qm.quotient is G else qm.quotient), qm.projection
-
-
-# ---------------------------------------------------------------------------
-# normal-subgroup enumeration
-
-
-def normal_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
-    """All normal subgroups, ordered by (size, mask)."""
-    return tuple(Subgroup(G, m) for m in _normal_masks(G))
-
-
-@memoized
-def _normal_masks(G: FiniteGroup) -> tuple[int, ...]:
-    """Bitsets of all normal subgroups, via joins of conjugacy-class closures.
-
-    Every normal subgroup is a union of conjugacy classes and equals the
-    join of the closures of the classes it contains, so closing the class
-    closures under pairwise join enumerates them all. The classes of the
-    generators of one cyclic subgroup <x>, the members of <x> of order
-    o(x), have one closure, that of <x>, so one class of each such group
-    is closed. Raises OrderLimitExceeded above NORMAL_ENUM_CAP, before any
-    work.
-    """
-    if G.order > NORMAL_ENUM_CAP:
-        raise OrderLimitExceeded(f"normal-subgroup enumeration capped at order "
-                                 f"{NORMAL_ENUM_CAP}, group has {G.order}")
-    rep = _class_walk(G)[0]
-    orders = G.orders
-    atoms = []
-    reached: set[int] = set()  # representatives of the classes already closed
-    for cls in conjugacy_classes(G):
-        x = cls[0]
-        if x in reached:
-            continue
-        span = indices_of(cyclic_span_mask(G, x), G.order)
-        reached.update(rep[span[orders[span] == orders[x]]].tolist())
-        atoms.append(generated_mask(G, cls))
-    join_memo: dict[int, int] = {1: 1}
-
-    def join(m1: int, m2: int) -> int:
-        # both are normal, so their join is the larger when one holds the
-        # other, and otherwise the product set m1 * m2
-        if m2 & ~m1 == 0:
-            return m1
-        if m1 & ~m2 == 0:
-            return m2
-        key = m1 | m2
-        got = join_memo.get(key)
-        if got is None:
-            member = np.zeros(G.order, dtype=bool)
-            member[G.table[np.ix_(indices_of(m1, G.order), indices_of(m2, G.order))]] = True
-            got = join_memo[key] = mask_of_bool(member)
-        return got
-
-    found = {1}
-    for atom in atoms:
-        new = {join(m, atom) for m in found}
-        found |= new
-    return tuple(sorted(found, key=_size_then_mask))
 
 
 def normal_closure_mask(G: FiniteGroup, mask: int) -> int:

@@ -3,9 +3,9 @@
 Subgroups are bitsets (arbitrary-width Python ints) over the parent's
 element indices, so equality, intersection and deduplication are plain
 integer operations. All functions here are pure; derived structures that
-are expensive to recompute (center, centralizer classes, conjugacy
-classes, the conjugates of a subgroup) are memoized on the parent group;
-its generating set is found when its table is validated.
+are expensive to recompute (center, centralizer classes, class
+representatives, the conjugates of a subgroup) are memoized on the parent
+group; its generating set is found when its table is validated.
 """
 
 from __future__ import annotations
@@ -295,15 +295,6 @@ def generated_mask(G: FiniteGroup, seeds) -> int:
     return mask_of_bool(member)
 
 
-def cyclic_span_mask(G: FiniteGroup, x: int) -> int:
-    m = 1
-    cur = int(x)
-    while cur != 0:
-        m |= 1 << cur
-        cur = int(G.table[cur, x])
-    return m
-
-
 # ---------------------------------------------------------------------------
 # conjugation and normality
 
@@ -424,17 +415,6 @@ def _class_walk(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
         conj[fell] = t[conj[pulled[i, fell]], by[i]]
         rep[fell] = least[fell]
     return rep, conj
-
-
-@memoized
-def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Conjugacy classes as ascending index tuples, ordered by least member:
-    the elements grouped by their `_class_walk` representative."""
-    rep = _class_walk(G)[0]
-    members = np.argsort(rep, kind="stable").tolist()
-    sizes = np.bincount(rep)
-    ends = np.cumsum(sizes[sizes > 0]).tolist()
-    return tuple(tuple(members[a:b]) for a, b in zip([0, *ends], ends))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 import nacent.cli
 from nacent import FiniteGroup, GroupSpec, build, save_group
 from nacent.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, REPORT_FIELDS, _run_one, main
+from test_corpus import nested_spec
 
 
 def run_cli(argv, capsys):
@@ -135,6 +136,17 @@ def test_input_error_leaves_out_empty(tmp_path, capsys):
     code, out, err = run_cli(["analyze", "--out", str(dest), "nosuchgroup(3)"], capsys)
     assert code == EXIT_INPUT and out == "" and err.startswith("error: ")
     assert dest.read_text() == ""
+
+
+def test_deeply_nested_spec_is_input_error(tmp_path, capsys):
+    # one nesting level per direct_product: past the parser's bound it is an
+    # input error, on the command line and in a corpus file alike
+    spec = nested_spec(1200)
+    (tmp_path / "deep.json").write_text(json.dumps({"kind": "construction", "constructor": spec}))
+    for argv in (["analyze", spec], ["verify", "--max-order", "2", "--corpus", str(tmp_path)]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: ") and "nested more than" in err
 
 
 def test_verify_corpus_dir(tmp_path, capsys, s3, q8):

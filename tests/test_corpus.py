@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import nacent.corpus
 from nacent import (
     InvalidAction,
     InvalidParams,
@@ -312,6 +313,34 @@ def test_order_guard():
         build("cyclic(100)", max_order=64)
     with pytest.raises(OrderLimitExceeded):
         build("heisenberg_frobenius(13,3)")  # 6591 over the default guard
+
+
+def test_order_guard_comes_before_the_primality_test(monkeypatch):
+    # trial division of a huge prime runs for minutes; the guard refuses first
+    def refuse(n):
+        raise AssertionError(f"primality of {n} tested")
+
+    monkeypatch.setattr(nacent.corpus, "is_prime", refuse)
+    p = 1000000000000000003
+    for spec in [f"heisenberg({p})", f"agl1({p})", f"heisenberg_frobenius({p},3)"]:
+        with pytest.raises(OrderLimitExceeded):
+            build(spec)
+
+
+def nested_spec(depth):
+    """cyclic(1) multiplied by cyclic(1) `depth` times, one nesting level each."""
+    spec = "cyclic(1)"
+    for _ in range(depth):
+        spec = f"direct_product({spec},cyclic(1))"
+    return spec
+
+
+def test_deep_spec_nesting_is_a_parse_error():
+    assert build(nested_spec(200)).order == 1
+    with pytest.raises(ParseError, match="nested more than"):
+        parse_spec_string(nested_spec(1200))
+    with pytest.raises(ParseError, match="nested more than"):
+        GroupSpec(nested_spec(1200))
 
 
 def test_order_guard_env(monkeypatch):

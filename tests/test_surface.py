@@ -1,9 +1,10 @@
-"""The package exports no function that its own code leaves unused.
+"""The package defines no function that its own code leaves unused.
 
-Every function `nacent` exports is either used by a module of the package
-(a name loaded, an attribute read or a name imported, outside
-`__init__.py`) or a documented entry point that no module calls. A
-function that only tests reach belongs in `tests/oracles.py` or nowhere.
+Every module-level function of the package is either used by a module of
+the package (a name loaded, an attribute read or a name imported, outside
+`__init__.py` and outside the function's own body) or an exported,
+documented entry point that no module calls. A function that only tests
+reach belongs in `tests/oracles.py` or nowhere.
 Every exported error type is raised by some module, and no module but
 `__init__.py` imports a name it never uses.
 """
@@ -17,7 +18,7 @@ import nacent
 from nacent.cli import REPORT_FIELDS
 
 # exported for users, named in the README, called by no module of the package
-DOCUMENTED_ENTRY_POINTS = ("normal_subgroups", "save_group")
+DOCUMENTED_ENTRY_POINTS = ("save_group",)
 
 SRC = Path(nacent.__file__).resolve().parent
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -31,18 +32,23 @@ def package_modules():
 
 def names_used_by_the_package() -> set[str]:
     """Names the modules other than `__init__.py` refer to; a function's own
-    definition is not a reference to it."""
+    definition, and its calls to itself, are no reference to it."""
     used: set[str] = set()
     for name, tree in package_modules():
         if name == "__init__.py":
             continue
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
+        for top in tree.body:
+            refs = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    refs.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    refs.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    refs.update(alias.name for alias in node.names)
+            if isinstance(top, ast.FunctionDef):
+                refs.discard(top.name)
+            used |= refs
     return used
 
 
@@ -51,6 +57,17 @@ def test_every_exported_function_is_used_or_documented():
                 if inspect.isfunction(obj) and not name.startswith("_")}
     unused = exported - names_used_by_the_package() - set(DOCUMENTED_ENTRY_POINTS)
     assert sorted(unused) == []
+
+
+def test_every_unexported_function_is_used():
+    """A module-level function, private or not, that `nacent` does not
+    export has no caller but the package, so a helper fails here once its
+    last caller goes."""
+    used = names_used_by_the_package()
+    unused = [f"{name}: {node.name}" for name, tree in package_modules() for node in tree.body
+              if isinstance(node, ast.FunctionDef)
+              and node.name not in vars(nacent) and node.name not in used]
+    assert unused == []
 
 
 def test_every_exported_error_is_raised():
