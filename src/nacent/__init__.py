@@ -7,12 +7,7 @@ non-abelian centralizers into three structural cases over the central
 quotient, and verifies the derived consequences across a built-in corpus.
 """
 
-from .classify import (
-    Classification,
-    VerificationReport,
-    classify,
-    full_report,
-)
+from .classify import VerificationReport, full_report
 from .corpus import (
     GroupSpec,
     agl1,
@@ -44,7 +39,6 @@ from .errors import (
     OrderLimitExceeded,
     ParentMismatch,
     ParseError,
-    TheoremViolation,
 )
 from .groups import FiniteGroup, exponent, from_cayley_table, from_permutations
 from .partitions import (

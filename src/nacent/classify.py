@@ -6,15 +6,17 @@ non-abelian centralizers are its non-abelian classes, and C(x) is
 `masks[elem_class[x]]`. The facts about C(a) itself (|Cent(C(a))|, its
 CA flag, its P x A split) are read from the same table through
 `subgroups.subgroup_centralizers`, without tabling C(a) on its own.
-`classify` sorts a group into abelian / CA /
-two-nacent (with a structural case) / many-nacent.
 
-Reports come from one pipeline: a base report with `classify` applied once,
-then the steps that check both directions of the case characterization
-(`_check_iff`), the derived structural facts of a two-nacent group
-(`_check_consequences`) and the centralizer partition of G/Z
-(`partition_diagnostics`), each writing into that same report.
-`full_report`, the one report entry point, runs every step.
+`full_report` is the one entry point and makes one pass. It reads the
+category (abelian / CA / two-nacent / many-nacent) from the number of
+non-abelian centralizers alone, and tests the three structural cases
+(`evaluate_cases`) once for every candidate a, a witness of a proper
+non-abelian centralizer. Both directions of the characterization follow
+from those two facts. For a two-nacent group with a matching case it
+records the case, the structural facts every such group has, and
+consequences (a)-(f); for every group the centralizer partition of G/Z
+(`partition_diagnostics`). A failed direction, fact or consequence is a
+violation in the report, never an exception.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Any
 
-from .errors import NotNilpotent, TheoremViolation
+from .errors import NotNilpotent
 from .groups import FiniteGroup, exponent, memoized
 from .partitions import (
     _validate_frobenius,
@@ -167,16 +169,11 @@ def evaluate_cases(G: FiniteGroup, a: int) -> tuple[CaseCheck, ...]:
 def _cyclic_complement_witness(G, ct, qm, img_ca, outer) -> int | None:
     """Least x outside C(a) whose centralizer image is a valid cyclic
     complement, trying the witnesses of the outside classes in ascending
-    order."""
-    Q = qm.quotient
-    m = Q.order // img_ca.size
+    order. `_validate_frobenius` rejects a wrong order or a non-trivial
+    meet with the kernel first."""
     for c in outer:
         img_cx = qm.image(Subgroup(G, ct.masks[c]))
-        if img_cx.size != m or not is_cyclic(img_cx):
-            continue
-        if img_cx.mask & img_ca.mask != 1:
-            continue
-        if _validate_frobenius(Q, img_ca, img_cx):
+        if is_cyclic(img_cx) and _validate_frobenius(qm.quotient, img_ca, img_cx):
             return ct.witnesses[c]
     return None
 
@@ -185,98 +182,17 @@ def _cyclic_complement_witness(G, ct, qm, img_ca, outer) -> int | None:
 # classification
 
 
-@dataclass(frozen=True)
-class Classification:
-    """Category of a group under the centralizer-structure taxonomy."""
-
-    category: str
-    case: str | None = None
-    witness_a: int | None = None
-    nacent_count: int = 0
-    matched_cases: tuple[str, ...] = ()
-    case_data: dict[str, Any] = field(default_factory=dict)
-    validation: dict[str, bool] = field(default_factory=dict)
-
-
 def _candidates(ct: CentralizerTable) -> list[int]:
     """Witnesses of the non-abelian classes other than class 0, which is
     C(1) = G: the witnesses of the proper non-abelian centralizers."""
     return [w for w, ab in zip(ct.witnesses[1:], ct.abelian[1:]) if not ab]
 
 
-def _matches(G: FiniteGroup, ct: CentralizerTable) -> list[tuple[int, str]]:
-    """(a, case) for each candidate a and each case whose full hypothesis
+def _matches(G: FiniteGroup, ct: CentralizerTable) -> list[tuple[int, CaseCheck]]:
+    """(a, check) for each candidate a and each case whose full hypothesis
     holds for it, in candidate order, then case order."""
-    return [(a, check.name) for a in _candidates(ct)
+    return [(a, check) for a in _candidates(ct)
             for check in evaluate_cases(G, a) if check.matched]
-
-
-@memoized
-def classify(G: FiniteGroup) -> Classification:
-    """Sort G into abelian / CA / two-nacent (case A, B or C) / many-nacent.
-
-    Raises TheoremViolation when exactly two non-abelian centralizers
-    exist but no structural case matches: that would contradict the
-    verified characterization, so it is an error, not a category.
-    """
-    ct = centralizer_table(G)
-    nac = ct.abelian.count(False)
-    if is_abelian(G):
-        return Classification(category=CATEGORY_ABELIAN, nacent_count=0)
-    if nac == 1:
-        return Classification(category=CATEGORY_CA, nacent_count=1)
-    if nac != 2:
-        # converse guard: a fully matching case hypothesis would force
-        # exactly two non-abelian centralizers
-        matches = _matches(G, ct)
-        if matches:
-            a, name = matches[0]
-            raise TheoremViolation(
-                f"{G.name!r}: case {name} hypothesis holds for "
-                f"a={a} but |nacent| = {nac}",
-                direction="converse")
-        return Classification(category=CATEGORY_MANY_NACENT, nacent_count=nac)
-
-    # G is non-abelian, so C(1) = G is one of the two
-    (a,) = _candidates(ct)
-    Ca = Subgroup(G, ct.masks[ct.elem_class[a]])
-    cases = evaluate_cases(G, a)
-    matched = tuple(c.name for c in cases if c.matched)
-    if not matched:
-        raise TheoremViolation(
-            f"{G.name!r}: |nacent| = 2 but no structural case matches")
-    # The Hughes-type and Frobenius hypotheses can hold simultaneously; the
-    # case analysis resolves a Frobenius central quotient first, so C takes
-    # precedence over B. A p-group quotient excludes both other cases.
-    by_name = {c.name: c for c in cases}
-    first = next(by_name[name] for name in ("A", "C", "B") if by_name[name].matched)
-    case_data = dict(first.data)
-    case_data["ca_size"] = Ca.size
-    validation = _two_nacent_validation(G, ct, Ca)
-    return Classification(
-        category=CATEGORY_TWO_NACENT,
-        case=first.name,
-        witness_a=a,
-        nacent_count=2,
-        matched_cases=matched,
-        case_data=case_data,
-        validation=validation,
-    )
-
-
-def _two_nacent_validation(G: FiniteGroup, ct: CentralizerTable,
-                           Ca: Subgroup) -> dict[str, bool]:
-    """Structural facts that must hold whenever |nacent| = 2."""
-    z = center_mask(G)
-    inner, outer = _classes_by_side(ct, Ca.mask)
-    out: dict[str, bool] = {}
-    out["ca_normal"] = is_normal(G, Ca)
-    out["inner_centralizers_inside_ca"] = all(
-        ct.masks[c] & ~Ca.mask == 0 for c in inner)
-    outside = [ct.masks[c] for c in outer]
-    out["outside_meet_ca_in_center"] = all(m & Ca.mask == z for m in outside)
-    out["outside_pairwise_meet_in_center"] = _meet_pairwise_in(z, outside)
-    return out
 
 
 def _meet_pairwise_in(z: int, masks) -> bool:
@@ -323,87 +239,53 @@ class VerificationReport:
 _CONSEQUENCE_KEYS = ("a", "b", "c", "d", "e", "f", "normal_ca", "ca_group")
 
 
-def _classified_report(G: FiniteGroup,
-                       group_id: str | None) -> tuple[VerificationReport, Classification | None]:
-    """The base report with `classify` applied: category, case data and
-    failed validations, or the TheoremViolation it raised as a violation."""
-    ct = centralizer_table(G)
-    report = VerificationReport(
-        group_id=group_id or G.name,
-        order=G.order,
-        center_order=center_mask(G).bit_count(),
-        cent_count=len(ct.masks),
-        nacent_count=ct.abelian.count(False),
-        category="",
-        case=None,
-    )
-    try:
-        cls = classify(G)
-    except TheoremViolation as exc:
-        report.category = (CATEGORY_TWO_NACENT if report.nacent_count == 2
-                           else CATEGORY_MANY_NACENT)
-        report.violations.append(f"{exc.direction}: {exc}")
-        return report, None
-    report.category = cls.category
-    report.case = cls.case
-    report.case_data.update(cls.case_data)
-    if cls.category == CATEGORY_TWO_NACENT:
-        report.case_data["witness_a"] = cls.witness_a
-        report.case_data["matched_cases"] = list(cls.matched_cases)
-        report.case_data["validation"] = dict(cls.validation)
-        for name, flag in cls.validation.items():
-            if not flag:
-                report.violations.append(f"validation: {name} failed")
-    return report, cls
+def _two_nacent_report(G: FiniteGroup, ct: CentralizerTable,
+                       matches: list[tuple[int, CaseCheck]],
+                       report: VerificationReport) -> dict[str, Any]:
+    """Write the case, its data, the validation flags and consequences
+    (a)-(f) of a two-nacent group into ``report``, with a violation for each
+    failed flag or consequence, the latter with the orders it was decided
+    on; return the counting record of consequence (a).
 
-
-def _check_iff(G: FiniteGroup, report: VerificationReport,
-               cls: Classification | None) -> None:
-    """Both directions of the characterization, into ``case_data["iff"]``.
-
-    Forward: exactly two non-abelian centralizers implies one of the
-    structural cases matches. Converse: a full case hypothesis holding for
-    any candidate (a witness of a proper non-abelian centralizer) implies
-    exactly two non-abelian centralizers. `classify` raises on a failure of
-    either (``cls`` is then None); |nacent| tells which one failed.
+    ``matches`` are the matched cases of the one candidate a. The
+    Hughes-type and Frobenius hypotheses can hold simultaneously; the case
+    analysis resolves a Frobenius central quotient first, so C takes
+    precedence over B. A p-group quotient excludes both other cases.
     """
-    ct = centralizer_table(G)
-    two = report.nacent_count == 2
-    report.case_data["iff"] = {
-        "forward_ok": cls is not None or not two,
-        "converse_ok": cls is not None or two,
-        "candidates_checked": len(_candidates(ct)),
-        "matched": [{"a": a, "case": name} for a, name in _matches(G, ct)],
-    }
-
-
-def _check_consequences(G: FiniteGroup, report: VerificationReport,
-                        cls: Classification | None) -> None:
-    """The derived structural facts of a two-nacent group, into
-    ``consequences`` and ``case_data["counting"]``. For other categories
-    every consequence is None (not applicable) and there is no counting.
-    Failures are recorded as report violations, each with the orders it
-    was decided on."""
-    report.consequences = {k: None for k in _CONSEQUENCE_KEYS}
-    if cls is None or cls.category != CATEGORY_TWO_NACENT:
-        return
-
-    ct = centralizer_table(G)
-    Ca = Subgroup(G, ct.masks[ct.elem_class[cls.witness_a]])
+    a = matches[0][0]
+    by_name = {check.name: check for _, check in matches}
+    case = next(by_name[name] for name in "ACB" if name in by_name)
+    Ca = Subgroup(G, ct.masks[ct.elem_class[a]])
+    z = center_mask(G)
     qm = center_quotient(G)
     Q = qm.quotient
     img_ca = qm.image(Ca)
+
+    # structural facts that must hold whenever |nacent| = 2
+    inner, outer = _classes_by_side(ct, Ca.mask)
+    outside = [ct.masks[c] for c in outer]
+    validation = {
+        "ca_normal": is_normal(G, Ca),
+        "inner_centralizers_inside_ca": all(ct.masks[c] & ~Ca.mask == 0 for c in inner),
+        "outside_meet_ca_in_center": all(m & Ca.mask == z for m in outside),
+        "outside_pairwise_meet_in_center": _meet_pairwise_in(z, outside),
+    }
+    report.case = case.name
+    report.case_data.update(case.data, ca_size=Ca.size, witness_a=a,
+                            matched_cases=list(by_name), validation=validation)
+    report.violations += [f"validation: {name} failed"
+                          for name, flag in validation.items() if not flag]
     cons = report.consequences
 
     # (a) counting: |Cent(G)| equals |Cent(C(a))| plus the number of
     # outside centralizers plus one, where that number is |G|/p for the
     # Hughes cases and |C(a)/Z| in general.
     cent_ca = len(subgroup_centralizers(G, Ca.mask))
-    p = cls.case_data.get("p")
+    p = case.data.get("p")
     if p is None:
         # Frobenius case: the complement order plays the prime's role when
         # it is one; both formula variants are still reported.
-        comp = cls.case_data.get("complement_size")
+        comp = case.data.get("complement_size")
         if comp and is_prime(comp):
             p = comp
     g_over_p = G.order // p if p else None
@@ -413,7 +295,7 @@ def _check_consequences(G: FiniteGroup, report: VerificationReport,
     cons["a"] = bool(f_k or f_gp)
     evidence = {"a": f"|Cent(G)| = {report.cent_count}, |Cent(C(a))| = {cent_ca}, "
                      f"|C(a)/Z| = {kernel_sz}" + (f", |G|/p = {g_over_p}" if g_over_p else "")}
-    report.case_data["counting"] = {
+    counting = {
         "cent_ca": cent_ca,
         "g_over_p": g_over_p,
         "ca_over_z": kernel_sz,
@@ -445,7 +327,7 @@ def _check_consequences(G: FiniteGroup, report: VerificationReport,
         evidence["e"] = f"C(a) of order {Ca.size} is not nilpotent"
 
     # (f) G/C(a) cyclic (requires normality first)
-    cons["normal_ca"] = is_normal(G, Ca)
+    cons["normal_ca"] = validation["ca_normal"]
     evidence["normal_ca"] = evidence["f"] = f"C(a) of order {Ca.size} is not normal"
     if cons["normal_ca"]:
         top = quotient(G, Ca).quotient
@@ -458,9 +340,9 @@ def _check_consequences(G: FiniteGroup, report: VerificationReport,
     evidence["ca_group"] = (f"C(a) of order {Ca.size} has a non-abelian centralizer "
                             f"of a non-central element")
 
-    for key in _CONSEQUENCE_KEYS:
-        if cons[key] is False:
-            report.violations.append(f"consequence {key} failed: {evidence[key]}")
+    report.violations += [f"consequence {key} failed: {evidence[key]}"
+                          for key in _CONSEQUENCE_KEYS if cons[key] is False]
+    return counting
 
 
 def partition_diagnostics(G: FiniteGroup) -> dict[str, Any]:
@@ -489,12 +371,44 @@ def partition_diagnostics(G: FiniteGroup) -> dict[str, Any]:
 
 
 def full_report(G: FiniteGroup, group_id: str | None = None) -> VerificationReport:
-    """Classification, both characterization directions, consequences and
-    partition diagnostics in one report, from one classification.
+    """Category, both directions of the characterization, the case and its
+    consequences, and the partition diagnostics of G, in one report.
     Violations are recorded in the report, never raised."""
-    report, cls = _classified_report(G, group_id)
-    _check_iff(G, report, cls)
-    _check_consequences(G, report, cls)
-    report.case_data.setdefault("counting", None)
-    report.case_data["partition"] = partition_diagnostics(G)
+    ct = centralizer_table(G)
+    nac = ct.abelian.count(False)
+    matches = _matches(G, ct)
+    report = VerificationReport(
+        group_id=group_id or G.name,
+        order=G.order,
+        center_order=center_mask(G).bit_count(),
+        cent_count=len(ct.masks),
+        nacent_count=nac,
+        # C(1) = G is non-abelian unless G is abelian, and the only
+        # non-abelian centralizer iff G is a CA-group
+        category=(CATEGORY_ABELIAN, CATEGORY_CA, CATEGORY_TWO_NACENT,
+                  CATEGORY_MANY_NACENT)[min(nac, 3)],
+        case=None,
+        consequences=dict.fromkeys(_CONSEQUENCE_KEYS),
+    )
+    # forward: exactly two non-abelian centralizers imply a case match;
+    # converse: a case match for any candidate implies exactly two
+    iff = {
+        "forward_ok": bool(matches) or nac != 2,
+        "converse_ok": nac == 2 or not matches,
+        "candidates_checked": len(_candidates(ct)),
+        "matched": [{"a": a, "case": check.name} for a, check in matches],
+    }
+    counting = None
+    if not iff["forward_ok"]:
+        report.violations.append(
+            f"forward: {G.name!r}: |nacent| = 2 but no structural case matches")
+    elif not iff["converse_ok"]:
+        a, check = matches[0]
+        report.violations.append(
+            f"converse: {G.name!r}: case {check.name} hypothesis holds for "
+            f"a={a} but |nacent| = {nac}")
+    elif nac == 2:
+        counting = _two_nacent_report(G, ct, matches, report)
+    report.case_data.update(iff=iff, counting=counting,
+                            partition=partition_diagnostics(G))
     return report

@@ -407,22 +407,31 @@ _FLAT_BUILDERS = {
 def parse_spec_string(s: str):
     """Parse ``name(arg,...)`` with integer or nested-spec arguments."""
     text = s.strip()
-    node, pos = _parse_expr(text, 0, s)
+    node, pos = _parse_expr(text, 0)
     if text[pos:].strip():
-        raise ParseError(f"trailing input after spec: {text[pos:]!r}", field=s)
+        raise _spec_error("trailing input", text, pos)
     return node
 
 
-def _parse_expr(text: str, pos: int, whole: str, depth: int = 1):
+def _spec_error(problem: str, text: str, pos: int) -> ParseError:
+    """A ParseError naming the position in the spec and showing at most 40
+    characters of it around there, however long the spec is."""
+    start = max(0, min(pos - 20, len(text) - 40))
+    excerpt = ("..." if start else "") + text[start:start + 40] + (
+        "..." if start + 40 < len(text) else "")
+    return ParseError(f"{problem} at position {pos} in spec {excerpt!r}")
+
+
+def _parse_expr(text: str, pos: int, depth: int = 1):
     # each non-trivial factor at least doubles the order, so no usable spec
     # nests this deep; the bound keeps the tree walks off the recursion limit
     if depth > 256:
-        raise ParseError("spec nested more than 256 deep", field=whole)
+        raise _spec_error("spec nested more than 256 deep", text, pos)
     while pos < len(text) and text[pos].isspace():
         pos += 1
     m = _NAME_RE.match(text, pos)
     if not m:
-        raise ParseError(f"expected a constructor name at position {pos}", field=whole)
+        raise _spec_error("expected a constructor name", text, pos)
     name = m.group(0)
     pos = m.end()
     args = []
@@ -436,13 +445,18 @@ def _parse_expr(text: str, pos: int, whole: str, depth: int = 1):
             while pos < len(text) and text[pos].isspace():
                 pos += 1
             if pos >= len(text):
-                raise ParseError("unterminated argument list", field=whole)
-            if text[pos].isdigit():
-                m = re.match(r"\d+", text[pos:])
-                args.append(int(m.group(0)))
-                pos += m.end()
+                raise _spec_error("unterminated argument list", text, pos)
+            # ASCII digits only: str.isdigit also takes '²', which int()
+            # cannot read, and \d takes '٣', which int() reads as 3
+            m = re.compile(r"[0-9]+").match(text, pos)
+            if m:
+                try:
+                    args.append(int(m.group(0)))
+                except ValueError:  # past Python's limit on digits read by int()
+                    raise _spec_error("integer argument too long", text, pos) from None
+                pos = m.end()
             else:
-                sub, pos = _parse_expr(text, pos, whole, depth + 1)
+                sub, pos = _parse_expr(text, pos, depth + 1)
                 args.append(sub)
             while pos < len(text) and text[pos].isspace():
                 pos += 1
@@ -452,7 +466,7 @@ def _parse_expr(text: str, pos: int, whole: str, depth: int = 1):
                 pos += 1
                 break
             else:
-                raise ParseError(f"expected ',' or ')' at position {pos}", field=whole)
+                raise _spec_error("expected ',' or ')'", text, pos)
     return (name, args), pos
 
 

@@ -68,15 +68,3 @@ class ParseError(NacentError):
         loc = "".join(p for p in (path and f"{path}: ", field and f"field '{field}': ") if p)
         super().__init__(loc + message)
 
-
-class TheoremViolation(NacentError):
-    """A group contradicts a verified structural claim.
-
-    `direction` is "forward" (two non-abelian centralizers but no case
-    matches) or "converse" (a case hypothesis holds without two
-    non-abelian centralizers).
-    """
-
-    def __init__(self, message: str, direction: str = "forward"):
-        self.direction = direction
-        super().__init__(message)

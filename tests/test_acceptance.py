@@ -21,7 +21,6 @@ from nacent import (
     builtin_catalog,
     centralizer_partition,
     centralizer_table,
-    classify,
     cyclic,
     from_cayley_table,
     full_report,

@@ -1,8 +1,7 @@
-"""Cent/nacent statistics, classification, and the verification reports."""
+"""Cent/nacent statistics and the verification report: category, case,
+both directions of the characterization and the consequences."""
 
 import json
-
-import pytest
 
 from nacent import (
     FiniteGroup,
@@ -11,7 +10,6 @@ from nacent import (
     builtin_catalog,
     center,
     centralizer_table,
-    classify,
     full_report,
 )
 from nacent.classify import (
@@ -102,31 +100,63 @@ def test_whole_group_always_present(s3, z6):
 
 
 def test_classify_abelian(z6):
-    cls = classify(z6)
-    assert cls.category == CATEGORY_ABELIAN
+    rep = full_report(z6)
+    assert rep.category == CATEGORY_ABELIAN
+    assert rep.nacent_count == 0
 
 
 def test_classify_ca(q8, s3):
-    assert classify(q8).category == CATEGORY_CA
-    assert classify(s3).category == CATEGORY_CA
+    assert full_report(q8).category == CATEGORY_CA
+    assert full_report(s3).category == CATEGORY_CA
 
 
 def test_classify_many(s4):
-    cls = classify(s4)
-    assert cls.category == CATEGORY_MANY_NACENT
-    assert cls.nacent_count > 2
+    rep = full_report(s4)
+    assert rep.category == CATEGORY_MANY_NACENT
+    assert rep.nacent_count > 2
+    assert rep.case is None and "witness_a" not in rep.case_data
 
 
 def test_classify_flagship(flagship):
-    cls = classify(flagship)
-    assert cls.category == CATEGORY_TWO_NACENT
-    assert cls.case == "C"
-    assert cls.case_data["kernel_size"] == 343
-    assert cls.case_data["complement_size"] == 3
-    assert cls.case_data["ca_size"] == 343
-    assert all(cls.validation.values())
-    # the Hughes-type hypothesis also holds here; both matches are recorded
-    assert set(cls.matched_cases) == {"B", "C"}
+    rep = full_report(flagship)
+    assert rep.category == CATEGORY_TWO_NACENT
+    assert rep.case == "C"
+    assert rep.case_data["kernel_size"] == 343
+    assert rep.case_data["complement_size"] == 3
+    assert rep.case_data["ca_size"] == 343
+    assert rep.case_data["witness_a"] == _candidates(centralizer_table(flagship))[0]
+    assert all(rep.case_data["validation"].values())
+    # the Hughes-type hypothesis also holds here; both matches are recorded,
+    # and C takes precedence
+    assert rep.case_data["matched_cases"] == ["B", "C"]
+
+
+def test_full_report_one_pass(monkeypatch):
+    """One report tests the cases once and asks whether C(a) is normal in G
+    once, for the validation flag and consequence f alike. (Z = 1, so case
+    C's own normality test of the image of C(a) in G/Z asks it too; that
+    test is memoized with the case evaluation, run here beforehand.)"""
+    import nacent.classify as mod
+
+    G = build("heisenberg_frobenius(7,3)")
+    (a,) = _candidates(centralizer_table(G))
+    evaluate_cases(G, a)
+    calls = {"matches": 0, "normal_in_G": 0}
+    matches, is_normal = mod._matches, mod.is_normal
+
+    def counting_matches(*args):
+        calls["matches"] += 1
+        return matches(*args)
+
+    def counting_is_normal(H, *args):
+        calls["normal_in_G"] += H is G
+        return is_normal(H, *args)
+
+    monkeypatch.setattr(mod, "_matches", counting_matches)
+    monkeypatch.setattr(mod, "is_normal", counting_is_normal)
+    rep = mod.full_report(G)
+    assert rep.ok and rep.consequences["normal_ca"] is True
+    assert calls == {"matches": 1, "normal_in_G": 1}
 
 
 def test_two_nacent_proof_invariants(flagship):
@@ -134,8 +164,7 @@ def test_two_nacent_proof_invariants(flagship):
     other exactly in the center; each class of equal centralizers lies
     wholly inside C(a) or wholly outside it, on the side of its witness."""
     ct = centralizer_table(flagship)
-    cls = classify(flagship)
-    a = cls.witness_a
+    (a,) = _candidates(ct)
     Ca = Subgroup(flagship, ct.masks[ct.elem_class[a]])
     z = center(flagship)
     assert z.size == 1
@@ -157,7 +186,8 @@ def naive_meet_pairwise_in(z, masks):
 
 def test_pairwise_meet_check_matches_definition(flagship):
     ct = centralizer_table(flagship)
-    Ca = Subgroup(flagship, ct.masks[ct.elem_class[classify(flagship).witness_a]])
+    (a,) = _candidates(ct)
+    Ca = Subgroup(flagship, ct.masks[ct.elem_class[a]])
     z = center(flagship).mask
     outside = sorted({ct.masks[ct.elem_class[x]] for x in range(flagship.order)
                       if not Ca.contains(x)})
@@ -268,8 +298,8 @@ def test_report_fields(s3):
 
 
 def test_evaluate_cases_shapes(flagship):
-    cls = classify(flagship)
-    cases = evaluate_cases(flagship, cls.witness_a)
+    (a,) = _candidates(centralizer_table(flagship))
+    cases = evaluate_cases(flagship, a)
     assert [c.name for c in cases] == ["A", "B", "C"]
     assert not cases[0].matched and cases[1].matched and cases[2].matched
 
@@ -283,27 +313,18 @@ def test_iff_sweep_no_violations_small():
 
 
 def test_classify_converse_guard(monkeypatch):
-    """A fabricated case match on a many-nacent group must raise with the
-    converse direction and land in the report as a violation."""
-    import sys
-    import nacent.classify  # noqa: F401  (binds the submodule in sys.modules)
-    mod = sys.modules["nacent.classify"]
+    """A fabricated case match on a many-nacent group lands in the report
+    as a converse violation naming the first matching candidate."""
+    import nacent.classify as mod
     from nacent.classify import CaseCheck
-    from nacent import TheoremViolation
 
     G = build("symmetric(4)")
     fake = (CaseCheck("A", False, {}, {}), CaseCheck("B", False, {}, {}),
             CaseCheck("C", True, {"forced": True}, {}))
     monkeypatch.setattr(mod, "evaluate_cases", lambda g, a: fake)
-    G._cache.pop(("classify",), None)
-    with pytest.raises(TheoremViolation) as exc:
-        mod.classify(G)
-    assert exc.value.direction == "converse"
-
-    G._cache.pop(("classify",), None)
     rep = mod.full_report(G)
-    assert not rep.ok
-    assert any(v.startswith("converse:") for v in rep.violations)
+    assert rep.violations == [
+        "converse: 'symmetric(4)': case C hypothesis holds for a=5 but |nacent| = 4"]
     assert rep.case_data["iff"]["converse_ok"] is False
     G._cache.clear()
 
@@ -356,27 +377,18 @@ def test_case_b_matches_its_definition(flagship):
 
 
 def test_classify_forward_guard(monkeypatch, flagship):
-    """No case matching on a two-nacent group must raise with the forward
-    direction and land in the report as a violation, with no case and no
-    consequences."""
-    import sys
-    import nacent.classify  # noqa: F401  (binds the submodule in sys.modules)
-    mod = sys.modules["nacent.classify"]
+    """No case matching on a two-nacent group lands in the report as a
+    forward violation, with no case and no consequences."""
+    import nacent.classify as mod
     from nacent.classify import CaseCheck
-    from nacent import TheoremViolation
 
     fake = tuple(CaseCheck(name, False, {}, {}) for name in ("A", "B", "C"))
     monkeypatch.setattr(mod, "evaluate_cases", lambda g, a: fake)
-    flagship._cache.pop(("classify",), None)
-    with pytest.raises(TheoremViolation) as exc:
-        mod.classify(flagship)
-    assert exc.value.direction == "forward"
-
     rep = mod.full_report(flagship)
     assert rep.category == CATEGORY_TWO_NACENT
     assert rep.case is None
-    assert [v for v in rep.violations if v.startswith("forward:")] == rep.violations
-    assert len(rep.violations) == 1
+    assert rep.violations == [
+        "forward: 'heisenberg_frobenius(7,3)': |nacent| = 2 but no structural case matches"]
     assert rep.case_data["iff"]["forward_ok"] is False
     assert rep.case_data["iff"]["converse_ok"] is True
     assert rep.case_data["iff"]["matched"] == []

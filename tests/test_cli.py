@@ -147,6 +147,18 @@ def test_deeply_nested_spec_is_input_error(tmp_path, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == EXIT_INPUT and out == ""
         assert err.startswith("error: ") and "nested more than" in err
+        # the position and a short excerpt, not the 31209-character spec;
+        # the corpus file's path comes on top
+        line = err.replace(str(tmp_path), "")
+        assert err.count("\n") == 1 and len(line.encode()) < 200, line
+
+
+@pytest.mark.parametrize("spec", ["cyclic(\u00b2)", "cyclic(\u0663)"])
+def test_non_ascii_digit_is_input_error(spec, capsys):
+    # '²' passes str.isdigit and '٣' passes int(); neither is a spec digit
+    code, out, err = run_cli(["analyze", spec], capsys)
+    assert code == EXIT_INPUT and out == ""
+    assert err == f"error: expected a constructor name at position 7 in spec {spec!r}\n"
 
 
 def test_verify_corpus_dir(tmp_path, capsys, s3, q8):

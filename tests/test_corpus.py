@@ -302,8 +302,24 @@ def test_spec_parser_errors():
     for bad in ["", "cyclic(", "cyclic(6", "cyclic(6,)", "7up", "cyclic(6)x"]:
         with pytest.raises(ParseError):
             parse_spec_string(bad)
+    # the position and at most 40 characters of the spec around it
+    with pytest.raises(ParseError) as exc:
+        parse_spec_string("cyclic(6)" + "x" * 10000)
+    assert str(exc.value) == ("trailing input at position 9 in spec "
+                              "'cyclic(6)xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx...'")
     with pytest.raises(ParseError):
         build("unknown_thing(3)")
+
+
+def test_spec_parser_takes_ascii_digits_only():
+    # str.isdigit accepts '²' and int() reads '٣' as 3; a spec argument is
+    # [0-9]+, anything else must start a constructor name
+    for bad in ["cyclic(\u00b2)", "cyclic(\u0663)", "cyclic(\uff16)", "cyclic(6\u0663)"]:
+        with pytest.raises(ParseError, match="at position"):
+            parse_spec_string(bad)
+    assert parse_spec_string("cyclic(0123)") == ("cyclic", [123])
+    with pytest.raises(ParseError, match="integer argument too long at position 7"):
+        parse_spec_string("cyclic(" + "7" * 5000 + ")")
     with pytest.raises(InvalidParams):
         build("cyclic(2,3)")
 
@@ -337,8 +353,10 @@ def nested_spec(depth):
 
 def test_deep_spec_nesting_is_a_parse_error():
     assert build(nested_spec(200)).order == 1
-    with pytest.raises(ParseError, match="nested more than"):
+    with pytest.raises(ParseError, match="nested more than") as exc:
         parse_spec_string(nested_spec(1200))
+    assert str(exc.value) == ("spec nested more than 256 deep at position 3840 in spec "
+                              "'...duct(direct_product(direct_product(direc...'")
     with pytest.raises(ParseError, match="nested more than"):
         GroupSpec(nested_spec(1200))
 

@@ -6,7 +6,8 @@ the package (a name loaded, an attribute read or a name imported, outside
 documented entry point that no module calls. A function that only tests
 reach belongs in `tests/oracles.py` or nowhere.
 Every exported error type is raised by some module, and no module but
-`__init__.py` imports a name it never uses.
+`__init__.py` imports a name it never uses. The README's Python example
+runs as written.
 """
 
 import ast
@@ -112,3 +113,11 @@ def test_readme_lists_the_report_fields():
     cli_section = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
     listed = re.search(r"with fields\s+`([^`]*)`", cli_section).group(1)
     assert tuple(name.strip() for name in listed.split(",")) == REPORT_FIELDS
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's Python example runs as written against the package."""
+    (example,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    printed = capsys.readouterr().out
+    assert printed.startswith("{'a': True,"), printed
