@@ -17,9 +17,9 @@ from functools import partial
 from typing import TextIO
 
 from .classify import VerificationReport, full_report
-from .config import order_guard
-from .corpus import GroupSpec, build, builtin_catalog, spec_id
+from .corpus import GroupSpec, build, builtin_catalog, file_group_id
 from .errors import InvalidParams, NacentError, ParseError
+from .groups import order_guard
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -29,7 +29,11 @@ REPORT_FIELDS = tuple(f.name for f in fields(VerificationReport))
 
 
 def _run_one(spec: GroupSpec, max_order: int | None) -> dict:
-    return full_report(build(spec, max_order=max_order), group_id=spec_id(spec)).to_dict()
+    """The report of one spec, keyed by the file id of a file and by the
+    built group's name, its canonical spec, for a construction."""
+    G = build(spec, max_order=max_order)  # first: an unreadable file is a ParseError
+    file_id = file_group_id(spec.path) if spec.kind == "file" else None
+    return full_report(G, group_id=file_id).to_dict()
 
 
 def _run_all(specs: list[GroupSpec], max_order: int | None, parallelism: int) -> list[dict]:

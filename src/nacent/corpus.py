@@ -1,8 +1,9 @@
 """Built-in group constructors, the verification catalog, and file I/O.
 
 Constructions are addressed by spec strings like ``cyclic(6)``,
-``heisenberg_frobenius(7,3)`` or ``direct_product(dicyclic(2),cyclic(3))``;
-the string doubles as the stable group id in reports.
+``heisenberg_frobenius(7,3)`` or ``direct_product(dicyclic(2),cyclic(3))``.
+A constructor names its group by the canonical spelling of its spec, and
+that name is the group's id in reports.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import order_guard
 from .errors import (
     InvalidAction,
     InvalidParams,
@@ -29,6 +29,7 @@ from .groups import (
     _integer_table,
     from_cayley_table,
     from_permutations,
+    order_guard,
     table_dtype,
 )
 from .predicates import is_prime
@@ -41,8 +42,9 @@ class GroupSpec:
     """A buildable group reference: a construction string or a file.
 
     For constructions, `name` is the spec string ("heisenberg(7)", nested
-    products allowed) and is checked against the registered constructors.
-    A file is any group file `load_group` reads, at `path`.
+    products allowed); it is parsed on creation, so an unknown constructor
+    name fails here. A file is any group file `load_group` reads, at
+    `path`, kept as typed: the path is part of the file's report id.
     """
 
     name: str
@@ -55,7 +57,7 @@ class GroupSpec:
         if self.kind != "construction" and not self.path:
             raise InvalidParams(f"kind {self.kind!r} requires a path")
         if self.kind == "construction":
-            _check_known_constructors(parse_spec_string(self.name))
+            parse_spec_string(self.name)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +65,7 @@ class GroupSpec:
 
 
 def _guarded(order: int, max_order: int | None) -> None:
-    limit = order_guard() if max_order is None else max_order
+    limit = order_guard(max_order)
     if order > limit:
         raise OrderLimitExceeded(f"group of order {order} exceeds limit {limit}")
     if order < 1:
@@ -413,13 +415,14 @@ def parse_spec_string(s: str):
     return node
 
 
-def _spec_error(problem: str, text: str, pos: int) -> ParseError:
+def _spec_error(problem: str, text: str, pos: int, **where) -> ParseError:
     """A ParseError naming the position in the spec and showing at most 40
-    characters of it around there, however long the spec is."""
+    characters of it around there, however long the spec is; `where` is the
+    file's path and field, for a spec read from a group file."""
     start = max(0, min(pos - 20, len(text) - 40))
     excerpt = ("..." if start else "") + text[start:start + 40] + (
         "..." if start + 40 < len(text) else "")
-    return ParseError(f"{problem} at position {pos} in spec {excerpt!r}")
+    return ParseError(f"{problem} at position {pos} in spec {excerpt!r}", **where)
 
 
 def _parse_expr(text: str, pos: int, depth: int = 1):
@@ -433,6 +436,8 @@ def _parse_expr(text: str, pos: int, depth: int = 1):
     if not m:
         raise _spec_error("expected a constructor name", text, pos)
     name = m.group(0)
+    if name != "direct_product" and name not in _FLAT_BUILDERS:
+        raise _spec_error("unknown constructor", text, pos)
     pos = m.end()
     args = []
     if pos < len(text) and text[pos] == "(":
@@ -470,25 +475,6 @@ def _parse_expr(text: str, pos: int, depth: int = 1):
     return (name, args), pos
 
 
-def render_spec(node) -> str:
-    name, args = node
-    parts = [str(a) if isinstance(a, int) else render_spec(a) for a in args]
-    return f"{name}({','.join(parts)})" if parts else name
-
-
-def _check_known_constructors(node) -> None:
-    name, args = node
-    if name != "direct_product" and name not in _FLAT_BUILDERS:
-        raise ParseError(f"unknown constructor {name!r}")
-    for a in args:
-        if not isinstance(a, int):
-            _check_known_constructors(a)
-
-
-def build_spec_string(s: str, max_order: int | None = None) -> FiniteGroup:
-    return _build_node(parse_spec_string(s), max_order)
-
-
 def _build_node(node, max_order: int | None) -> FiniteGroup:
     name, args = node
     if name == "direct_product":
@@ -497,10 +483,7 @@ def _build_node(node, max_order: int | None) -> FiniteGroup:
         left = _build_node(args[0], max_order)
         right = _build_node(args[1], max_order)
         return direct_product(left, right, max_order=max_order)
-    entry = _FLAT_BUILDERS.get(name)
-    if entry is None:
-        raise ParseError(f"unknown constructor {name!r}")
-    fn, param_names = entry
+    fn, param_names = _FLAT_BUILDERS[name]
     if len(args) != len(param_names) or any(not isinstance(a, int) for a in args):
         raise InvalidParams(
             f"{name} takes {len(param_names)} integer parameter(s), got {args!r}")
@@ -509,23 +492,14 @@ def _build_node(node, max_order: int | None) -> FiniteGroup:
 
 def build(spec: GroupSpec | str, max_order: int | None = None) -> FiniteGroup:
     """Build a group from a spec string, GroupSpec or file reference."""
-    if isinstance(spec, str):
-        return build_spec_string(spec, max_order)
-    if spec.kind == "construction":
-        return build_spec_string(spec.name, max_order)
-    return load_group(spec.path, max_order=max_order)
-
-
-def spec_id(spec: GroupSpec | str) -> str:
-    """Stable report id: the spec string, or path plus content hash."""
-    if isinstance(spec, str):
-        return render_spec(parse_spec_string(spec))
-    if spec.kind == "construction":
-        return render_spec(parse_spec_string(spec.name))
-    return file_group_id(spec.path)
+    if isinstance(spec, GroupSpec) and spec.kind == "file":
+        return load_group(spec.path, max_order=max_order)
+    return _build_node(parse_spec_string(spec if isinstance(spec, str) else spec.name),
+                       max_order)
 
 
 def file_group_id(path: str) -> str:
+    """Report id of a group file: the path as typed plus a content hash."""
     import hashlib  # maps OpenSSL's libcrypto, which only file specs need
 
     digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()[:12]
@@ -536,11 +510,11 @@ def file_group_id(path: str) -> str:
 # catalog
 
 
+# (spec, order) of the factors of the catalog's direct products
 DIRECT_PRODUCT_PRIMARIES = (
-    "cyclic(2)", "cyclic(3)", "cyclic(4)", "cyclic(5)",
-    "symmetric(3)", "dihedral(4)", "dicyclic(2)", "heisenberg(3)",
+    ("cyclic(2)", 2), ("cyclic(3)", 3), ("cyclic(4)", 4), ("cyclic(5)", 5),
+    ("symmetric(3)", 6), ("dihedral(4)", 8), ("dicyclic(2)", 8), ("heisenberg(3)", 27),
 )
-_PRIMARY_ORDERS = (2, 3, 4, 5, 6, 8, 8, 27)
 
 SEMIDIRECT_CYCLIC_SET = ((5, 2), (7, 3), (9, 3), (13, 4), (16, 2))
 
@@ -573,17 +547,11 @@ def builtin_catalog(max_order: int) -> list[GroupSpec]:
     for n, k in SEMIDIRECT_CYCLIC_SET:
         if n * k <= max_order:
             specs.append(f"semidirect_cyclic({n},{k})")
-    for i, left in enumerate(DIRECT_PRODUCT_PRIMARIES):
-        for j in range(i, len(DIRECT_PRODUCT_PRIMARIES)):
-            if _PRIMARY_ORDERS[i] * _PRIMARY_ORDERS[j] <= max_order:
-                specs.append(f"direct_product({left},{DIRECT_PRODUCT_PRIMARIES[j]})")
-    seen = set()
-    out = []
-    for s in specs:
-        if s not in seen:
-            seen.add(s)
-            out.append(GroupSpec(name=s))
-    return out
+    for i, (left, m) in enumerate(DIRECT_PRODUCT_PRIMARIES):
+        for right, k in DIRECT_PRODUCT_PRIMARIES[i:]:
+            if m * k <= max_order:
+                specs.append(f"direct_product({left},{right})")
+    return [GroupSpec(name=s) for s in specs]
 
 
 # ---------------------------------------------------------------------------
@@ -651,18 +619,17 @@ def load_group(path: str | Path, max_order: int | None = None) -> FiniteGroup:
             if not all(_is_json_int(v) for v in params.values()):
                 raise ParseError("parameter values must be integers",
                                  path=str(path), field="params")
-            entry = _FLAT_BUILDERS.get(ctor)
-            if entry is None:
-                raise ParseError(f"unknown constructor {ctor!r}",
-                                 path=str(path), field="constructor")
-            declared = entry[1]
+            if ctor not in _FLAT_BUILDERS:
+                raise _spec_error("unknown constructor", ctor, 0,
+                                  path=str(path), field="constructor")
+            declared = _FLAT_BUILDERS[ctor][1]
             if set(params) != set(declared):
                 raise ParseError(
                     f"constructor {ctor!r} expects parameters {list(declared)}, "
                     f"got {sorted(params)}", path=str(path), field="params")
             call = f"{ctor}({','.join(str(params[k]) for k in declared)})"
         try:
-            g = build_spec_string(call, max_order=max_order)
+            g = build(call, max_order=max_order)
         except ParseError as exc:
             raise ParseError(f"bad constructor spec: {exc}",
                              path=str(path), field="constructor")

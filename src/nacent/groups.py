@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from typing import Sequence
 
 import numpy as np
 
-from .config import order_guard
-from .errors import InvalidPermutation, NotAGroup, OrderLimitExceeded
+from .errors import InvalidParams, InvalidPermutation, NotAGroup, OrderLimitExceeded
 
 # Whole-table passes work in row blocks of at most this many cells; those
 # over rows of the table take BLOCK_CELLS // (4 n) rows, about 1M cells (2 MB
@@ -74,6 +74,23 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
+def order_guard(max_order: int | None = None) -> int:
+    """The largest group order a construction materializes: `max_order`
+    when given, else the environment variable NACENT_MAX_ORDER, else 5000.
+
+    Raises InvalidParams when NACENT_MAX_ORDER is read and set to anything
+    but a positive integer.
+    """
+    if max_order is not None:
+        return max_order
+    raw = os.environ.get("NACENT_MAX_ORDER")
+    if not raw:
+        return 5000
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise InvalidParams(f"NACENT_MAX_ORDER must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def table_dtype(n: int) -> np.dtype:
     """The narrowest signed integer type holding 0..n-1, in which tables,
     inverses, ladders and projections onto a group of order n are stored."""
@@ -123,7 +140,7 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray,
     n = arr.shape[0]
     if n == 0:
         raise NotAGroup("shape", (), "empty table")
-    limit = order_guard() if max_order is None else max_order
+    limit = order_guard(max_order)
     if n > limit:
         raise OrderLimitExceeded(f"table order {n} exceeds limit {limit}")
     if arr.min() < 0 or arr.max() >= n:
@@ -190,7 +207,7 @@ def from_permutations(generators: Sequence[Sequence[int]],
         degree = max(degree, len(p))
     if any(len(p) != degree for p in gens):
         raise InvalidPermutation("generators act on different numbers of points")
-    limit = order_guard() if max_order is None else max_order
+    limit = order_guard(max_order)
 
     ident = tuple(range(degree))
     elems = [ident]

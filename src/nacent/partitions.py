@@ -15,7 +15,7 @@ from operator import or_
 import numpy as np
 
 from .errors import AbelianGroup
-from .groups import FiniteGroup, memoized
+from .groups import FiniteGroup, _ladder_power, memoized
 from .predicates import is_abelian, primes_dividing
 from .subgroups import (
     QuotientMap,
@@ -235,10 +235,7 @@ def is_elementary_partition(partition: Partition) -> tuple[Subgroup, int] | None
             continue
         K = inside if inside in normal else normal_closure_mask(Q, inside)
         if K.bit_count() < k:  # Q' and Q^p join K, then least elements
-            powers = np.zeros(n, dtype=np.int64)  # x^p from the square ladder
-            for j in range(p.bit_length()):
-                if p >> j & 1:
-                    powers = Q.table[powers, Q.ladder[j]]
+            powers = _ladder_power(Q.table, Q.ladder, np.arange(n), p)  # p < 2^len(ladder)
             seeds = np.concatenate([indices_of(K | _commutator_mask(Q), n), powers])
             K = _normal_closure_mask(Q, seeds)
             while K.bit_count() < k:

@@ -325,18 +325,17 @@ def conjugates(G: FiniteGroup, mask: int) -> tuple[int, ...]:
     return tuple(mask_of(row) for row in rows.tolist())
 
 
-def is_normal(G: FiniteGroup, H: Subgroup, exhaustive: bool = False) -> bool:
+def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
     """True iff g^-1 H g = H for all g.
 
     Checks the conjugates of H by the generators of G only, which suffices
-    because the elements normalizing H form a subgroup; `exhaustive=True`
-    forces the definitional scan over every element. A conjugate has the
+    because the elements normalizing H form a subgroup. A conjugate has the
     size of H, so it equals H iff it lies inside H.
     """
     if H.mask == 1 or H.is_whole():
         return True
     inside = H.member_bool()
-    rows = conjugation_rows(G, np.nonzero(inside)[0], by=None if exhaustive else G.generators)
+    rows = conjugation_rows(G, np.nonzero(inside)[0], by=G.generators)
     return bool(inside[rows].all())
 
 

@@ -11,6 +11,7 @@ import pytest
 import nacent.cli
 from nacent import FiniteGroup, GroupSpec, build, save_group
 from nacent.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, REPORT_FIELDS, _run_one, main
+from nacent.corpus import _FLAT_BUILDERS, parse_spec_string
 from test_corpus import nested_spec
 
 
@@ -151,6 +152,46 @@ def test_deeply_nested_spec_is_input_error(tmp_path, capsys):
         # the corpus file's path comes on top
         line = err.replace(str(tmp_path), "")
         assert err.count("\n") == 1 and len(line.encode()) < 200, line
+
+
+def test_unknown_constructor_is_a_short_input_error(tmp_path, monkeypatch, capsys):
+    # a 30000-letter name gives one short line, on the command line and in
+    # a construction file, with and without params
+    name = "x" * 30000
+    monkeypatch.chdir(tmp_path)
+    for i, payload in enumerate([{"constructor": name}, {"constructor": name, "params": {"n": 3}}]):
+        with open(f"g{i}.json", "w") as f:
+            json.dump({"kind": "construction", **payload}, f)
+    for ref in (name, "g0.json", "g1.json"):
+        code, out, err = run_cli(["analyze", ref], capsys)
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: ") and "unknown constructor" in err
+        assert err.count("\n") == 1 and len(err.encode()) < 200, err
+
+
+# one non-canonical spelling (spaces, leading zeros) per constructor
+SPELLINGS = {
+    "cyclic( 06 )": "cyclic(6)",
+    " dihedral(04)": "dihedral(4)",
+    "dicyclic( 2 ) ": "dicyclic(2)",
+    "symmetric(03)": "symmetric(3)",
+    "alternating( 4)": "alternating(4)",
+    "heisenberg(003)": "heisenberg(3)",
+    "heisenberg_frobenius( 7 , 03 )": "heisenberg_frobenius(7,3)",
+    "agl1(05)": "agl1(5)",
+    "semidirect_cyclic( 05 ,2)": "semidirect_cyclic(5,2)",
+    "sl23( )": "sl23",
+    "direct_product( cyclic(02) , direct_product(dicyclic(2),symmetric( 3)))":
+        "direct_product(cyclic(2),direct_product(dicyclic(2),symmetric(3)))",
+}
+
+
+def test_report_id_is_the_canonical_spec():
+    # a construction's report id is the name its constructor gives the
+    # group, so every constructor must name it by its canonical spec
+    assert {parse_spec_string(s)[0] for s in SPELLINGS} == {*_FLAT_BUILDERS, "direct_product"}
+    for spelling, canonical in SPELLINGS.items():
+        assert _run_one(GroupSpec(spelling), None)["group_id"] == canonical
 
 
 @pytest.mark.parametrize("spec", ["cyclic(\u00b2)", "cyclic(\u0663)"])

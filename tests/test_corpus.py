@@ -32,8 +32,6 @@ from nacent.corpus import (
     heisenberg,
     heisenberg_frobenius,
     parse_spec_string,
-    render_spec,
-    spec_id,
 )
 from nacent.groups import table_dtype
 from oracles import (
@@ -291,11 +289,13 @@ def test_semidirect_rejects_non_automorphisms():
 
 
 def test_spec_parser_round_trip():
+    # a construction's built name is its spec in canonical spelling
     for s in ["cyclic(6)", "sl23", "direct_product(cyclic(2),dihedral(4))",
               "direct_product(direct_product(cyclic(2),cyclic(2)),cyclic(3))",
               "heisenberg_frobenius(7,3)"]:
-        assert render_spec(parse_spec_string(s)) == s
-    assert render_spec(parse_spec_string(" cyclic( 6 ) ")) == "cyclic(6)"
+        assert build(s).name == s
+    assert build(" cyclic( 6 ) ").name == "cyclic(6)"
+    assert build(GroupSpec(name="sl23()")).name == "sl23"
 
 
 def test_spec_parser_errors():
@@ -307,8 +307,15 @@ def test_spec_parser_errors():
         parse_spec_string("cyclic(6)" + "x" * 10000)
     assert str(exc.value) == ("trailing input at position 9 in spec "
                               "'cyclic(6)xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx...'")
-    with pytest.raises(ParseError):
-        build("unknown_thing(3)")
+    # a constructor name is checked where it is read, before what follows it
+    for spec, pos in [("unknown_thing(3)", 0), ("foo(", 0),
+                      ("direct_product(cyclic(2), wat(3))", 26)]:
+        with pytest.raises(ParseError) as exc:
+            build(spec)
+        assert str(exc.value) == f"unknown constructor at position {pos} in spec {spec!r}"
+    with pytest.raises(ParseError) as exc:
+        parse_spec_string("x" * 30000)
+    assert str(exc.value) == f"unknown constructor at position 0 in spec '{'x' * 40}...'"
 
 
 def test_spec_parser_takes_ascii_digits_only():
@@ -362,7 +369,7 @@ def test_deep_spec_nesting_is_a_parse_error():
 
 
 def test_order_guard_env(monkeypatch):
-    from nacent.config import order_guard
+    from nacent.groups import order_guard
     monkeypatch.delenv("NACENT_MAX_ORDER", raising=False)
     assert order_guard() == 5000
     monkeypatch.setenv("NACENT_MAX_ORDER", "80")
@@ -373,6 +380,7 @@ def test_order_guard_env(monkeypatch):
         monkeypatch.setenv("NACENT_MAX_ORDER", bad)
         with pytest.raises(InvalidParams, match="positive integer"):
             order_guard()
+        assert order_guard(64) == 64  # a given limit does not read the variable
         with pytest.raises(InvalidParams):
             build("cyclic(4)")
 
@@ -404,11 +412,6 @@ def test_catalog_deterministic_and_buildable():
     for name in a:
         G = build(name)
         assert G.order <= 32
-
-
-def test_spec_id():
-    assert spec_id("cyclic( 6 )") == "cyclic(6)"
-    assert spec_id(GroupSpec(name="sl23")) == "sl23"
 
 
 def test_group_spec_validation():

@@ -5,7 +5,8 @@ the package (a name loaded, an attribute read or a name imported, outside
 `__init__.py` and outside the function's own body) or an exported,
 documented entry point that no module calls. A function that only tests
 reach belongs in `tests/oracles.py` or nowhere.
-Every exported error type is raised by some module, and no module but
+Every module-level UPPER_CASE constant is read by some module, every
+exported error type is raised by some module, and no module but
 `__init__.py` imports a name it never uses. The README's Python example
 runs as written.
 """
@@ -69,6 +70,22 @@ def test_every_unexported_function_is_used():
               if isinstance(node, ast.FunctionDef)
               and node.name not in vars(nacent) and node.name not in used]
     assert unused == []
+
+
+def test_every_constant_is_read():
+    """A knob goes once its last reader does: each module-level UPPER_CASE
+    name is loaded, or read as an attribute, by some module."""
+    constants = [(name, target.id) for name, tree in package_modules() for node in tree.body
+                 if isinstance(node, ast.Assign) for target in node.targets
+                 if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id)]
+    read = set()
+    for _, tree in package_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert constants and [f"{m}: {c}" for m, c in constants if c not in read] == []
 
 
 def test_every_exported_error_is_raised():
