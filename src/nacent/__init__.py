@@ -40,7 +40,7 @@ from .errors import (
     ParentMismatch,
     ParseError,
 )
-from .groups import FiniteGroup, exponent, from_cayley_table, from_permutations
+from .groups import FiniteGroup, element_orders, exponent, from_cayley_table, from_permutations
 from .partitions import (
     Partition,
     centralizer_partition,

@@ -263,28 +263,48 @@ def _scaled(table: np.ndarray, factor: int, dt: np.dtype) -> np.ndarray:
     return np.multiply(table, np.int64(factor), dtype=dt, casting="unsafe")
 
 
+def _class2_extension(p: int, B, S, lam: int, m: int, name: str) -> FiniteGroup:
+    """The pairs (v, z), v in F_p^d and z in F_p, with product (v + w,
+    z + t + v^T B w), extended by C_m acting by (v, z) -> (S v, lam z), for
+    arrays B and S; (v, z) is the base-p number with digits v, then z, and
+    (k, h) is k * m + h. Kernel rows are made from that rule a block at a
+    time, each row digit a column and each column digit an axis of add and
+    mul tables mod p, so the kernel is never tabled. The callers guard the
+    order; an action that is no automorphism breaks associativity, which
+    Light's test rejects."""
+    d = B.shape[0]
+    nk = p ** (d + 1)
+    dt = table_dtype(nk * m)
+    v = np.arange(p, dtype=dt)
+    add, mul = (v[:, None] + v) % p, v[:, None] * v % p
+    weights = p ** np.arange(d, -1, -1)
+    digits = np.arange(nk)[:, None] // weights % p  # row k: the digits of kernel element k
+    axes = [v.reshape([p if k == i else 1 for k in range(d + 1)]) for i in range(d + 1)]
+
+    def krows(a: int, b: int) -> np.ndarray:
+        col = digits[a:b].T.reshape(d + 1, b - a, *[1] * (d + 1))  # col[i]: digit i of each row
+        u = np.tensordot(B, col[:d], axes=(0, 0)) % p  # u[j]: (v^T B)_j of each row
+        z = add[col[d], axes[d]]
+        for j in np.flatnonzero(B.any(axis=0)):  # v^T B w, over B's non-zero columns
+            z = add[z, mul[u[j], axes[j]]]
+        terms = (add[col[i], axes[i]] * dt.type(weights[i]) for i in range(d))
+        return (sum(terms) + z).reshape(b - a, nk)  # z last: the one full-size sum
+
+    perm = np.concatenate([digits[:, :d] @ S.T, digits[:, d:] * lam], axis=1) % p @ weights
+    phi = [np.arange(nk)]  # phi[h] = perm^h
+    for _ in range(1, m):
+        phi.append(phi[-1][perm])
+    return FiniteGroup(_semidirect_table(krows, nk, _rotations(m, dt), phi), name=name)
+
+
 def heisenberg(p: int, max_order: int | None = None) -> FiniteGroup:
-    """Group of order p^3: triples (x, y, z) mod p with
-    (x,y,z)(x',y',z') = (x+x', y+y', z+z'+x*y')."""
+    """Group of order p^3: triples (x, y, z) mod p, element (x * p + y) * p + z,
+    with (x,y,z)(x',y',z') = (x+x', y+y', z+z'+x*y')."""
     _guarded(p ** 3, max_order)  # before the primality test, which is slow on huge p
     if not is_prime(p):
         raise InvalidParams(f"heisenberg(p) needs a prime, got {p}")
-    n = p ** 3
-    return FiniteGroup(_heisenberg_rows(p, 0, n, table_dtype(n)), name=f"heisenberg({p})")
-
-
-def _heisenberg_rows(p: int, a: int, b: int, dt: np.dtype) -> np.ndarray:
-    """Rows a..b-1 of heisenberg(p)'s table in dt, element (x, y, z) being
-    (x * p + y) * p + z. Each row coordinate is a column of b - a values
-    and each column coordinate a p-sized axis, through p x p add and mul
-    tables mod p, so only the rows themselves are (b - a) x p^3."""
-    v = np.arange(p, dtype=dt)
-    add, mul = (v[:, None] + v) % p, v[:, None] * v % p
-    r = np.arange(a, b).reshape(-1, 1, 1, 1)
-    x1, y1, z1 = r // (p * p), r // p % p, r % p
-    x2, y2, z2 = (v.reshape([p if k == i else 1 for k in range(3)]) for i in range(3))
-    rows = (add[x1, x2] * p + add[y1, y2]) * p + add[add[z1, z2], mul[x1, y2]]
-    return rows.reshape(b - a, p ** 3)
+    return _class2_extension(p, np.array([[0, 1], [0, 0]]), np.eye(2, dtype=int), 1, 1,
+                             f"heisenberg({p})")
 
 
 def _multiplicative_order(c: int, n: int) -> int:
@@ -312,14 +332,10 @@ def heisenberg_frobenius(p: int, q: int, max_order: int | None = None) -> Finite
     dividing p-1, acting by (x,y,z) -> (cx, cy, c^2 z).
 
     The scaling constant c is the least element of multiplicative order
-    exactly q mod p; because q is an odd prime, no non-trivial power of
-    the action fixes a non-identity triple, which is verified
-    element-wise at build time.
-
-    The table is filled from rows of heisenberg(p)'s product rule and the
-    powers phi_h = perm^h of the action, with no table of the kernel, and
-    only the product is validated: an action that were not an automorphism
-    would break associativity there, which Light's test rejects.
+    exactly q mod p. As q is an odd prime, each power t^j != 1 of the
+    generator t of C_q (element 1) generates C_q, so none fixes a
+    non-identity triple when t fixes only the identity kernel element k * q,
+    which is checked on the built table.
     """
     _guarded(p ** 3 * q, max_order)
     if not is_prime(p) or not is_prime(q):
@@ -327,26 +343,12 @@ def heisenberg_frobenius(p: int, q: int, max_order: int | None = None) -> Finite
     if q == 2 or (p - 1) % q != 0:
         raise InvalidParams(
             f"heisenberg_frobenius needs an odd prime q dividing p-1, got ({p}, {q})")
-    lam = _least_of_order(q, p)
-    if lam is None:
-        raise InvalidParams(f"no element of order {q} mod {p}")
-    n = p ** 3
-    idx = np.arange(n, dtype=np.int64)
-    zc = idx % p
-    yc = (idx // p) % p
-    xc = idx // (p * p)
-    perm = ((xc * lam % p) * p + (yc * lam % p)) * p + (zc * lam * lam % p)
-    phi = [idx]  # phi[h] = perm^h
-    for j in range(1, q):
-        phi.append(phi[-1][perm])
-        fixed = int((phi[j] == idx).sum())
-        if fixed != 1:
-            raise InvalidAction(
-                f"action power {j} fixes {fixed} elements; not fixed-point-free")
-    dt = table_dtype(n)
-    table = _semidirect_table(lambda a, b: _heisenberg_rows(p, a, b, dt), n,
-                              cyclic(q, max_order=max_order).table, phi)
-    return FiniteGroup(table, name=f"heisenberg_frobenius({p},{q})")
+    c = _least_of_order(q, p)  # one exists: q divides p - 1, the order of the cyclic F_p*
+    G = _class2_extension(p, np.array([[0, 1], [0, 0]]), c * np.eye(2, dtype=int), c * c, q,
+                          f"heisenberg_frobenius({p},{q})")
+    if np.count_nonzero(G.table[1, ::q] == G.table[::q, 1]) != 1:
+        raise InvalidAction("the action fixes a non-identity kernel element")
+    return G
 
 
 def agl1(q: int, max_order: int | None = None) -> FiniteGroup:
@@ -419,10 +421,14 @@ def _spec_error(problem: str, text: str, pos: int, **where) -> ParseError:
     """A ParseError naming the position in the spec and showing at most 40
     characters of it around there, however long the spec is; `where` is the
     file's path and field, for a spec read from a group file."""
+    return ParseError(f"{problem} at position {pos} in spec {_excerpt(text, pos)!r}", **where)
+
+
+def _excerpt(text: str, pos: int = 0) -> str:
+    """At most 40 characters of text around pos, with "..." where cut."""
     start = max(0, min(pos - 20, len(text) - 40))
-    excerpt = ("..." if start else "") + text[start:start + 40] + (
+    return ("..." if start else "") + text[start:start + 40] + (
         "..." if start + 40 < len(text) else "")
-    return ParseError(f"{problem} at position {pos} in spec {excerpt!r}", **where)
 
 
 def _parse_expr(text: str, pos: int, depth: int = 1):
@@ -619,6 +625,9 @@ def load_group(path: str | Path, max_order: int | None = None) -> FiniteGroup:
             if not all(_is_json_int(v) for v in params.values()):
                 raise ParseError("parameter values must be integers",
                                  path=str(path), field="params")
+            if ctor == "direct_product":
+                raise ParseError("direct_product takes two nested specs in 'constructor', "
+                                 "not 'params'", path=str(path), field="params")
             if ctor not in _FLAT_BUILDERS:
                 raise _spec_error("unknown constructor", ctor, 0,
                                   path=str(path), field="constructor")
@@ -626,7 +635,7 @@ def load_group(path: str | Path, max_order: int | None = None) -> FiniteGroup:
             if set(params) != set(declared):
                 raise ParseError(
                     f"constructor {ctor!r} expects parameters {list(declared)}, "
-                    f"got {sorted(params)}", path=str(path), field="params")
+                    f"got {_excerpt(','.join(sorted(params)))!r}", path=str(path), field="params")
             call = f"{ctor}({','.join(str(params[k]) for k in declared)})"
         try:
             g = build(call, max_order=max_order)

@@ -30,7 +30,8 @@ class FiniteGroup:
     generating set found while checking associativity: greedy, by least
     element not yet generated, then pruned to be irredundant.
     ``ladder[j, x]`` is x**(2**j) for j < n.bit_length(), the square ladder
-    that closures and powers climb. ``table``, ``inverses`` and ``ladder``
+    that closures and powers climb; `element_orders(G)` gives the order of
+    every element, computed on first use. ``table``, ``inverses`` and ``ladder``
     are stored in `table_dtype(n)`, the narrowest signed type holding n - 1:
     int16 up to order 2**15, int32 above. A table given in another integer
     type is validated as given and narrowed only once its entries are known
@@ -40,7 +41,7 @@ class FiniteGroup:
     between threads.
     """
 
-    __slots__ = ("order", "table", "generators", "inverses", "ladder", "orders", "name",
+    __slots__ = ("order", "table", "generators", "inverses", "ladder", "name",
                  "_cache", "__weakref__")
 
     def __init__(self, table: np.ndarray, name: str = "group"):
@@ -52,8 +53,7 @@ class FiniteGroup:
         self.generators = gens
         self.inverses = inverses
         self.ladder = ladder
-        self.orders = _element_orders(table, ladder)
-        for arr in (table, inverses, ladder, self.orders):
+        for arr in (table, inverses, ladder):
             arr.setflags(write=False)
         self._cache: dict = {}
 
@@ -65,7 +65,7 @@ class FiniteGroup:
 
     def power(self, a: int, k: int) -> int:
         """a**k for any integer k (reduced modulo the element order)."""
-        return int(_ladder_power(self.table, self.ladder, a, k % int(self.orders[a])))
+        return int(_ladder_power(self.table, self.ladder, a, k % int(element_orders(self)[a])))
 
     def __len__(self) -> int:
         return self.order
@@ -242,9 +242,27 @@ def from_permutations(generators: Sequence[Sequence[int]],
     return FiniteGroup(table, name=name)
 
 
+@memoized
+def element_orders(G: FiniteGroup) -> np.ndarray:
+    """The order of every element of G, read-only.
+
+    ord(x) divides n. For each p**a exactly dividing n, with m = n / p**a,
+    the p-part of ord(x) is the least p**b with x**(m * p**b) = 1, so it
+    takes a powerings of all elements at once.
+    """
+    n = G.order
+    every = np.arange(n)
+    orders = np.ones(n, dtype=np.int32)
+    for p, a in prime_factorization(n):
+        for b in range(a):
+            orders[_ladder_power(G.table, G.ladder, every, n // p**(a - b)) != 0] *= p
+    orders.setflags(write=False)
+    return orders
+
+
 def exponent(G: FiniteGroup) -> int:
     """Least common multiple of all element orders."""
-    return math.lcm(*np.flatnonzero(np.bincount(G.orders)).tolist())
+    return math.lcm(*np.flatnonzero(np.bincount(element_orders(G))).tolist())
 
 
 def prime_factorization(n: int) -> list[tuple[int, int]]:
@@ -488,22 +506,6 @@ def _inverses(table: np.ndarray, ladder: np.ndarray) -> np.ndarray:
         i = int(bad[0])
         raise NotAGroup("inverse", (i,), f"{i} has no right inverse")
     return inv
-
-
-def _element_orders(table: np.ndarray, ladder: np.ndarray) -> np.ndarray:
-    """The order of every element of a group of order n.
-
-    ord(x) divides n. For each p**a exactly dividing n, with m = n / p**a,
-    the p-part of ord(x) is the least p**b with x**(m * p**b) = 1, so it
-    takes a powerings of all elements at once.
-    """
-    n = table.shape[0]
-    every = np.arange(n)
-    orders = np.ones(n, dtype=np.int32)
-    for p, a in prime_factorization(n):
-        for b in range(a):
-            orders[_ladder_power(table, ladder, every, n // p**(a - b)) != 0] *= p
-    return orders
 
 
 def _ladder_power(table: np.ndarray, ladder: np.ndarray, x, e: int):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotNilpotent
-from .groups import FiniteGroup, memoized, prime_factorization
+from .groups import FiniteGroup, element_orders, memoized, prime_factorization
 from .subgroups import (
     Subgroup,
     _normal_closure_mask,
@@ -50,7 +50,7 @@ def is_abelian(x: GroupLike) -> bool:
 def is_cyclic(x: GroupLike) -> bool:
     """True iff some element order equals the group (or subgroup) size."""
     H = _as_subgroup(x)
-    return bool((H.parent.orders[H.members()] == H.size).any())
+    return bool((element_orders(H.parent)[H.members()] == H.size).any())
 
 
 def is_p_group(x: GroupLike) -> int | None:
@@ -71,7 +71,7 @@ def is_nilpotent(x: GroupLike) -> bool:
     p-power order are the union of the Sylow p-subgroups, so there are
     more of them when two Sylows differ)."""
     H = _as_subgroup(x)
-    orders = H.parent.orders[H.members()]
+    orders = element_orders(H.parent)[H.members()]
     return all(np.count_nonzero(p**a % orders == 0) == p**a
                for p, a in prime_factorization(H.size))
 
@@ -104,7 +104,7 @@ def _fitting_mask(G: FiniteGroup) -> int:
     _normal_closure_mask(G, center, inside, gens)
     prime_power = np.zeros(n, dtype=bool)
     for p, a in prime_factorization(n):
-        prime_power |= p**a % G.orders == 0  # the orders dividing p^a
+        prime_power |= p**a % element_orders(G) == 0  # the orders dividing p^a
     done = inside | ~prime_power  # in F0 or set aside
     while not done.all():
         x = int(np.argmin(done))
@@ -123,7 +123,7 @@ def hughes_subgroup(G: FiniteGroup, p: int) -> Subgroup:
     """Subgroup generated by all elements whose order is not p."""
     if not is_prime(p):
         raise ValueError(f"prime required, got {p}")
-    seeds = np.nonzero(np.asarray(G.orders) != p)[0]
+    seeds = np.nonzero(element_orders(G) != p)[0]
     return Subgroup(G, generated_mask(G, seeds))
 
 
@@ -157,7 +157,7 @@ def decompose_p_times_abelian(x: GroupLike) -> tuple[Subgroup, Subgroup, int | N
     if not factors:
         return trivial_subgroup(G), H, None
     mem = H.members()
-    orders = G.orders[mem]
+    orders = element_orders(G)[mem]
     sylows = {p: Subgroup(G, mask_of(mem[p**a % orders == 0])) for p, a in factors}
     nonabelian = [p for p in sylows if not is_abelian(sylows[p])]
     if len(nonabelian) > 1:

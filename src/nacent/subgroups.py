@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNormal, ParentMismatch
-from .groups import BLOCK_CELLS, FiniteGroup, _extend_closure, memoized, table_dtype
+from .groups import (BLOCK_CELLS, FiniteGroup, _extend_closure, element_orders, memoized,
+                     table_dtype)
 
 # ---------------------------------------------------------------------------
 # bitset helpers
@@ -326,15 +327,19 @@ def conjugates(G: FiniteGroup, mask: int) -> tuple[int, ...]:
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
-    """True iff g^-1 H g = H for all g.
+    """True iff g^-1 H g = H for all g; decided once per subgroup of G."""
+    return H.mask == 1 or H.is_whole() or _is_normal_mask(G, H.mask)
+
+
+@memoized
+def _is_normal_mask(G: FiniteGroup, mask: int) -> bool:
+    """Whether the subgroup with bitset `mask` is normal in G.
 
     Checks the conjugates of H by the generators of G only, which suffices
     because the elements normalizing H form a subgroup. A conjugate has the
     size of H, so it equals H iff it lies inside H.
     """
-    if H.mask == 1 or H.is_whole():
-        return True
-    inside = H.member_bool()
+    inside = bool_of(mask, G.order)
     rows = conjugation_rows(G, np.nonzero(inside)[0], by=G.generators)
     return bool(inside[rows].all())
 
@@ -398,7 +403,7 @@ def _class_walk(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     """
     t = G.table
     every = np.arange(G.order)
-    climb = int(G.orders.max()).bit_length()  # rungs x^(2^j) up to the largest order
+    climb = int(element_orders(G).max()).bit_length()  # rungs x^(2^j) up to the largest order
     by = np.asarray(list(dict.fromkeys(G.ladder[:climb, G.generators].ravel().tolist())),
                     dtype=np.int64)
     pulled = conjugation_rows(G, every, by=G.inverses[by])  # pulled[i, y] = by[i] y by[i]^-1

@@ -6,6 +6,8 @@ the package's bitset machinery. All of it is pure Python except the
 all-triples associativity scan, which uses numpy slices because n^3
 interpreted steps are out of reach at order 1029, and the cyclic, dihedral,
 dicyclic and Heisenberg tables, which are their int64 formulas mod n or p.
+`naive_class2_table` computes each kernel product and each image under
+the action on its own, from their rules.
 The last four take a group and use the
 package's subgroups and predicates: `subgroup_as_group` and
 `retabled_subgroup_facts` keep the slower route to a subgroup's own facts,
@@ -16,6 +18,8 @@ prime for a proper Hughes subgroup.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -421,6 +425,29 @@ def naive_heisenberg_table(p: int) -> np.ndarray:
     for i in range(n):
         table[i] = ((x[i] + x) % p * p + (y[i] + y) % p) * p + (z[i] + z + x[i] * y) % p
     return table
+
+
+def naive_class2_table(p: int, B, S, lam: int, m: int) -> list[list[int]]:
+    """The pairs (v, z), v in F_p^d and z in F_p, with
+    (v, z)(w, t) = (v + w, z + t + v^T B w), extended by C_m acting by
+    (v, z) -> (S v, lam z). (v, z) is the base-p number with digits v, then
+    z, and (k, h) is k * m + h. Each kernel product and each image under the
+    action is computed on its own, and the extension by `naive_semidirect_table`."""
+    d = len(B)
+    elems = list(itertools.product(range(p), repeat=d + 1))  # ascending base-p numbers
+    index = {e: i for i, e in enumerate(elems)}
+
+    def mul(a, b):
+        form = sum(a[i] * B[i][j] * b[j] for i in range(d) for j in range(d))
+        return tuple((x + y) % p for x, y in zip(a[:d], b[:d])) + ((a[d] + b[d] + form) % p,)
+
+    def act(a):
+        sv = tuple(sum(S[i][j] * a[j] for j in range(d)) % p for i in range(d))
+        return sv + (lam * a[d] % p,)
+
+    k_table = [[index[mul(a, b)] for b in elems] for a in elems]
+    action = {1: [index[act(a)] for a in elems]} if m > 1 else {}
+    return naive_semidirect_table(k_table, naive_cyclic_table(m).tolist(), action)
 
 
 def naive_permutation_table(generators) -> list[list[int]]:

@@ -3,6 +3,8 @@ both directions of the characterization and the consequences."""
 
 import json
 
+import pytest
+
 from nacent import (
     FiniteGroup,
     Subgroup,
@@ -21,6 +23,7 @@ from nacent.classify import (
     _meet_pairwise_in,
     evaluate_cases,
 )
+from nacent.corpus import _class2_extension
 from nacent.partitions import center_quotient
 from nacent.predicates import (
     hughes_subgroup,
@@ -36,6 +39,7 @@ from oracles import (
     subgroup_as_group,
     table_of,
 )
+from test_corpus import CLASS2_EXTENSIONS
 
 
 def members(G, mask):
@@ -132,31 +136,47 @@ def test_classify_flagship(flagship):
 
 
 def test_full_report_one_pass(monkeypatch):
-    """One report tests the cases once and asks whether C(a) is normal in G
-    once, for the validation flag and consequence f alike. (Z = 1, so case
-    C's own normality test of the image of C(a) in G/Z asks it too; that
-    test is memoized with the case evaluation, run here beforehand.)"""
+    """One report tests the cases once and decides whether C(a) is normal
+    in G once: case C's test of the image of C(a) in G/Z (Z = 1, so G/Z is
+    G), the validation flag and consequence f share one computation, a
+    single miss of the memo."""
     import nacent.classify as mod
 
     G = build("heisenberg_frobenius(7,3)")
-    (a,) = _candidates(centralizer_table(G))
-    evaluate_cases(G, a)
-    calls = {"matches": 0, "normal_in_G": 0}
-    matches, is_normal = mod._matches, mod.is_normal
+    ct = centralizer_table(G)
+    (a,) = _candidates(ct)
+    ca_mask = ct.masks[ct.elem_class[a]]
+    calls = {"matches": 0}
+    misses = []
+    matches = mod._matches
 
     def counting_matches(*args):
         calls["matches"] += 1
         return matches(*args)
 
-    def counting_is_normal(H, *args):
-        calls["normal_in_G"] += H is G
-        return is_normal(H, *args)
+    class CountingCache(dict):
+        def __missing__(self, key):
+            misses.append(key)
+            raise KeyError(key)
 
+    G._cache = CountingCache(G._cache)
     monkeypatch.setattr(mod, "_matches", counting_matches)
-    monkeypatch.setattr(mod, "is_normal", counting_is_normal)
     rep = mod.full_report(G)
     assert rep.ok and rep.consequences["normal_ca"] is True
-    assert calls == {"matches": 1, "normal_in_G": 1}
+    assert calls == {"matches": 1}
+    assert misses.count(("_is_normal_mask", ca_mask)) == 1
+
+
+@pytest.mark.parametrize("order, matched, cent", [
+    (96, ["B", "C"], 21), (162, ["B", "C"], 33), (972, ["C"], 87)])
+def test_class2_extensions_match_cases_b_and_c(order, matched, cent):
+    # real two-nacent groups for case B, not only C; with both matched, the
+    # Frobenius case C is recorded
+    G = _class2_extension(*CLASS2_EXTENSIONS[order], name=f"class2({order})")
+    rep = full_report(G)
+    assert rep.category == CATEGORY_TWO_NACENT and rep.violations == []
+    assert rep.case == "C" and rep.case_data["matched_cases"] == matched
+    assert rep.cent_count == cent
 
 
 def test_two_nacent_proof_invariants(flagship):

@@ -169,6 +169,33 @@ def test_unknown_constructor_is_a_short_input_error(tmp_path, monkeypatch, capsy
         assert err.count("\n") == 1 and len(err.encode()) < 200, err
 
 
+def test_params_error_is_a_short_input_error(tmp_path, monkeypatch, capsys):
+    # a 30000-letter parameter name is quoted to at most 40 characters, next
+    # to the parameters the constructor expects
+    monkeypatch.chdir(tmp_path)
+    with open("g.json", "w") as f:
+        json.dump({"kind": "construction", "constructor": "cyclic",
+                   "params": {"n" * 30000: 3}}, f)
+    code, out, err = run_cli(["analyze", "g.json"], capsys)
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: ") and "expects parameters ['n'], got 'nnn" in err
+    assert err.count("\n") == 1 and len(err.encode()) < 200, err
+
+
+def test_direct_product_params_names_nested_specs(tmp_path, monkeypatch, capsys):
+    # direct_product is a known constructor; its factors are nested specs,
+    # which a params object cannot give
+    monkeypatch.chdir(tmp_path)
+    with open("g.json", "w") as f:
+        json.dump({"kind": "construction", "constructor": "direct_product",
+                   "params": {"n": 3}}, f)
+    code, out, err = run_cli(["analyze", "g.json"], capsys)
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: ") and "unknown constructor" not in err
+    assert "direct_product takes two nested specs in 'constructor', not 'params'" in err
+    assert err.count("\n") == 1 and len(err.encode()) < 200, err
+
+
 # one non-canonical spelling (spaces, leading zeros) per constructor
 SPELLINGS = {
     "cyclic( 06 )": "cyclic(6)",

@@ -18,6 +18,7 @@ from nacent import (
     center,
     centralizer_table,
     commutator_subgroup,
+    element_orders,
     exponent,
     is_abelian,
     load_group,
@@ -26,6 +27,7 @@ from nacent import (
 )
 from nacent.corpus import (
     GroupSpec,
+    _class2_extension,
     cyclic,
     dicyclic,
     dihedral,
@@ -36,6 +38,7 @@ from nacent.corpus import (
 from nacent.groups import table_dtype
 from oracles import (
     centralizer,
+    naive_class2_table,
     naive_cyclic_table,
     naive_dicyclic_table,
     naive_dihedral_table,
@@ -47,20 +50,20 @@ def test_cyclic_basics():
     assert build("cyclic(1)").order == 1
     G = build("cyclic(6)")
     assert G.order == 6 and is_abelian(G)
-    assert sorted(G.orders.tolist()) == [1, 2, 3, 3, 6, 6]
+    assert sorted(element_orders(G).tolist()) == [1, 2, 3, 3, 6, 6]
 
 
 def test_dihedral():
     G = build("dihedral(4)")
     assert G.order == 8 and not is_abelian(G)
-    assert sorted(G.orders.tolist()) == [1, 2, 2, 2, 2, 2, 4, 4]
+    assert sorted(element_orders(G).tolist()) == [1, 2, 2, 2, 2, 2, 4, 4]
     assert dihedral(1).order == 2
 
 
 def test_dicyclic():
     q8 = build("dicyclic(2)")
     assert q8.order == 8
-    assert sorted(q8.orders.tolist()) == [1, 2, 4, 4, 4, 4, 4, 4]
+    assert sorted(element_orders(q8).tolist()) == [1, 2, 4, 4, 4, 4, 4, 4]
     assert center(q8).size == 2
     g = build("dicyclic(3)")
     assert g.order == 12 and not is_abelian(g)
@@ -167,9 +170,32 @@ def test_heisenberg_frobenius_fixed_point_free():
     for p, q in ((7, 3), (11, 5)):
         G = heisenberg_frobenius(p, q, max_order=7000)
         ct = centralizer_table(G)
-        of_order_q = np.flatnonzero(G.orders == q)
+        of_order_q = np.flatnonzero(element_orders(G) == q)
         assert of_order_q.size == (q - 1) * p ** 3
         assert {ct.masks[c].bit_count() for c in ct.elem_class[of_order_q].tolist()} == {q}
+
+
+# (p, B, S, lam, m) of class-2 extensions with two non-abelian
+# centralizers, by order: 96 and 162 match cases B and C, 972 case C only
+CLASS2_EXTENSIONS = {
+    96: (2, np.array([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+         np.array([[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 1]]), 1, 3),
+    162: (3, np.array([[0, 1, 0], [2, 0, 0], [0, 0, 0]]), 2 * np.eye(3, dtype=int), 1, 2),
+    972: (3, np.array([[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+          np.array([[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]]), 1, 4),
+}
+# heisenberg_frobenius(7,3): B = E12, S = cI and lam = c^2 for c = 2, of order 3 mod 7
+HF73 = (7, np.array([[0, 1], [0, 0]]), 2 * np.eye(2, dtype=int), 4, 3)
+
+
+@pytest.mark.parametrize("order", [1029, *CLASS2_EXTENSIONS])
+def test_class2_extension_matches_definition(order):
+    params = CLASS2_EXTENSIONS.get(order, HF73)
+    G = _class2_extension(*params, name="class2")
+    assert G.order == order
+    assert np.array_equal(G.table, naive_class2_table(*params))
+    if order == 1029:
+        assert np.array_equal(G.table, build("heisenberg_frobenius(7,3)").table)
 
 
 def test_heisenberg_frobenius_param_validation():
@@ -218,7 +244,7 @@ def test_sl23():
     G = build("sl23")
     assert G.order == 24
     assert center(G).size == 2
-    assert sorted(np.unique(G.orders).tolist()) == [1, 2, 3, 4, 6]
+    assert sorted(np.unique(element_orders(G)).tolist()) == [1, 2, 3, 4, 6]
 
 
 def test_semidirect_action_validation():
@@ -272,7 +298,7 @@ def test_semidirect_rejects_non_automorphisms():
     # respects multiplication by K's first generator s but is no
     # automorphism: two cosets r<s> and r2<s> swapped, r s^k <-> r2 s^k
     s = K.generators[0]
-    powers = [K.power(s, k) for k in range(int(K.orders[s]))]
+    powers = [K.power(s, k) for k in range(int(element_orders(K)[s]))]
     r = next(x for x in range(K.order) if x not in powers)
     r2 = next(x for x in range(K.order)
               if x not in powers and K.mul(K.inv(r), x) not in powers)
@@ -283,7 +309,7 @@ def test_semidirect_rejects_non_automorphisms():
         with pytest.raises(InvalidAction):
             semidirect_product(K, cyclic(2), {1: perm})
     # conjugation by an element of order 3 is an automorphism of order 3
-    g = next(x for x in range(K.order) if K.orders[x] == 3)
+    g = next(x for x in range(K.order) if element_orders(K)[x] == 3)
     inner = [K.mul(K.mul(K.inv(g), x), g) for x in range(K.order)]
     assert semidirect_product(K, cyclic(3), {1: inner}).order == 81
 

@@ -11,6 +11,7 @@ from nacent import (
     center,
     centralizer_partition,
     commutator_subgroup,
+    element_orders,
     is_abelian,
     is_elementary_partition,
     is_frobenius_partition,
@@ -33,7 +34,7 @@ def spans_of_order(G, k):
     seen = set()
     out = []
     for x in range(G.order):
-        if G.orders[x] == k:
+        if element_orders(G)[x] == k:
             s = Subgroup(G, generated_mask(G, [x]))
             if s.mask not in seen:
                 seen.add(s.mask)

@@ -8,6 +8,7 @@ from nacent import (
     NotNilpotent,
     build,
     decompose_p_times_abelian,
+    element_orders,
     fitting_subgroup,
     hughes_subgroup,
     is_abelian,
@@ -39,7 +40,7 @@ def test_is_abelian(s3, z6):
 
 
 def test_is_abelian_subgroup(s3):
-    a3 = Subgroup(s3, generated_mask(s3, [x for x in range(6) if s3.orders[x] == 3][:1]))
+    a3 = Subgroup(s3, generated_mask(s3, [x for x in range(6) if element_orders(s3)[x] == 3][:1]))
     assert is_abelian(a3)
 
 

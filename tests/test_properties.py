@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from nacent import (
     Subgroup,
     center,
+    element_orders,
     exponent,
     from_permutations,
     is_elementary_partition,
@@ -41,14 +42,14 @@ def test_group_axioms_hold(G):
                           np.tile(np.arange(n), (n, 1)))
     for x in range(n):
         assert G.table[x, G.inverses[x]] == 0
-        assert n % G.orders[x] == 0
+        assert n % element_orders(G)[x] == 0
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_perm_groups)
 def test_order_of_inverse(G):
     for x in range(G.order):
-        assert G.orders[x] == G.orders[G.inverses[x]]
+        assert element_orders(G)[x] == element_orders(G)[G.inverses[x]]
 
 
 @settings(max_examples=40, deadline=None)

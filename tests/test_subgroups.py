@@ -9,6 +9,7 @@ from nacent import (
     Subgroup,
     center,
     commutator_subgroup,
+    element_orders,
     is_abelian,
     is_normal,
     quotient,
@@ -47,11 +48,11 @@ def centralizer(G, x):
 
 
 def transpositions(G):
-    return [x for x in range(G.order) if G.orders[x] == 2]
+    return [x for x in range(G.order) if element_orders(G)[x] == 2]
 
 
 def three_cycles(G):
-    return [x for x in range(G.order) if G.orders[x] == 3]
+    return [x for x in range(G.order) if element_orders(G)[x] == 3]
 
 
 def test_centralizer_identity_is_whole(s3):
@@ -158,7 +159,7 @@ def test_commutator_abelian(z6):
 def test_commutator_s3(s3):
     d = commutator_subgroup(s3)
     assert d.size == 3
-    assert sorted(s3.orders[d.members()].tolist()) == [1, 3, 3]
+    assert sorted(element_orders(s3)[d.members()].tolist()) == [1, 3, 3]
 
 
 def test_commutator_q8_is_center(q8):
@@ -207,7 +208,7 @@ def test_quotient_by_whole(s3):
 def test_quotient_q8_by_center(q8):
     qm = quotient(q8, center(q8))
     assert qm.quotient.order == 4
-    assert sorted(qm.quotient.orders.tolist()) == [1, 2, 2, 2]
+    assert sorted(element_orders(qm.quotient).tolist()) == [1, 2, 2, 2]
 
 
 def test_quotient_rejects_non_normal(s3):
@@ -251,7 +252,7 @@ def test_parent_mismatch(s3, q8):
 
 
 def test_subgroup_as_group(q8):
-    c = centralizer(q8, [x for x in range(8) if q8.orders[x] == 4][0])
+    c = centralizer(q8, [x for x in range(8) if element_orders(q8)[x] == 4][0])
     sub, embed = subgroup_as_group(c)
     assert sub.order == c.size == 4
     assert embed.tolist() == sorted(c.members().tolist())
