@@ -32,7 +32,7 @@ def _run_one(spec: GroupSpec, max_order: int | None) -> dict:
     """The report of one spec, keyed by the file id of a file and by the
     built group's name, its canonical spec, for a construction."""
     G = build(spec, max_order=max_order)  # first: an unreadable file is a ParseError
-    file_id = file_group_id(spec.path) if spec.kind == "file" else None
+    file_id = file_group_id(spec.path) if spec.path is not None else None
     return full_report(G, group_id=file_id).to_dict()
 
 
@@ -61,7 +61,7 @@ def _corpus_specs(directory: str) -> list[GroupSpec]:
     except OSError as exc:
         raise ParseError(f"cannot list the corpus directory: {exc.strerror}", path=directory)
     paths = [os.path.join(directory, p) for p in names]
-    return [GroupSpec(p, kind="file", path=p) for p in paths]
+    return [GroupSpec(p, path=p) for p in paths]
 
 
 def _emit(records: list[dict], fmt: str, out: TextIO) -> int:
@@ -98,8 +98,8 @@ def _summary_record(records: list[dict]) -> dict:
 
 def cmd_analyze(args, out: TextIO) -> int:
     try:
-        specs = [GroupSpec(ref, kind="file", path=ref) if os.path.exists(ref)
-                 else GroupSpec(ref) for ref in args.inputs]
+        specs = [GroupSpec(ref, path=ref) if os.path.exists(ref) else GroupSpec(ref)
+                 for ref in args.inputs]
         records = _run_all(specs, args.max_order, args.parallelism)
     except NacentError as exc:
         return _input_error(exc)

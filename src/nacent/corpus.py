@@ -34,29 +34,21 @@ from .groups import (
 )
 from .predicates import is_prime
 
-KINDS = ("construction", "file")
-
-
 @dataclass(frozen=True)
 class GroupSpec:
     """A buildable group reference: a construction string or a file.
 
-    For constructions, `name` is the spec string ("heisenberg(7)", nested
-    products allowed); it is parsed on creation, so an unknown constructor
-    name fails here. A file is any group file `load_group` reads, at
-    `path`, kept as typed: the path is part of the file's report id.
+    A spec with a `path` is a group file that `load_group` reads, the path
+    kept as typed: it is part of the file's report id. Otherwise `name` is
+    the spec string ("heisenberg(7)", nested products allowed); it is parsed
+    on creation, so an unknown constructor name fails here.
     """
 
     name: str
-    kind: str = "construction"
     path: str | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidParams(f"unknown spec kind {self.kind!r}")
-        if self.kind != "construction" and not self.path:
-            raise InvalidParams(f"kind {self.kind!r} requires a path")
-        if self.kind == "construction":
+        if self.path is None:
             parse_spec_string(self.name)
 
 
@@ -236,7 +228,8 @@ def _semidirect_table(krows, nk: int, htable: np.ndarray, phi) -> np.ndarray:
     k1 of at most BLOCK_CELLS // 4 cells: each block of K's rows is scaled
     by |H| once, then for each h1 gathered into one reused buffer and added
     to h1's row of H (`mode="clip"` changes no index, phi_h1 being a
-    permutation, and keeps `np.take` from buffering `out`).
+    permutation, and keeps `np.take` from buffering `out`). For trivial H
+    the product is K, and each block of K's rows is the table's.
     """
     nh = htable.shape[0]
     n = nk * nh
@@ -246,6 +239,9 @@ def _semidirect_table(krows, nk: int, htable: np.ndarray, phi) -> np.ndarray:
     rows = max(1, min(nk, BLOCK_CELLS // (4 * n)))
     kbuf = np.empty((rows, n), dtype=dt)
     for start in range(0, nk, rows):
+        if nh == 1:
+            table[start:start + rows] = krows(start, min(start + rows, nk))
+            continue
         kscaled = _scaled(krows(start, min(start + rows, nk)), nh, dt)
         kpart = kbuf[:kscaled.shape[0]]
         for h1 in range(nh):
@@ -363,18 +359,20 @@ def agl1(q: int, max_order: int | None = None) -> FiniteGroup:
 
 
 def semidirect_cyclic(n: int, k: int, max_order: int | None = None) -> FiniteGroup:
-    """cyclic(n) x| cyclic(k), acting by the least unit of order k mod n."""
+    """cyclic(n) x| cyclic(k), acting by the least unit lam of order k mod
+    n: h acts by multiplication by lam^h, an automorphism of C_n since lam
+    is a unit, and h -> lam^h is a homomorphism since lam^k = 1."""
     if n < 2 or k < 1:
         raise InvalidParams(f"semidirect_cyclic needs n >= 2, k >= 1, got ({n}, {k})")
     _guarded(n * k, max_order)
     lam = _least_of_order(k, n)
     if lam is None:
         raise InvalidParams(f"no unit of multiplicative order {k} mod {n}")
-    K = cyclic(n, max_order=max_order)
-    H = cyclic(k, max_order=max_order)
-    action = {} if k == 1 else {1: np.arange(n, dtype=np.int64) * lam % n}
-    return semidirect_product(K, H, action,
-                              name=f"semidirect_cyclic({n},{k})", max_order=max_order)
+    dt = table_dtype(n * k)
+    rot = _rotations(n, dt)
+    phi = [np.arange(n) * pow(lam, h, n) % n for h in range(k)]
+    return FiniteGroup(_semidirect_table(lambda a, b: rot[a:b], n, _rotations(k, dt), phi),
+                       name=f"semidirect_cyclic({n},{k})")
 
 
 # Degree-8 permutation generators for the order-24 group of unimodular
@@ -391,7 +389,12 @@ def sl23(max_order: int | None = None) -> FiniteGroup:
 # spec strings
 
 
-_NAME_RE = re.compile(r"[a-z][a-z0-9_]*")
+# After optional whitespace: a constructor name, an ASCII integer, one of
+# "(", ")", ",", or nothing, at the end or before any other character. Group
+# 1 is the token, and its start is the position an error reports. Digits are
+# [0-9] only: str.isdigit also takes '²', which int() cannot read, and \d
+# takes '٣', which int() reads as 3.
+_TOKEN = re.compile(r"\s*([a-z][a-z0-9_]*|[0-9]+|[(),]|)")
 
 # constructor -> (builder, declared parameter names in call order)
 _FLAT_BUILDERS = {
@@ -412,7 +415,7 @@ def parse_spec_string(s: str):
     """Parse ``name(arg,...)`` with integer or nested-spec arguments."""
     text = s.strip()
     node, pos = _parse_expr(text, 0)
-    if text[pos:].strip():
+    if pos < len(text):  # text ends in a non-space, which no token took
         raise _spec_error("trailing input", text, pos)
     return node
 
@@ -432,53 +435,42 @@ def _excerpt(text: str, pos: int = 0) -> str:
 
 
 def _parse_expr(text: str, pos: int, depth: int = 1):
+    """The spec tree at pos and the position after its last token."""
     # each non-trivial factor at least doubles the order, so no usable spec
     # nests this deep; the bound keeps the tree walks off the recursion limit
     if depth > 256:
         raise _spec_error("spec nested more than 256 deep", text, pos)
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    m = _NAME_RE.match(text, pos)
-    if not m:
-        raise _spec_error("expected a constructor name", text, pos)
-    name = m.group(0)
+    m = _TOKEN.match(text, pos)
+    name, pos = m.group(1), m.end()
+    if not name[:1].isalpha():
+        raise _spec_error("expected a constructor name", text, m.start(1))
     if name != "direct_product" and name not in _FLAT_BUILDERS:
-        raise _spec_error("unknown constructor", text, pos)
-    pos = m.end()
+        raise _spec_error("unknown constructor", text, m.start(1))
     args = []
-    if pos < len(text) and text[pos] == "(":
-        pos += 1
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        if pos < len(text) and text[pos] == ")":
-            return (name, args), pos + 1
-        while True:
-            while pos < len(text) and text[pos].isspace():
-                pos += 1
-            if pos >= len(text):
-                raise _spec_error("unterminated argument list", text, pos)
-            # ASCII digits only: str.isdigit also takes '²', which int()
-            # cannot read, and \d takes '٣', which int() reads as 3
-            m = re.compile(r"[0-9]+").match(text, pos)
-            if m:
-                try:
-                    args.append(int(m.group(0)))
-                except ValueError:  # past Python's limit on digits read by int()
-                    raise _spec_error("integer argument too long", text, pos) from None
-                pos = m.end()
-            else:
-                sub, pos = _parse_expr(text, pos, depth + 1)
-                args.append(sub)
-            while pos < len(text) and text[pos].isspace():
-                pos += 1
-            if pos < len(text) and text[pos] == ",":
-                pos += 1
-            elif pos < len(text) and text[pos] == ")":
-                pos += 1
-                break
-            else:
-                raise _spec_error("expected ',' or ')'", text, pos)
-    return (name, args), pos
+    if not text.startswith("(", pos):  # the argument list follows the name directly
+        return (name, args), pos
+    m = _TOKEN.match(text, pos + 1)
+    if m.group(1) == ")":
+        return (name, args), m.end()
+    while True:
+        arg, at = m.group(1), m.start(1)
+        if at == len(text):
+            raise _spec_error("unterminated argument list", text, at)
+        if arg[:1].isdigit():
+            try:
+                args.append(int(arg))
+            except ValueError:  # past Python's limit on digits read by int()
+                raise _spec_error("integer argument too long", text, at) from None
+            pos = m.end()
+        else:
+            sub, pos = _parse_expr(text, at, depth + 1)
+            args.append(sub)
+        m = _TOKEN.match(text, pos)
+        if m.group(1) == ")":
+            return (name, args), m.end()
+        if m.group(1) != ",":
+            raise _spec_error("expected ',' or ')'", text, m.start(1))
+        m = _TOKEN.match(text, m.end())
 
 
 def _build_node(node, max_order: int | None) -> FiniteGroup:
@@ -498,7 +490,7 @@ def _build_node(node, max_order: int | None) -> FiniteGroup:
 
 def build(spec: GroupSpec | str, max_order: int | None = None) -> FiniteGroup:
     """Build a group from a spec string, GroupSpec or file reference."""
-    if isinstance(spec, GroupSpec) and spec.kind == "file":
+    if isinstance(spec, GroupSpec) and spec.path is not None:
         return load_group(spec.path, max_order=max_order)
     return _build_node(parse_spec_string(spec if isinstance(spec, str) else spec.name),
                        max_order)

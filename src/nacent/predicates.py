@@ -14,7 +14,6 @@ from .subgroups import (
     Subgroup,
     _normal_closure_mask,
     center_mask,
-    centralizer_table,
     conjugation_rows,
     generated_mask,
     indices_of,
@@ -136,17 +135,15 @@ def is_ca_group(x: GroupLike) -> bool:
 
 def decompose_p_times_abelian(x: GroupLike) -> tuple[Subgroup, Subgroup, int | None] | None:
     """Split a nilpotent group as P x A with A abelian and P of prime
-    power order.
+    power order, by its Sylow decomposition: a nilpotent group is the
+    direct product of its Sylow subgroups, each the elements of order a
+    power of its prime (Robinson, A Course in the Theory of Groups, 5.2.4).
 
-    P is the unique non-abelian Sylow subgroup when one exists (None is
-    returned when two or more Sylows are non-abelian or any validation
-    fails); for abelian input P is the Sylow subgroup of the largest prime
-    divisor and A the product of the rest. A subgroup is split inside its
-    parent, and P and A are subgroups of that parent: a nilpotent group has
-    one Sylow p-subgroup, its p-elements, and A is generated by the
-    p'-elements. P must additionally have every centralizer of a
-    non-central element abelian, commute elementwise with A, meet it
-    trivially and multiply out to the whole group.
+    P is the unique non-abelian Sylow subgroup when one exists, else the
+    largest prime's, and A, the product of the others, is abelian: the
+    p'-elements. None is returned when two or more Sylows are non-abelian
+    or P is not a CA group. A subgroup is split inside its parent, and P
+    and A are subgroups of that parent.
     """
     H = _as_subgroup(x)
     G = H.parent
@@ -163,20 +160,6 @@ def decompose_p_times_abelian(x: GroupLike) -> tuple[Subgroup, Subgroup, int | N
     if len(nonabelian) > 1:
         return None
     p = nonabelian[0] if nonabelian else factors[-1][0]
-    P = sylows[p]
-    A = Subgroup(G, generated_mask(G, mem[orders % p != 0]))
-    if P.mask & A.mask != 1:
+    if not is_ca_group(sylows[p]):
         return None
-    if P.size * A.size != H.size:
-        return None
-    if not is_abelian(A):
-        return None
-    # elementwise commuting of P with A: A lies in C(y) for every y in P,
-    # and members of one class of G share C(y)
-    ct = centralizer_table(G)
-    met = np.flatnonzero(np.bincount(ct.elem_class[P.members()]))  # the classes meeting P
-    if any(A.mask & ~ct.masks[c] for c in met):
-        return None
-    if not is_ca_group(P):
-        return None
-    return P, A, p
+    return sylows[p], Subgroup(G, mask_of(mem[orders % p != 0])), p

@@ -316,10 +316,13 @@ def test_subgroup_facts_match_retabled(flagship):
     """C(a)'s own facts read from G's centralizer table (its distinct
     centralizers and abelian flags, abelian, CA, the P x A split) against
     the same facts of C(a) tabled on its own, for every candidate a of the
-    catalog up to order 200, of the flagship and of a case-A group."""
+    catalog up to order 200, of the flagship and of a case-A group. Every
+    split P x A found is checked against its definition: P and A meet
+    trivially, their orders multiply to |C(a)|, they commute elementwise
+    and A is abelian."""
     case_a = case_a_group_p2()  # |Z| = 4, |C(a)| = 64
     groups = [build(spec.name) for spec in builtin_catalog(200)] + [flagship, case_a]
-    checked = 0
+    checked = splits = 0
     for G in groups:
         ct = centralizer_table(G)
         for a in _candidates(ct):
@@ -337,7 +340,15 @@ def test_subgroup_facts_match_retabled(flagship):
                     split = split[0].mask, split[1].mask, split[2]
             assert split == want["split"], (G.name, a)
             checked += 1
+            if isinstance(split, tuple):
+                P, A = (indices_of(m, G.order).tolist() for m in split[:2])
+                assert set(P) & set(A) == {0}, (G.name, a)
+                assert len(P) * len(A) == Ca.size, (G.name, a)
+                assert all(set(A) <= naive_centralizer(G.table, y) for y in P), (G.name, a)
+                assert naive_is_abelian_subset(G.table, A), (G.name, a)
+                splits += 1
     assert checked == 51 + 1 + 1  # the catalog's, the flagship's, the case-A group's
+    assert splits == 35  # the C(a) that split as P x A
     # in the case-A group some x in C(a) has C(x) outside C(a), so that
     # C_H(x) = C(x) & C(a) differs from C(x)
     ct = centralizer_table(case_a)

@@ -1,6 +1,9 @@
-"""Property-based invariants over randomly generated small groups, and
-partition verdicts under shuffled components."""
+"""Property-based invariants over randomly generated small groups,
+partition verdicts under shuffled components, and the outcome of parsing
+any string made of spec fragments."""
 
+import ast
+import re
 from functools import cache
 
 import numpy as np
@@ -17,6 +20,8 @@ from nacent import (
     is_nonsimple_partition,
     is_normal_partition,
 )
+from nacent.corpus import parse_spec_string
+from nacent.errors import ParseError
 from nacent.partitions import Partition
 from nacent.subgroups import conjugates, generated_mask
 from oracles import centralizer, naive_normalizer, table_of
@@ -129,3 +134,40 @@ def test_partition_verdicts_ignore_component_order(flagship, rnd):
         rnd.shuffle(comps)
         shuffled = Partition(quotient=part.quotient, components=tuple(comps))
         assert verdicts(shuffled) == verdicts(part), spec
+
+
+# names known and unknown, argument lists, ASCII digits and digits int()
+# reads or refuses, whitespace, and a run past int()'s limit on digits
+SPEC_FRAGMENTS = ("cyclic", "direct_product", "sl23", "heisenberg_frobenius", "wat", "x", "(",
+                  ")", ",", " ", "\t", "\u3000", "cyclic(", "direct_product(", "),", "0", "7",
+                  "13", "\u00b2", "\u0663", "9" * 5000)
+# whole specs, nested, for the fragments to extend or cut
+NESTED_SPECS = st.recursive(
+    st.sampled_from(["sl23", "cyclic(7)", " dihedral( 04 ) ", "heisenberg_frobenius(13,3)"]),
+    lambda inner: st.tuples(inner, inner).map("direct_product({0[0]},{0[1]})".format),
+    max_leaves=4)
+
+
+def render(node) -> str:
+    """A parsed spec in canonical spelling: no spaces, no empty parentheses."""
+    name, args = node
+    if not args:
+        return name
+    return f"{name}({','.join(str(a) if isinstance(a, int) else render(a) for a in args)})"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(SPEC_FRAGMENTS) | NESTED_SPECS, max_size=8).map("".join))
+def test_spec_parses_to_a_fixed_point_or_fails_short(spec):
+    """A string either parses to a tree whose canonical spelling parses back
+    to the same tree, or is a ParseError at a position within the stripped
+    spec, quoting at most 40 characters of it and the two "..." marks."""
+    try:
+        tree = parse_spec_string(spec)
+    except ParseError as exc:
+        found = re.fullmatch(r".+ at position (\d+) in spec (.*)", str(exc), re.S)
+        assert found, str(exc)[:200]
+        assert int(found.group(1)) <= len(spec.strip())
+        assert len(ast.literal_eval(found.group(2))) <= 46
+    else:
+        assert parse_spec_string(render(tree)) == tree

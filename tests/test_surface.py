@@ -7,8 +7,8 @@ documented entry point that no module calls. A function that only tests
 reach belongs in `tests/oracles.py` or nowhere.
 Every module-level UPPER_CASE constant is read by some module, every
 exported error type is raised by some module, and no module but
-`__init__.py` imports a name it never uses. The README's Python example
-runs as written.
+`__init__.py` imports a name it never uses, and no function body compiles a
+regular expression. The README's Python example runs as written.
 """
 
 import ast
@@ -20,7 +20,7 @@ import nacent
 from nacent.cli import REPORT_FIELDS
 
 # exported for users, named in the README, called by no module of the package
-DOCUMENTED_ENTRY_POINTS = ("save_group",)
+DOCUMENTED_ENTRY_POINTS = ("save_group", "semidirect_product")
 
 SRC = Path(nacent.__file__).resolve().parent
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -116,6 +116,18 @@ def test_no_module_imports_a_name_it_never_uses():
         loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{name}: {imp}" for imp in sorted(imported - loaded)]
     assert unused == []
+
+
+def test_no_regex_is_compiled_in_a_function_body():
+    """A pattern compiles once, at import, as a module-level constant; a
+    `re.compile` in a function body compiles on every call."""
+    inside = [f"{name}:{node.lineno}" for name, tree in package_modules()
+              for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "compile" and isinstance(node.func.value, ast.Name)
+              and node.func.value.id == "re"]
+    assert inside == []
 
 
 def test_documented_entry_points_are_exported_and_documented():
