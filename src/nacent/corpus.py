@@ -30,6 +30,7 @@ from .groups import (
     from_cayley_table,
     from_permutations,
     order_guard,
+    prime_factorization,
     table_dtype,
 )
 from .predicates import is_prime
@@ -303,22 +304,13 @@ def heisenberg(p: int, max_order: int | None = None) -> FiniteGroup:
                              f"heisenberg({p})")
 
 
-def _multiplicative_order(c: int, n: int) -> int:
-    x, o = c % n, 1
-    while x != 1:
-        x = x * c % n
-        o += 1
-        if o > n:
-            raise InvalidParams(f"{c} is not a unit mod {n}")
-    return o
-
-
 def _least_of_order(k: int, n: int) -> int | None:
-    """Least unit of multiplicative order exactly k mod n, if one exists."""
+    """Least unit of multiplicative order exactly k mod n, if one exists:
+    the least c with c^k = 1 and c^(k/r) != 1 for each prime r dividing k
+    (c^k = 1 makes c a unit)."""
+    cofactors = [k // r for r, _ in prime_factorization(k)]
     for c in range(1, n):
-        if math.gcd(c, n) != 1:
-            continue
-        if _multiplicative_order(c, n) == k:
+        if pow(c, k, n) == 1 and all(pow(c, e, n) != 1 for e in cofactors):
             return c
     return None
 

@@ -30,9 +30,10 @@ class FiniteGroup:
     generating set found while checking associativity: greedy, by least
     element not yet generated, then pruned to be irredundant.
     ``ladder[j, x]`` is x**(2**j) for j < n.bit_length(), the square ladder
-    that closures and powers climb; `element_orders(G)` gives the order of
-    every element, computed on first use. ``table``, ``inverses`` and ``ladder``
-    are stored in `table_dtype(n)`, the narrowest signed type holding n - 1:
+    that powers, element orders, inverses and the class walk climb;
+    `element_orders(G)` gives the order of every element, computed on first
+    use. ``table``, ``inverses`` and ``ladder`` are stored in
+    `table_dtype(n)`, the narrowest signed type holding n - 1:
     int16 up to order 2**15, int32 above. A table given in another integer
     type is validated as given and narrowed only once its entries are known
     to lie in 0..n-1, so no out-of-range entry can wrap into range; a table
@@ -345,7 +346,7 @@ def _validate_table(table: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.
             raise NotAGroup("entry-range", (), f"an entry lies outside 0..{n - 1}")
         table = table.astype(table_dtype(n), copy=False)
         ladder = _square_ladder(table)
-        gens = _loop_generators(table, ladder)
+        gens = _loop_generators(table)
         _check_associativity(table, gens)
         return table, gens, _inverses(table, ladder), ladder
     except NotAGroup:
@@ -400,54 +401,63 @@ def _square_ladder(table: np.ndarray) -> np.ndarray:
     return ladder
 
 
-def _extend_closure(table: np.ndarray, ladder: np.ndarray, reached: np.ndarray,
-                    gens, seeds) -> list[int]:
+def _extend_closure(table: np.ndarray, reached: np.ndarray, gens, seeds) -> list[int]:
     """Grow `reached` in place to its closure under right multiplication by
     `gens` and `seeds`, given that it is closed under `gens`; return the
     seeds that had to be added, in order.
 
-    The first seed not yet reached is added, then the next, and so on. For
-    each, `reached` is multiplied by the seed's ladder, then each newly
-    reached element by that ladder and every generator so far, so a cyclic
-    stretch of length m takes about log2(m) rounds. No group law is assumed:
-    the squares climbed stay in the submagma the generators generate. In a
-    group the closure of {0} is the subgroup generated.
+    A worklist, as an orbit is computed (Holt, Eick and O'Brien, Handbook
+    of Computational Group Theory, 2005, ch. 3). Each seed not yet reached,
+    in the given order, is added: its column of the table is applied to
+    every element reached so far. Then each element taken off the list has
+    every column so far applied to it. A product not yet reached is marked
+    and goes on the list, so each element goes on it once. Each column is
+    copied out of the table once per call, in the table's type, and
+    `reached` is marked through a byte view of it. No group law is assumed;
+    in a group the closure of {0} is the subgroup generated.
     """
-    used = [int(g) for g in gens]
-    seeds = np.asarray(seeds, dtype=np.int64)
-    fresh = np.empty_like(reached)
-    while (left := seeds[~reached[seeds]]).size:
-        x = int(left[0])
-        every = np.array(used + list(dict.fromkeys(ladder[:, x].tolist())))
-        frontier, cols = np.nonzero(reached)[0], every[len(used):]
-        while frontier.size:
-            fresh[:] = False
-            fresh[table[frontier[:, None], cols]] = True
-            np.greater(fresh, reached, out=fresh)  # reached now, not before
-            reached |= fresh
-            frontier, cols = np.nonzero(fresh)[0], every
-        used.append(x)
-    return used[len(gens):]
+    seen = memoryview(reached.view(np.uint8))
+    cols = [memoryview(table[:, g].copy()) for g in gens]
+    added = []
+    for x in np.asarray(seeds, dtype=np.int64).tolist():
+        if seen[x]:
+            continue
+        col = table[:, x].copy()
+        todo = []
+        for y in col[reached].tolist():
+            if not seen[y]:
+                seen[y] = 1
+                todo.append(y)
+        cols.append(memoryview(col))
+        added.append(x)
+        while todo:
+            r = todo.pop()
+            for c in cols:
+                y = c[r]
+                if not seen[y]:
+                    seen[y] = 1
+                    todo.append(y)
+    return added
 
 
-def _loop_generators(table: np.ndarray, ladder: np.ndarray) -> tuple[int, ...]:
+def _loop_generators(table: np.ndarray) -> tuple[int, ...]:
     """A generating set, greedy, then pruned to be irredundant.
 
     The greedy pass adds the least unreached element until all are reached;
     then each generator, in that order, is dropped if the others still
     reach every element. The last is not tested: it lies outside what those
     before it reach, so it is always kept. Reached means in the closure of
-    {0} under right multiplication by the generators and their ladders;
-    only the identity at 0 is assumed, not the group laws.
+    {0} under right multiplication by the generators; only the identity at
+    0 is assumed, not the group laws.
     """
     n = table.shape[0]
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
-    gens = _extend_closure(table, ladder, reached, (), np.arange(n))
+    gens = _extend_closure(table, reached, (), np.arange(n))
     for x in gens[:-1]:
         rest = [g for g in gens if g != x]
         reached[1:] = False
-        _extend_closure(table, ladder, reached, (), rest)
+        _extend_closure(table, reached, (), rest)
         if reached.all():
             gens = rest
     return tuple(gens)

@@ -292,7 +292,7 @@ def generated_mask(G: FiniteGroup, seeds) -> int:
     group powers supply inverses)."""
     member = np.zeros(G.order, dtype=bool)
     member[0] = True
-    _extend_closure(G.table, G.ladder, member, (), list(seeds))
+    _extend_closure(G.table, member, (), list(seeds))
     return mask_of_bool(member)
 
 
@@ -363,7 +363,7 @@ def _normal_closure_mask(G: FiniteGroup, seeds, member=None, n_gens=None) -> int
     fresh = np.zeros(G.order, dtype=bool)  # the pending seeds, read in ascending order
     fresh[np.asarray(seeds, dtype=np.int64)] = True
     while fresh.any():
-        added = _extend_closure(G.table, G.ladder, member, n_gens, np.flatnonzero(fresh))
+        added = _extend_closure(G.table, member, n_gens, np.flatnonzero(fresh))
         n_gens += added
         fresh[:] = False
         fresh[conjugation_rows(G, added, by=g_gens)] = True
@@ -381,7 +381,7 @@ def normalizer_mask(G: FiniteGroup, mask: int) -> int:
     inside = bool_of(mask, G.order)
     reached = np.zeros(G.order, dtype=bool)
     reached[0] = True
-    gens = _extend_closure(G.table, G.ladder, reached, (), np.nonzero(inside)[0])
+    gens = _extend_closure(G.table, reached, (), np.nonzero(inside)[0])
     return mask_of_bool(inside[conjugation_rows(G, gens)].all(axis=1))
 
 
@@ -393,11 +393,11 @@ def _class_walk(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     Every element starts as its own representative. Each round, every y
     looks at w = c y c^-1 for each c on the square ladder of a generator (a
     long cycle of conjugations by one generator is then crossed in about
-    log2 of its length rounds, as in `_extend_closure`), and takes the least
-    rep[w] below its own, with conj[y] = conj[w] c, since y = c^-1 w c. A
-    round in which no representative falls ends the walk: each rep[y] is
-    then no larger than that of any conjugate of y by a generator, so it is
-    the same across the class and equals its least member. On an abelian
+    log2 of its length rounds), and takes the least rep[w] below its own,
+    with conj[y] = conj[w] c, since y = c^-1 w c. A round in which no
+    representative falls ends the walk: each rep[y] is then no larger than
+    that of any conjugate of y by a generator, so it is the same across the
+    class and equals its least member. On an abelian
     group the first round ends it. The values are plain arrays, so the memo
     holds no reference back to G.
     """

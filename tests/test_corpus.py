@@ -1,6 +1,7 @@
 """Constructors, catalog contract, and group-file round-trips."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,7 @@ from nacent import (
 from nacent.corpus import (
     GroupSpec,
     _class2_extension,
+    _least_of_order,
     cyclic,
     dicyclic,
     dihedral,
@@ -238,6 +240,21 @@ def test_semidirect_cyclic():
     assert m27.order == 27 and exponent(m27) == 9
     with pytest.raises(InvalidParams):
         build("semidirect_cyclic(8,3)")  # no unit of order 3 mod 8
+
+
+def test_least_of_order_matches_search():
+    """The least unit of each multiplicative order k mod n, for n < 160 and
+    k <= n, against orders found by repeated multiplication."""
+    for n in range(2, 160):
+        least = {}
+        for c in range(1, n):
+            if math.gcd(c, n) == 1:
+                x, order = c, 1
+                while x != 1:
+                    x, order = x * c % n, order + 1
+                least.setdefault(order, c)
+        for k in range(1, n + 1):
+            assert _least_of_order(k, n) == least.get(k), (k, n)
 
 
 def test_sl23():

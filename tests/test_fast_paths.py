@@ -1,7 +1,9 @@
 """The fast kernels against their definitional oracles: the associativity
-check, element orders, generated subgroups, the commutator subgroup, the
-centralizer table and center, normal closures, conjugation (classes,
-normalizers, distinct conjugates), the right coset leaders of subgroups
+check, element orders, generated subgroups, closures continued from a
+closed set (also on a long cycle and a long dihedral rotation), the
+commutator subgroup, the centralizer table and center, normal closures,
+conjugation (classes, normalizers, distinct conjugates), the right coset
+leaders of subgroups
 that need not be normal and semidirect-product tables, on every catalog
 group of order <= 48 and on the order-1029 flagship; the generating set
 and the coset labels of quotients on every catalog group of order <= 200;
@@ -11,6 +13,8 @@ the blocked whole-table passes also under forced small blocks. The
 nilpotency test, the orbits of partition components, the
 normal-partition, non-simple, elementary and Frobenius-partition tests
 against the definition, on catalog groups of order <= 64."""
+
+import numpy as np
 
 import nacent.subgroups
 from nacent import (
@@ -36,6 +40,7 @@ from nacent import (
 )
 from nacent.classify import _candidates
 from nacent.errors import NotNilpotent
+from nacent.groups import _extend_closure
 from nacent.partitions import (
     Partition,
     _centralizer_images,
@@ -156,7 +161,8 @@ def test_generators_are_irredundant(flagship):
 
 
 # long cyclic stretches (orders 2^7, 2*3*5*7 and 2^3*3*5^2) and a long
-# dihedral rotation, for the closures and powers that climb the square ladder
+# dihedral rotation, for the powers that climb the square ladder and the
+# closures whose worklist walks such a stretch one element at a time
 LADDER = ["cyclic(128)", "cyclic(210)", "cyclic(600)", "dihedral(99)"]
 
 
@@ -226,6 +232,34 @@ def walk_classes(G):
     for y, r in enumerate(_class_walk(G)[0].tolist()):
         classes.setdefault(r, []).append(y)
     return classes
+
+
+def test_extend_closure_continues_a_closed_set():
+    """`_extend_closure` on a set already closed under the generators so
+    far, as `_normal_closure_mask` calls it. The conjugacy classes come by
+    increasing element order, each as its least member alone, then whole
+    (a whole class alone would leave the closure normal, where a wrong
+    continuation can still land on the right set). Each call adds exactly
+    the seeds outside the closure of the generators before them, in order,
+    and leaves the closure of all the generators."""
+    for spec in [*SMALL, "cyclic(600)", "dihedral(99)"]:
+        G = build(spec)
+        table = table_of(G)
+        orders = element_orders(G)
+        reached = np.zeros(G.order, dtype=bool)
+        reached[0] = True
+        gens, closure = [], naive_closure(table, [])
+        for cls in sorted(walk_classes(G).values(), key=lambda c: (orders[c[0]], c[0])):
+            for seeds in (cls[:1], cls):
+                want = []
+                for s in seeds:
+                    if s not in closure:
+                        want.append(s)
+                        closure = naive_closure(table, gens + want)
+                assert _extend_closure(G.table, reached, gens, seeds) == want, (spec, seeds)
+                gens += want
+                assert frozenset(np.flatnonzero(reached).tolist()) == closure, (spec, seeds)
+        assert reached.all(), spec
 
 
 def test_class_walk_matches_oracle(flagship):

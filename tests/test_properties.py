@@ -1,6 +1,7 @@
 """Property-based invariants over randomly generated small groups,
-partition verdicts under shuffled components, and the outcome of parsing
-any string made of spec fragments."""
+partition verdicts under shuffled components, the generating set of any
+small table with an identity, and the outcome of parsing any string made of
+spec fragments."""
 
 import ast
 import re
@@ -22,9 +23,10 @@ from nacent import (
 )
 from nacent.corpus import parse_spec_string
 from nacent.errors import ParseError
+from nacent.groups import _loop_generators
 from nacent.partitions import Partition
 from nacent.subgroups import conjugates, generated_mask
-from oracles import centralizer, naive_normalizer, table_of
+from oracles import centralizer, naive_generators, naive_normalizer, table_of
 from test_fast_paths import catalog_partitions
 
 
@@ -110,6 +112,27 @@ def test_intersection_is_subgroup(G, data):
     assert G.order % inter.size == 0
     mem = inter.members()
     assert inter.member_bool()[G.table[np.ix_(mem, mem)]].all()
+
+
+@st.composite
+def tables_with_identity(draw):
+    """An n x n table, 2 <= n <= 11, whose row and column 0 are the identity
+    and whose other entries are arbitrary: a magma with identity, most often
+    not a group."""
+    n = draw(st.integers(2, 11))
+    rest = draw(st.lists(st.integers(0, n - 1), min_size=(n - 1)**2, max_size=(n - 1)**2))
+    table = np.empty((n, n), dtype=np.int16)
+    table[0] = table[:, 0] = np.arange(n)
+    table[1:, 1:] = np.reshape(rest, (n - 1, n - 1))
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_with_identity())
+def test_generators_match_oracle_on_any_table(table):
+    """The generating set reaches by right multiplication alone, as the
+    oracle does, whatever the other entries of the table."""
+    assert _loop_generators(table) == naive_generators(table.tolist())
 
 
 @cache

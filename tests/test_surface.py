@@ -4,7 +4,8 @@ Every module-level function of the package is either used by a module of
 the package (a name loaded, an attribute read or a name imported, outside
 `__init__.py` and outside the function's own body) or an exported,
 documented entry point that no module calls. A function that only tests
-reach belongs in `tests/oracles.py` or nowhere.
+reach belongs in `tests/oracles.py` or nowhere. Every parameter of a
+function is read by its body.
 Every module-level UPPER_CASE constant is read by some module, every
 exported error type is raised by some module, and no module but
 `__init__.py` imports a name it never uses, and no function body compiles a
@@ -116,6 +117,25 @@ def test_no_module_imports_a_name_it_never_uses():
         loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{name}: {imp}" for imp in sorted(imported - loaded)]
     assert unused == []
+
+
+def test_every_parameter_is_read():
+    """A parameter goes once its function stops reading it: every parameter
+    of every function or method of the package, nested ones included, is
+    loaded somewhere in that function's body (`self` and `cls` excepted)."""
+    dead = []
+    for name, tree in package_modules():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a is not None]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            dead += [f"{name}: {fn.name}({p})" for p in params
+                     if p not in read and p not in ("self", "cls")]
+    assert dead == []
 
 
 def test_no_regex_is_compiled_in_a_function_body():
