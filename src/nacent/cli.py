@@ -44,7 +44,12 @@ def _run_all(specs: list[GroupSpec], max_order: int | None, parallelism: int) ->
         # imported here: it loads multiprocessing, socket and subprocess
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        # at most a worker per spec and per usable CPU: under fork, all start at once
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # not on every platform
+            cpus = os.cpu_count() or 1
+        with ProcessPoolExecutor(max_workers=min(parallelism, len(specs), cpus)) as pool:
             results = list(pool.map(run, specs, chunksize=4))
     return sorted(results, key=lambda r: r["group_id"])
 

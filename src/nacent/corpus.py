@@ -22,6 +22,7 @@ from .errors import (
     InvalidPermutation,
     OrderLimitExceeded,
     ParseError,
+    excerpt,
 )
 from .groups import (
     BLOCK_CELLS,
@@ -416,14 +417,7 @@ def _spec_error(problem: str, text: str, pos: int, **where) -> ParseError:
     """A ParseError naming the position in the spec and showing at most 40
     characters of it around there, however long the spec is; `where` is the
     file's path and field, for a spec read from a group file."""
-    return ParseError(f"{problem} at position {pos} in spec {_excerpt(text, pos)!r}", **where)
-
-
-def _excerpt(text: str, pos: int = 0) -> str:
-    """At most 40 characters of text around pos, with "..." where cut."""
-    start = max(0, min(pos - 20, len(text) - 40))
-    return ("..." if start else "") + text[start:start + 40] + (
-        "..." if start + 40 < len(text) else "")
+    return ParseError(f"{problem} at position {pos} in spec {excerpt(text, pos)!r}", **where)
 
 
 def _parse_expr(text: str, pos: int, depth: int = 1):
@@ -619,7 +613,7 @@ def load_group(path: str | Path, max_order: int | None = None) -> FiniteGroup:
             if set(params) != set(declared):
                 raise ParseError(
                     f"constructor {ctor!r} expects parameters {list(declared)}, "
-                    f"got {_excerpt(','.join(sorted(params)))!r}", path=str(path), field="params")
+                    f"got {excerpt(','.join(sorted(params)))!r}", path=str(path), field="params")
             call = f"{ctor}({','.join(str(params[k]) for k in declared)})"
         try:
             g = build(call, max_order=max_order)

@@ -3,6 +3,14 @@
 from __future__ import annotations
 
 
+def excerpt(text: str, pos: int = 0) -> str:
+    """At most 40 characters of text around pos, with "..." where cut, for
+    quoting an input of any length in an error message."""
+    start = max(0, min(pos - 20, len(text) - 40))
+    return ("..." if start else "") + text[start:start + 40] + (
+        "..." if start + 40 < len(text) else "")
+
+
 class NacentError(Exception):
     """Base class for all package errors."""
 

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParams, InvalidPermutation, NotAGroup, OrderLimitExceeded
+from .errors import InvalidParams, InvalidPermutation, NotAGroup, OrderLimitExceeded, excerpt
 
 # Whole-table passes work in row blocks of at most this many cells; those
 # over rows of the table take BLOCK_CELLS // (4 n) rows, about 1M cells (2 MB
@@ -29,32 +29,27 @@ class FiniteGroup:
     ``table[i, j]`` is the index of the product i*j. ``generators`` is the
     generating set found while checking associativity: greedy, by least
     element not yet generated, then pruned to be irredundant.
-    ``ladder[j, x]`` is x**(2**j) for j < n.bit_length(), the square ladder
-    that powers, element orders, inverses and the class walk climb;
     `element_orders(G)` gives the order of every element, computed on first
-    use. ``table``, ``inverses`` and ``ladder`` are stored in
-    `table_dtype(n)`, the narrowest signed type holding n - 1:
-    int16 up to order 2**15, int32 above. A table given in another integer
-    type is validated as given and narrowed only once its entries are known
-    to lie in 0..n-1, so no out-of-range entry can wrap into range; a table
-    of another type is accepted only when every entry is a finite integral
-    value. Instances are immutable after construction and safe to share
-    between threads.
+    use. ``table`` and ``inverses`` are stored in `table_dtype(n)`, the
+    narrowest signed type holding n - 1: int16 up to order 2**15, int32
+    above. A table given in another integer type is validated as given and
+    narrowed only once its entries are known to lie in 0..n-1, so no
+    out-of-range entry can wrap into range; a table of another type is
+    accepted only when every entry is a finite integral value. Instances
+    are immutable after construction and safe to share between threads.
     """
 
-    __slots__ = ("order", "table", "generators", "inverses", "ladder", "name",
-                 "_cache", "__weakref__")
+    __slots__ = ("order", "table", "generators", "inverses", "name", "_cache", "__weakref__")
 
     def __init__(self, table: np.ndarray, name: str = "group"):
-        table, gens, inverses, ladder = _validate_table(
+        table, gens, inverses = _validate_table(
             _integer_table(np.ascontiguousarray(table)))
         self.order = table.shape[0]
         self.table = table
         self.name = name
         self.generators = gens
         self.inverses = inverses
-        self.ladder = ladder
-        for arr in (table, inverses, ladder):
+        for arr in (table, inverses):
             arr.setflags(write=False)
         self._cache: dict = {}
 
@@ -66,7 +61,7 @@ class FiniteGroup:
 
     def power(self, a: int, k: int) -> int:
         """a**k for any integer k (reduced modulo the element order)."""
-        return int(_ladder_power(self.table, self.ladder, a, k % int(element_orders(self)[a])))
+        return int(_power(self.table, a, k % int(element_orders(self)[a])))
 
     def __len__(self) -> int:
         return self.order
@@ -80,21 +75,27 @@ def order_guard(max_order: int | None = None) -> int:
     when given, else the environment variable NACENT_MAX_ORDER, else 5000.
 
     Raises InvalidParams when NACENT_MAX_ORDER is read and set to anything
-    but a positive integer.
+    but a positive integer in ASCII digits that int() can read, quoting at
+    most 40 characters of it.
     """
     if max_order is not None:
         return max_order
     raw = os.environ.get("NACENT_MAX_ORDER")
     if not raw:
         return 5000
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise InvalidParams(f"NACENT_MAX_ORDER must be a positive integer, got {raw!r}")
-    return int(raw)
+    digits = raw.strip()
+    try:
+        limit = int(digits) if digits.isascii() and digits.isdecimal() else 0
+    except ValueError:  # more digits than int() converts
+        limit = 0
+    if limit < 1:
+        raise InvalidParams(f"NACENT_MAX_ORDER must be a positive integer, got {excerpt(raw)!r}")
+    return limit
 
 
 def table_dtype(n: int) -> np.dtype:
     """The narrowest signed integer type holding 0..n-1, in which tables,
-    inverses, ladders and projections onto a group of order n are stored."""
+    inverses and projections onto a group of order n are stored."""
     return np.dtype(np.int16) if n <= 2**15 else np.dtype(np.int32)
 
 
@@ -247,16 +248,18 @@ def from_permutations(generators: Sequence[Sequence[int]],
 def element_orders(G: FiniteGroup) -> np.ndarray:
     """The order of every element of G, read-only.
 
-    ord(x) divides n. For each p**a exactly dividing n, with m = n / p**a,
-    the p-part of ord(x) is the least p**b with x**(m * p**b) = 1, so it
-    takes a powerings of all elements at once.
+    ord(x) divides n. For each p**a exactly dividing n, the p-part of ord(x)
+    is the least p**b with y**(p**b) = 1 for y = x**(n / p**a): all elements
+    are raised to n / p**a, then to the p-th power a - 1 times.
     """
     n = G.order
-    every = np.arange(n)
     orders = np.ones(n, dtype=np.int32)
     for p, a in prime_factorization(n):
+        y = _power(G.table, np.arange(n), n // p**a)
         for b in range(a):
-            orders[_ladder_power(G.table, G.ladder, every, n // p**(a - b)) != 0] *= p
+            if b:
+                y = _power(G.table, y, p)
+            orders[y != 0] *= p
     orders.setflags(write=False)
     return orders
 
@@ -318,11 +321,10 @@ def _find_identity(arr: np.ndarray) -> int:
     raise NotAGroup("identity", (), "no two-sided identity element")
 
 
-def _validate_table(table: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.ndarray,
-                                                  np.ndarray]:
+def _validate_table(table: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
     """Check the group laws that need the whole table; return the table in
     `table_dtype(n)`, the generators found on the way (see
-    `_loop_generators`), the inverses and the square ladder.
+    `_loop_generators`) and the inverses.
 
     The identity and the entry range are checked in the type the table
     arrives in; only then is it narrowed, which changes no entry. An
@@ -345,10 +347,9 @@ def _validate_table(table: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.
         if _unsigned(table).max() >= n:
             raise NotAGroup("entry-range", (), f"an entry lies outside 0..{n - 1}")
         table = table.astype(table_dtype(n), copy=False)
-        ladder = _square_ladder(table)
         gens = _loop_generators(table)
         _check_associativity(table, gens)
-        return table, gens, _inverses(table, ladder), ladder
+        return table, gens, _inverses(table)
     except NotAGroup:
         _check_latin_square(table)
         raise
@@ -385,20 +386,6 @@ def _check_latin_square(table: np.ndarray) -> None:
             if bad.size:
                 i = start + int(bad[0])
                 raise NotAGroup("latin-square", (i,), f"{kind} {i} is not a permutation")
-
-
-def _square_ladder(table: np.ndarray) -> np.ndarray:
-    """The rows x**(2**j), j < n.bit_length(), each the square of the last.
-
-    Only entries in range are assumed. Without associativity a row is just
-    that repeated squaring, which stays in any submagma holding x.
-    """
-    n = table.shape[0]
-    ladder = np.empty((n.bit_length(), n), dtype=table.dtype)
-    ladder[0] = np.arange(n)
-    for j in range(1, ladder.shape[0]):
-        ladder[j] = table[ladder[j - 1], ladder[j - 1]]
-    return ladder
 
 
 def _extend_closure(table: np.ndarray, reached: np.ndarray, gens, seeds) -> list[int]:
@@ -495,10 +482,10 @@ def _check_associativity(table: np.ndarray, gens: tuple[int, ...]) -> None:
                     f"({x}*{s})*{k} = {left[i, k]} but {x}*({s}*{k}) = {left[i, k] ^ diff[i, k]}")
 
 
-def _inverses(table: np.ndarray, ladder: np.ndarray) -> np.ndarray:
+def _inverses(table: np.ndarray) -> np.ndarray:
     """The right inverse of every element of a finite monoid.
 
-    x**(n-1), taken over the ladder in one pass over the elements, is the
+    x**(n-1), taken for all elements at once by `_power`, is the
     inverse of x in a group of order n; wherever x * x**(n-1) = 0 it is a
     right inverse, whatever the table. Only when that fails for some x is
     each row scanned for its first 0 (entries are known to be in range, so a
@@ -507,7 +494,7 @@ def _inverses(table: np.ndarray, ladder: np.ndarray) -> np.ndarray:
     """
     every = np.arange(table.shape[0])
     inv = np.zeros_like(every, dtype=table.dtype)
-    inv[:] = _ladder_power(table, ladder, every, every.size - 1)  # a scalar 0 when n = 1
+    inv[:] = _power(table, every, every.size - 1)  # a scalar 0 when n = 1
     if (table[every, inv] == 0).all():
         return inv
     inv = table.argmin(axis=1).astype(table.dtype)
@@ -518,11 +505,14 @@ def _inverses(table: np.ndarray, ladder: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _ladder_power(table: np.ndarray, ladder: np.ndarray, x, e: int):
-    """x**e for 0 <= e < 2**len(ladder), by binary exponentiation over the
-    ladder; x is an element or an array of elements."""
+def _power(table: np.ndarray, x, e: int):
+    """x**e for e >= 0 by binary exponentiation: x is squared as the bits of
+    e are read from the lowest; x is an element or an array of elements."""
     acc = 0
-    for j in range(e.bit_length()):
-        if e >> j & 1:
-            acc = table[acc, ladder[j, x]]
+    while e:
+        if e & 1:
+            acc = table[acc, x]
+        e >>= 1
+        if e:
+            x = table[x, x]
     return acc

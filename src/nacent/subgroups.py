@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNormal, ParentMismatch
-from .groups import (BLOCK_CELLS, FiniteGroup, _extend_closure, element_orders, memoized,
-                     table_dtype)
+from .groups import BLOCK_CELLS, FiniteGroup, _extend_closure, memoized, table_dtype
 
 # ---------------------------------------------------------------------------
 # bitset helpers
@@ -129,8 +128,8 @@ def centralizer_table(G: FiniteGroup) -> CentralizerTable:
     """Every C(x), deduplicated in element order from packed rows.
 
     A table that fits in one block (n^2 <= BLOCK_CELLS) compares the whole
-    commuting relation t == t.T at once, fewer numpy steps than the class
-    walk's rounds, and every element is its own representative. A larger
+    commuting relation t == t.T at once, with no class walk, and every
+    element is its own representative. A larger
     one reads the rows of its non-central elements off one representative
     per conjugacy class (`_conjugated_centralizers`), about k*n cells for k
     classes instead of n^2; a central element, alone in its class, has
@@ -390,35 +389,35 @@ def _class_walk(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     """For every element y, rep[y], the least member of its conjugacy class,
     and conj[y], an element g with g^-1 rep[y] g = y.
 
-    Every element starts as its own representative. Each round, every y
-    looks at w = c y c^-1 for each c on the square ladder of a generator (a
-    long cycle of conjugations by one generator is then crossed in about
-    log2 of its length rounds), and takes the least rep[w] below its own,
-    with conj[y] = conj[w] c, since y = c^-1 w c. A round in which no
-    representative falls ends the walk: each rep[y] is then no larger than
-    that of any conjugate of y by a generator, so it is the same across the
-    class and equals its least member. On an abelian
-    group the first round ends it. The values are plain arrays, so the memo
-    holds no reference back to G.
+    A worklist, as in `_extend_closure` (Holt, Eick and O'Brien, Handbook
+    of Computational Group Theory, 2005, section 4.1). Each element not yet
+    reached, in ascending order, is the least member of its class. Each w
+    taken off the list gives y = s^-1 w s for every generator s (a column of
+    `conjugation_rows`); a y not yet reached gets conj[y] = conj[w] s and
+    goes on the list. It runs over Python lists, which are read item by item
+    faster than numpy arrays. The values are plain arrays, so the memo holds
+    no reference back to G.
     """
     t = G.table
-    every = np.arange(G.order)
-    climb = int(element_orders(G).max()).bit_length()  # rungs x^(2^j) up to the largest order
-    by = np.asarray(list(dict.fromkeys(G.ladder[:climb, G.generators].ravel().tolist())),
-                    dtype=np.int64)
-    pulled = conjugation_rows(G, every, by=G.inverses[by])  # pulled[i, y] = by[i] y by[i]^-1
-    rep = every.astype(t.dtype)
-    conj = np.zeros(G.order, dtype=t.dtype)
-    while by.size:
-        cand = rep[pulled]
-        least = cand.min(axis=0)
-        fell = np.flatnonzero(least < rep)
-        if not fell.size:
-            break
-        i = cand[:, fell].argmin(axis=0)
-        conj[fell] = t[conj[pulled[i, fell]], by[i]]
-        rep[fell] = least[fell]
-    return rep, conj
+    n = G.order
+    pulled = conjugation_rows(G, np.arange(n), by=G.generators).tolist()
+    steps = list(zip(pulled, t[:, list(G.generators)].T.tolist()))  # (w -> s^-1 w s, g -> g s)
+    rep, conj = [-1] * n, [0] * n
+    for x in range(n):
+        if rep[x] >= 0:
+            continue
+        rep[x] = x
+        todo = [x]
+        while todo:
+            w = todo.pop()
+            g = conj[w]
+            for row, col in steps:
+                y = row[w]
+                if rep[y] < 0:
+                    rep[y] = x
+                    conj[y] = col[g]
+                    todo.append(y)
+    return np.array(rep, dtype=t.dtype), np.array(conj, dtype=t.dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI commands, output formats, and exit-code contract."""
 
+import concurrent.futures
 import csv
 import gc
 import io
@@ -279,6 +280,43 @@ def test_bad_order_guard_env_is_input_error(capsys, monkeypatch, raw):
         assert code == EXIT_INPUT and out == ""
         assert "NACENT_MAX_ORDER must be a positive integer" in err and repr(raw) in err
         assert "exceeds the global order guard" not in err
+
+
+@pytest.mark.parametrize("raw", ["9" * 5000, "\u0663"], ids=["5000-digits", "arabic-indic-3"])
+def test_unreadable_order_guard_env_is_one_short_error(capsys, monkeypatch, raw):
+    # past int()'s limit on digits, and an Arabic-Indic 3 that isdecimal()
+    # takes but the ASCII-digit rule of specs does not
+    monkeypatch.setenv("NACENT_MAX_ORDER", raw)
+    code, out, err = run_cli(["catalog"], capsys)
+    assert code == EXIT_INPUT and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: NACENT_MAX_ORDER must be a positive integer, got ")
+    assert len(line) <= 120
+
+
+def test_parallelism_capped_by_specs(capsys, monkeypatch):
+    # no process is started: the pool records its size and maps in this one
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    code, out, _ = run_cli(["analyze", "cyclic(2)", "cyclic(3)", "--parallelism", "1000000"],
+                           capsys)
+    assert code == EXIT_OK
+    assert [r["group_id"] for r in parse_jsonl(out)] == ["cyclic(2)", "cyclic(3)"]
+    assert len(sizes) == 1 and 1 <= sizes[0] <= 2
 
 
 def test_parallelism_must_be_positive(capsys):

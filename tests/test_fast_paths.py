@@ -8,7 +8,8 @@ that need not be normal and semidirect-product tables, on every catalog
 group of order <= 48 and on the order-1029 flagship; the generating set
 and the coset labels of quotients on every catalog group of order <= 200;
 the class walk, the centralizer table and the Fitting subgroup also on
-two case-A groups and on the center quotients of those catalog groups;
+two case-A groups and on the center quotients of those catalog groups,
+the class walk also on the long cycles;
 the blocked whole-table passes also under forced small blocks. The
 nilpotency test, the orbits of partition components, the
 normal-partition, non-simple, elementary and Frobenius-partition tests
@@ -161,18 +162,25 @@ def test_generators_are_irredundant(flagship):
 
 
 # long cyclic stretches (orders 2^7, 2*3*5*7 and 2^3*3*5^2) and a long
-# dihedral rotation, for the powers that climb the square ladder and the
-# closures whose worklist walks such a stretch one element at a time
-LADDER = ["cyclic(128)", "cyclic(210)", "cyclic(600)", "dihedral(99)"]
+# dihedral rotation with a 99-element class of reflections: element orders
+# with many prime-power steps, exponents of many bits, closures whose
+# worklist walks such a stretch one element at a time and a class walk
+# through a long orbit
+LONG_CYCLES = ["cyclic(128)", "cyclic(210)", "cyclic(600)", "dihedral(99)"]
+
+
+def long_cycles():
+    for spec in LONG_CYCLES:
+        yield spec, build(spec)
 
 
 def test_element_orders_match_oracle(flagship):
-    for spec, G in [*groups(flagship), *((spec, build(spec)) for spec in LADDER)]:
+    for spec, G in [*groups(flagship), *long_cycles()]:
         assert element_orders(G).tolist() == naive_orders(table_of(G)), spec
 
 
 def test_generators_match_oracle(flagship):
-    for spec, G in [*groups(flagship), *((spec, build(spec)) for spec in LADDER)]:
+    for spec, G in [*groups(flagship), *long_cycles()]:
         assert G.generators == naive_generators(table_of(G)), spec
 
 
@@ -266,7 +274,7 @@ def test_class_walk_matches_oracle(flagship):
     # the classes in order of least member, each ascending, and for every y
     # the walk's representative, the least member of its class, and an
     # element g with g^-1 rep[y] g = y
-    for spec, G in class_groups(flagship):
+    for spec, G in [*class_groups(flagship), *long_cycles()]:
         table = table_of(G)
         inv = naive_inverses(table)
         classes = walk_classes(G)

@@ -149,7 +149,7 @@ def test_tables_stored_in_int16(flagship):
     groups.append(subgroup_as_group(centralizer(flagship, 1))[0])
     for G in groups:
         assert G.table.dtype == np.int16, G.name
-        assert G.inverses.dtype == G.ladder.dtype == np.int16, G.name
+        assert G.inverses.dtype == np.int16, G.name
 
 
 def test_monoid_without_inverses_names_latin_square():

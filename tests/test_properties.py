@@ -1,7 +1,7 @@
-"""Property-based invariants over randomly generated small groups,
-partition verdicts under shuffled components, the generating set of any
-small table with an identity, and the outcome of parsing any string made of
-spec fragments."""
+"""Property-based invariants over randomly generated small groups, powers
+against repeated multiplication, partition verdicts under shuffled
+components, the generating set of any small table with an identity, and
+the outcome of parsing any string made of spec fragments."""
 
 import ast
 import re
@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from nacent import (
     Subgroup,
+    build,
     center,
     element_orders,
     exponent,
@@ -27,7 +28,7 @@ from nacent.groups import _loop_generators
 from nacent.partitions import Partition
 from nacent.subgroups import conjugates, generated_mask
 from oracles import centralizer, naive_generators, naive_normalizer, table_of
-from test_fast_paths import catalog_partitions
+from test_fast_paths import LONG_CYCLES, SMALL, catalog_partitions
 
 
 def permutations_of(n):
@@ -133,6 +134,25 @@ def test_generators_match_oracle_on_any_table(table):
     """The generating set reaches by right multiplication alone, as the
     oracle does, whatever the other entries of the table."""
     assert _loop_generators(table) == naive_generators(table.tolist())
+
+
+cached_build = cache(build)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([*SMALL, *LONG_CYCLES, "heisenberg_frobenius(7,3)"]), st.data())
+def test_power_matches_repeated_multiplication(flagship, spec, data):
+    """a**k for k in [-3n, 3n], negative and past the order of a included,
+    against |k| products of a, or of its inverse found in a's row."""
+    G = flagship if spec == "heisenberg_frobenius(7,3)" else cached_build(spec)
+    n = G.order
+    a = data.draw(st.integers(0, n - 1))
+    k = data.draw(st.integers(-3 * n, 3 * n))
+    b = a if k >= 0 else int(np.flatnonzero(G.table[a] == 0)[0])
+    want = 0
+    for _ in range(abs(k)):
+        want = G.mul(want, b)
+    assert G.power(a, k) == want, (spec, a, k)
 
 
 @cache
