@@ -5,7 +5,9 @@ Every step reads the distinct centralizers from the memoized
 non-abelian centralizers are its non-abelian classes, and C(x) is
 `masks[elem_class[x]]`. The facts about C(a) itself (|Cent(C(a))|, its
 CA flag, its P x A split) are read from the same table through
-`subgroups.subgroup_centralizers`, without tabling C(a) on its own.
+`subgroups.subgroup_centralizers`, without tabling C(a) on its own, and
+the images C(x)/Z in G/Z from `partitions.centralizer_images`, which the
+centralizer partition reads too.
 
 `full_report` is the one entry point and makes one pass. It reads the
 category (abelian / CA / two-nacent / many-nacent) from the number of
@@ -27,8 +29,10 @@ from typing import Any
 from .errors import NotNilpotent
 from .groups import FiniteGroup, exponent, memoized
 from .partitions import (
+    _union_outside,
     _validate_frobenius,
     center_quotient,
+    centralizer_images,
     centralizer_partition,
     is_elementary_partition,
     is_frobenius_partition,
@@ -101,9 +105,9 @@ def evaluate_cases(G: FiniteGroup, a: int) -> tuple[CaseCheck, ...]:
     """
     ct = centralizer_table(G)
     Ca = Subgroup(G, ct.masks[ct.elem_class[a]])
-    qm = center_quotient(G)
-    Q = qm.quotient
-    img_ca = qm.image(Ca)
+    Q = center_quotient(G).quotient
+    images = centralizer_images(G)
+    img_ca = Subgroup(Q, images[ct.elem_class[a]])
     zsize = center_mask(G).bit_count()
     _, outer = _classes_by_side(ct, Ca.mask)
     ca_is_ca = is_ca_group(Ca)
@@ -154,7 +158,7 @@ def evaluate_cases(G: FiniteGroup, a: int) -> tuple[CaseCheck, ...]:
     data = {}
     checks["ca_image_normal"] = is_normal(Q, img_ca)
     if checks["ca_image_normal"]:
-        witness_x = _cyclic_complement_witness(G, ct, qm, img_ca, outer)
+        witness_x = _cyclic_complement_witness(ct, images, img_ca, outer)
         checks["cyclic_complement_witness"] = witness_x is not None
         if witness_x is not None:
             data["kernel_size"] = img_ca.size
@@ -166,14 +170,15 @@ def evaluate_cases(G: FiniteGroup, a: int) -> tuple[CaseCheck, ...]:
     return tuple(results)
 
 
-def _cyclic_complement_witness(G, ct, qm, img_ca, outer) -> int | None:
+def _cyclic_complement_witness(ct, images, img_ca, outer) -> int | None:
     """Least x outside C(a) whose centralizer image is a valid cyclic
     complement, trying the witnesses of the outside classes in ascending
     order. `_validate_frobenius` rejects a wrong order or a non-trivial
     meet with the kernel first."""
+    Q = img_ca.parent
     for c in outer:
-        img_cx = qm.image(Subgroup(G, ct.masks[c]))
-        if is_cyclic(img_cx) and _validate_frobenius(qm.quotient, img_ca, img_cx):
+        img_cx = Subgroup(Q, images[c])
+        if is_cyclic(img_cx) and _validate_frobenius(Q, img_ca, img_cx):
             return ct.witnesses[c]
     return None
 
@@ -193,19 +198,6 @@ def _matches(G: FiniteGroup, ct: CentralizerTable) -> list[tuple[int, CaseCheck]
     holds for it, in candidate order, then case order."""
     return [(a, check) for a in _candidates(ct)
             for check in evaluate_cases(G, a) if check.matched]
-
-
-def _meet_pairwise_in(z: int, masks) -> bool:
-    """True iff every two of the bitsets meet in exactly z, given that each
-    contains z: their parts outside z are pairwise disjoint, which is checked
-    against their running union in one pass."""
-    union = 0
-    for m in masks:
-        m &= ~z
-        if union & m:
-            return False
-        union |= m
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +249,8 @@ def _two_nacent_report(G: FiniteGroup, ct: CentralizerTable,
     case = next(by_name[name] for name in "ACB" if name in by_name)
     Ca = Subgroup(G, ct.masks[ct.elem_class[a]])
     z = center_mask(G)
-    qm = center_quotient(G)
-    Q = qm.quotient
-    img_ca = qm.image(Ca)
+    Q = center_quotient(G).quotient
+    img_ca = Subgroup(Q, centralizer_images(G)[ct.elem_class[a]])
 
     # structural facts that must hold whenever |nacent| = 2
     inner, outer = _classes_by_side(ct, Ca.mask)
@@ -268,7 +259,7 @@ def _two_nacent_report(G: FiniteGroup, ct: CentralizerTable,
         "ca_normal": is_normal(G, Ca),
         "inner_centralizers_inside_ca": all(ct.masks[c] & ~Ca.mask == 0 for c in inner),
         "outside_meet_ca_in_center": all(m & Ca.mask == z for m in outside),
-        "outside_pairwise_meet_in_center": _meet_pairwise_in(z, outside),
+        "outside_pairwise_meet_in_center": _union_outside(z, outside) is not None,
     }
     report.case = case.name
     report.case_data.update(case.data, ca_size=Ca.size, witness_a=a,
@@ -400,8 +391,10 @@ def full_report(G: FiniteGroup, group_id: str | None = None) -> VerificationRepo
     }
     counting = None
     if not iff["forward_ok"]:
+        failed = "; ".join(f"{c.name}: " + ", ".join(k for k, ok in c.checks.items() if not ok)
+                           for a in _candidates(ct) for c in evaluate_cases(G, a))
         report.violations.append(
-            f"forward: {G.name!r}: |nacent| = 2 but no structural case matches")
+            f"forward: {G.name!r}: |nacent| = 2 but no structural case matches ({failed})")
     elif not iff["converse_ok"]:
         a, check = matches[0]
         report.violations.append(

@@ -18,7 +18,7 @@ from typing import TextIO
 
 from .classify import VerificationReport, full_report
 from .corpus import GroupSpec, build, builtin_catalog, file_group_id
-from .errors import InvalidParams, NacentError, ParseError
+from .errors import InvalidParams, NacentError, ParseError, excerpt_int
 from .groups import order_guard
 
 EXIT_OK = 0
@@ -177,8 +177,8 @@ def _check_run_config(args) -> str | None:
         return str(exc)
     max_order = getattr(args, "max_order", None)
     if max_order is not None and max_order > limit:
-        return (f"--max-order {max_order} exceeds the global order guard {limit} "
-                f"(raise it with NACENT_MAX_ORDER)")
+        return (f"--max-order {excerpt_int(max_order)} exceeds the global order guard "
+                f"{limit} (raise NACENT_MAX_ORDER)")
     if getattr(args, "parallelism", 1) < 1:
         return "--parallelism must be at least 1"
     return None

@@ -23,6 +23,7 @@ from .errors import (
     OrderLimitExceeded,
     ParseError,
     excerpt,
+    excerpt_int,
 )
 from .groups import (
     BLOCK_CELLS,
@@ -61,7 +62,8 @@ class GroupSpec:
 def _guarded(order: int, max_order: int | None) -> None:
     limit = order_guard(max_order)
     if order > limit:
-        raise OrderLimitExceeded(f"group of order {order} exceeds limit {limit}")
+        raise OrderLimitExceeded(
+            f"group of order {excerpt_int(order)} exceeds limit {excerpt_int(limit)}")
     if order < 1:
         raise InvalidParams(f"group order must be positive, got {order}")
 
@@ -122,7 +124,7 @@ def dicyclic(n: int, max_order: int | None = None) -> FiniteGroup:
 def symmetric(n: int, max_order: int | None = None) -> FiniteGroup:
     """Symmetric group on n letters, tabulated from permutations (n <= 6)."""
     if not 1 <= n <= 6:
-        raise InvalidParams(f"symmetric(n) supports 1 <= n <= 6, got {n}")
+        raise InvalidParams(f"symmetric(n) supports 1 <= n <= 6, got {excerpt_int(n)}")
     _guarded(math.factorial(n), max_order)
     gens = []
     if n >= 2:
@@ -135,7 +137,7 @@ def symmetric(n: int, max_order: int | None = None) -> FiniteGroup:
 def alternating(n: int, max_order: int | None = None) -> FiniteGroup:
     """Alternating group on n letters, generated by 3-cycles (n <= 6)."""
     if not 1 <= n <= 6:
-        raise InvalidParams(f"alternating(n) supports 1 <= n <= 6, got {n}")
+        raise InvalidParams(f"alternating(n) supports 1 <= n <= 6, got {excerpt_int(n)}")
     _guarded(max(1, math.factorial(n) // 2), max_order)
     gens = []
     for k in range(2, n):
@@ -356,7 +358,8 @@ def semidirect_cyclic(n: int, k: int, max_order: int | None = None) -> FiniteGro
     n: h acts by multiplication by lam^h, an automorphism of C_n since lam
     is a unit, and h -> lam^h is a homomorphism since lam^k = 1."""
     if n < 2 or k < 1:
-        raise InvalidParams(f"semidirect_cyclic needs n >= 2, k >= 1, got ({n}, {k})")
+        raise InvalidParams("semidirect_cyclic needs n >= 2, k >= 1, "
+                            f"got ({excerpt_int(n)}, {excerpt_int(k)})")
     _guarded(n * k, max_order)
     lam = _least_of_order(k, n)
     if lam is None:
@@ -470,7 +473,7 @@ def _build_node(node, max_order: int | None) -> FiniteGroup:
     fn, param_names = _FLAT_BUILDERS[name]
     if len(args) != len(param_names) or any(not isinstance(a, int) for a in args):
         raise InvalidParams(
-            f"{name} takes {len(param_names)} integer parameter(s), got {args!r}")
+            f"{name} takes {len(param_names)} integer parameter(s), got {excerpt(repr(args))}")
     return fn(*args, max_order=max_order)
 
 

@@ -11,6 +11,16 @@ def excerpt(text: str, pos: int = 0) -> str:
         "..." if start + 40 < len(text) else "")
 
 
+def excerpt_int(n: int) -> str:
+    """n in decimal, cut to 37 characters and "..." past 40. The digits past
+    the leading ones are divided off first, since str() refuses an int of
+    more than 4300 digits."""
+    m = abs(n)
+    cut = max(0, (m.bit_length() - 1) * 30102 // 100000 - 40)  # leaves over 40 digits
+    text = "-" * (n < 0) + str(m // 10**cut)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 class NacentError(Exception):
     """Base class for all package errors."""
 

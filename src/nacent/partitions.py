@@ -24,6 +24,7 @@ from .subgroups import (
     _normal_closure_mask,
     bool_of,
     center,
+    center_mask,
     centralizer_table,
     conjugates,
     coset_leaders,
@@ -76,18 +77,24 @@ def normal_closure_mask(G: FiniteGroup, mask: int) -> int:
 # partition predicates
 
 
+def _union_outside(z: int, masks) -> int | None:
+    """The union of the bitsets' parts outside z, or None when two of those
+    parts meet: for bitsets that each contain z, None unless every two meet
+    in exactly z. One pass against the running union."""
+    union = 0
+    for m in masks:
+        m &= ~z
+        if union & m:
+            return None
+        union |= m
+    return union
+
+
 def is_partition(Q: FiniteGroup, components) -> bool:
-    """True iff every non-trivial element lies in exactly one component."""
-    full = (1 << Q.order) - 1
-    acc = 0
-    for comp in components:
-        m = comp.mask & ~1
-        if m == 0:
-            return False  # trivial subgroups are not allowed as components
-        if acc & m:
-            return False
-        acc |= m
-    return acc == full & ~1
+    """True iff every non-trivial element lies in exactly one component;
+    trivial subgroups are not allowed as components."""
+    masks = [comp.mask for comp in components]
+    return all(m & ~1 for m in masks) and _union_outside(1, masks) == (1 << Q.order) - 2
 
 
 def centralizer_partition(G: FiniteGroup) -> Partition | None:
@@ -115,8 +122,7 @@ def _centralizer_partition_masks(G: FiniteGroup) -> tuple[int, ...] | None:
     """
     if is_abelian(G):
         raise AbelianGroup(f"{G.name!r} is abelian; its centralizer images are trivial")
-    qm = center_quotient(G)
-    by_size = sorted(_centralizer_images(G, qm), key=_size_then_mask, reverse=True)
+    by_size = sorted(centralizer_images(G)[1:], key=_size_then_mask, reverse=True)
     kept: list[tuple[int, int]] = []  # (size, mask), descending size
     for m in by_size:
         size = m.bit_count()
@@ -125,29 +131,35 @@ def _centralizer_partition_masks(G: FiniteGroup) -> tuple[int, ...] | None:
             continue
         kept.append((size, m))
     masks = sorted((m for _, m in kept), key=_size_then_mask)
-    if not is_partition(qm.quotient, [Subgroup(qm.quotient, m) for m in masks]):
+    Q = center_quotient(G).quotient
+    if not is_partition(Q, [Subgroup(Q, m) for m in masks]):
         return None
     return tuple(masks)
 
 
-def _centralizer_images(G: FiniteGroup, qm: QuotientMap) -> list[int]:
-    """The bitsets over G/Z of the images of the proper centralizers of G.
+@memoized
+def centralizer_images(G: FiniteGroup) -> tuple[int, ...]:
+    """The bitsets over G/Z of the images C(x)/Z of the centralizers of G,
+    one per class of `centralizer_table(G)`, in class order: class 0, C(z)
+    = G for central z, maps onto all of G/Z.
 
     Each C(x) contains Z, so it is a union of cosets of Z, and its image
     holds a coset iff C(x) holds that coset's least member: one gather of
     the packed centralizer rows at the coset leaders of Z, in ascending
     order as `quotient` labels them. On a trivial center the images are
-    the centralizers themselves.
+    the centralizers themselves. The value is plain ints, so the memo holds
+    no reference back to G.
     """
-    proper = centralizer_table(G).masks[1:]  # class 0 is C(z) = G for central z
-    if qm.quotient is G:
-        return list(proper)
+    ct = centralizer_table(G)
+    z = center_mask(G)
+    if z == 1:
+        return ct.masks
     nbytes = (G.order + 7) // 8
-    rows = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in proper),
-                         dtype=np.uint8).reshape(len(proper), nbytes)
-    leaders = np.flatnonzero(coset_leaders(G, qm.kernel.mask) == np.arange(G.order))
+    rows = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in ct.masks),
+                         dtype=np.uint8).reshape(len(ct.masks), nbytes)
+    leaders = np.flatnonzero(coset_leaders(G, z) == np.arange(G.order))
     packed = np.packbits(rows[:, leaders >> 3] >> (leaders & 7) & 1, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 @memoized

@@ -14,7 +14,7 @@ from .subgroups import (
     Subgroup,
     _normal_closure_mask,
     center_mask,
-    conjugation_rows,
+    conjugate,
     generated_mask,
     indices_of,
     mask_of,
@@ -113,7 +113,7 @@ def _fitting_mask(G: FiniteGroup) -> int:
             done |= inside
         else:
             cls = np.zeros(n, dtype=bool)
-            cls[conjugation_rows(G, [x])] = True
+            cls[conjugate(G, x, np.arange(n))] = True
             done[G.table[np.flatnonzero(cls)[:, None], center]] = True
     return mask_of_bool(inside)
 

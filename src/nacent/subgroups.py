@@ -4,8 +4,10 @@ Subgroups are bitsets (arbitrary-width Python ints) over the parent's
 element indices, so equality, intersection and deduplication are plain
 integer operations. All functions here are pure; derived structures that
 are expensive to recompute (center, centralizer classes, class
-representatives, the conjugates of a subgroup) are memoized on the parent
-group; its generating set is found when its table is validated.
+representatives, normalizers, the conjugates of a subgroup) are memoized on
+the parent group; its generating set is found when its table is validated.
+Every conjugation through the table goes through `conjugate`, and a
+subgroup is normal when its memoized normalizer is the whole group.
 """
 
 from __future__ import annotations
@@ -184,7 +186,7 @@ def _conjugated_centralizers(G: FiniteGroup, rep: np.ndarray, conj: np.ndarray,
     For the representatives x among them, C(x) is read off one comparison
     t[reps] == t[:, reps].T in blocks of rows. Any other y = g^-1 x g of
     x's class, g = conj[y], has C(y) = g^-1 C(x) g: the members of C(x)
-    conjugated by g in one gather, k*n cells over all y for k classes,
+    conjugated by g in one `conjugate`, k*n cells over all y for k classes,
     scattered into a block of bool rows and packed.
     """
     t = G.table
@@ -208,8 +210,6 @@ def _conjugated_centralizers(G: FiniteGroup, rep: np.ndarray, conj: np.ndarray,
     starts = np.cumsum(counts) - counts
     rep_index = np.empty(n, dtype=np.int64)
     rep_index[reps] = np.arange(reps.size)
-    inv = G.inverses
-    flat = t.ravel()
     buf = np.empty((min(block, elems.size), n), dtype=bool)
     for i in range(0, elems.size, block):
         ys = elems[i:i + block]
@@ -217,12 +217,10 @@ def _conjugated_centralizers(G: FiniteGroup, rep: np.ndarray, conj: np.ndarray,
         c = counts[r]
         first = np.cumsum(c) - c
         at = np.repeat(starts[r] - first, c) + np.arange(first[-1] + c[-1])
-        # g^-1 m g = (g^-1 (g^-1 m)^-1)^-1 for g = conj[y]: both products read
-        # row g^-1 of the table, not the scattered column g
-        row = np.repeat(inv[conj[ys]].astype(np.int64) * n, c)
         bits = buf[:ys.size]
         bits[:] = False
-        bits[np.repeat(np.arange(ys.size), c), inv[flat[row + inv[flat[row + mem[at]]]]]] = True
+        bits[np.repeat(np.arange(ys.size), c),
+             conjugate(G, mem[at], np.repeat(conj[ys], c))] = True
         yield ys, np.packbits(bits, axis=1, bitorder="little")
 
 
@@ -299,12 +297,17 @@ def generated_mask(G: FiniteGroup, seeds) -> int:
 # conjugation and normality
 
 
-def conjugation_rows(G: FiniteGroup, elems, by=None) -> np.ndarray:
-    """The len(by) x len(elems) array of g^-1 h g, for g in `by` (all of G
-    when None) down the rows and h in `elems` across the columns."""
-    t = G.table
-    by = (np.arange(G.order) if by is None else np.asarray(by, dtype=np.int64))[:, None]
-    return t[t[G.inverses[by], elems], by]
+def conjugate(G: FiniteGroup, h, g) -> np.ndarray:
+    """g^-1 h g elementwise, for index arrays h and g that numpy broadcasts
+    against each other; an outer product passes g[:, None], g down the rows.
+
+    It is read as (g^-1 (g^-1 h)^-1)^-1: both products take row g^-1 of the
+    flat table at offset g^-1 n, not the scattered column g.
+    """
+    inv = G.inverses
+    row = inv[np.asarray(g, dtype=np.int64)].astype(np.int64) * G.order
+    flat = G.table.ravel()
+    return inv[flat[row + inv[flat[row + np.asarray(h, dtype=np.int64)]]]]
 
 
 @memoized
@@ -321,26 +324,14 @@ def conjugates(G: FiniteGroup, mask: int) -> tuple[int, ...]:
     if normalizer.bit_count() == G.order:
         return (mask,)
     leaders = np.flatnonzero(coset_leaders(G, normalizer) == np.arange(G.order))
-    rows = conjugation_rows(G, indices_of(mask, G.order), by=leaders)
+    rows = conjugate(G, indices_of(mask, G.order), leaders[:, None])
     return tuple(mask_of(row) for row in rows.tolist())
 
 
 def is_normal(G: FiniteGroup, H: Subgroup) -> bool:
-    """True iff g^-1 H g = H for all g; decided once per subgroup of G."""
-    return H.mask == 1 or H.is_whole() or _is_normal_mask(G, H.mask)
-
-
-@memoized
-def _is_normal_mask(G: FiniteGroup, mask: int) -> bool:
-    """Whether the subgroup with bitset `mask` is normal in G.
-
-    Checks the conjugates of H by the generators of G only, which suffices
-    because the elements normalizing H form a subgroup. A conjugate has the
-    size of H, so it equals H iff it lies inside H.
-    """
-    inside = bool_of(mask, G.order)
-    rows = conjugation_rows(G, np.nonzero(inside)[0], by=G.generators)
-    return bool(inside[rows].all())
+    """True iff g^-1 H g = H for all g: the normalizer of H is G, read off
+    the memoized `normalizer_mask`."""
+    return H.mask == 1 or H.is_whole() or normalizer_mask(G, H.mask).bit_count() == G.order
 
 
 def _normal_closure_mask(G: FiniteGroup, seeds, member=None, n_gens=None) -> int:
@@ -354,7 +345,7 @@ def _normal_closure_mask(G: FiniteGroup, seeds, member=None, n_gens=None) -> int
     Handbook of Computational Group Theory, 2005, ch. 3). N grows in place
     by the newest generators only.
     """
-    g_gens = G.generators
+    by = np.array(G.generators)[:, None]
     if member is None:
         member = np.zeros(G.order, dtype=bool)
         member[0] = True
@@ -365,11 +356,12 @@ def _normal_closure_mask(G: FiniteGroup, seeds, member=None, n_gens=None) -> int
         added = _extend_closure(G.table, member, n_gens, np.flatnonzero(fresh))
         n_gens += added
         fresh[:] = False
-        fresh[conjugation_rows(G, added, by=g_gens)] = True
+        fresh[conjugate(G, added, by)] = True
         np.greater(fresh, member, out=fresh)  # outside N
     return mask_of_bool(member)
 
 
+@memoized
 def normalizer_mask(G: FiniteGroup, mask: int) -> int:
     """Bitset of { g : g^-1 H g = H } for the subgroup H with bitset `mask`.
 
@@ -381,7 +373,7 @@ def normalizer_mask(G: FiniteGroup, mask: int) -> int:
     reached = np.zeros(G.order, dtype=bool)
     reached[0] = True
     gens = _extend_closure(G.table, reached, (), np.nonzero(inside)[0])
-    return mask_of_bool(inside[conjugation_rows(G, gens)].all(axis=1))
+    return mask_of_bool(inside[conjugate(G, gens, np.arange(G.order)[:, None])].all(axis=1))
 
 
 @memoized
@@ -392,15 +384,15 @@ def _class_walk(G: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     A worklist, as in `_extend_closure` (Holt, Eick and O'Brien, Handbook
     of Computational Group Theory, 2005, section 4.1). Each element not yet
     reached, in ascending order, is the least member of its class. Each w
-    taken off the list gives y = s^-1 w s for every generator s (a column of
-    `conjugation_rows`); a y not yet reached gets conj[y] = conj[w] s and
-    goes on the list. It runs over Python lists, which are read item by item
-    faster than numpy arrays. The values are plain arrays, so the memo holds
-    no reference back to G.
+    taken off the list gives y = s^-1 w s for every generator s, read from
+    one `conjugate` of every element by the generators; a y not yet reached
+    gets conj[y] = conj[w] s and goes on the list. It runs over Python
+    lists, which are read item by item faster than numpy arrays. The values
+    are plain arrays, so the memo holds no reference back to G.
     """
     t = G.table
     n = G.order
-    pulled = conjugation_rows(G, np.arange(n), by=G.generators).tolist()
+    pulled = conjugate(G, np.arange(n), np.array(G.generators)[:, None]).tolist()
     steps = list(zip(pulled, t[:, list(G.generators)].T.tolist()))  # (w -> s^-1 w s, g -> g s)
     rep, conj = [-1] * n, [0] * n
     for x in range(n):
@@ -435,7 +427,7 @@ def _commutator_mask(G: FiniteGroup) -> int:
     commutators [s, t] = s^-1 t^-1 s t of pairs of generators of G, read
     off one gather of the conjugates s^-1 t^-1 s."""
     gens = np.asarray(G.generators, dtype=np.int64)
-    comms = G.table[conjugation_rows(G, G.inverses[gens], by=gens), gens]
+    comms = G.table[conjugate(G, G.inverses[gens], gens[:, None]), gens]
     return _normal_closure_mask(G, comms.ravel())
 
 
@@ -451,18 +443,6 @@ class QuotientMap:
     kernel: Subgroup
     quotient: FiniteGroup
     projection: np.ndarray  # parent index -> coset index
-
-    def image_mask(self, H: Subgroup) -> int:
-        if H.parent is not self.parent:
-            raise ParentMismatch("subgroup does not live in the quotient's parent")
-        if self.quotient is self.parent:  # trivial kernel: the identity map
-            return H.mask
-        image = np.zeros(self.quotient.order, dtype=bool)
-        image[self.projection[H.member_bool()]] = True
-        return mask_of_bool(image)
-
-    def image(self, H: Subgroup) -> Subgroup:
-        return Subgroup(self.quotient, self.image_mask(H))
 
 
 def coset_leaders(G: FiniteGroup, mask: int) -> np.ndarray:

@@ -2,6 +2,8 @@
 both directions of the characterization and the consequences."""
 
 import json
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -20,18 +22,17 @@ from nacent.classify import (
     CATEGORY_MANY_NACENT,
     CATEGORY_TWO_NACENT,
     _candidates,
-    _meet_pairwise_in,
     evaluate_cases,
 )
 from nacent.corpus import _class2_extension
-from nacent.partitions import center_quotient
+from nacent.partitions import _union_outside, center_quotient
 from nacent.predicates import (
     hughes_subgroup,
     is_ca_group,
     is_p_group,
     primes_dividing,
 )
-from nacent.subgroups import generated_mask
+from nacent.subgroups import generated_mask, mask_of
 from oracles import (
     centralizer,
     naive_centralizer_sets,
@@ -164,7 +165,7 @@ def test_full_report_one_pass(monkeypatch):
     rep = mod.full_report(G)
     assert rep.ok and rep.consequences["normal_ca"] is True
     assert calls == {"matches": 1}
-    assert misses.count(("_is_normal_mask", ca_mask)) == 1
+    assert misses.count(("normalizer_mask", ca_mask)) == 1
 
 
 @pytest.mark.parametrize("order, matched, cent", [
@@ -212,7 +213,7 @@ def test_pairwise_meet_check_matches_definition(flagship):
     outside = sorted({ct.masks[ct.elem_class[x]] for x in range(flagship.order)
                       if not Ca.contains(x)})
     assert len(outside) == 343
-    assert _meet_pairwise_in(z, outside) is True
+    assert _union_outside(z, outside) == reduce(or_, outside) & ~z
     assert naive_meet_pairwise_in(z, outside) is True
     # fabricated: give one centralizer an element of another outside the center
     for i, j in ((0, 1), (0, 342), (341, 342), (200, 17)):
@@ -220,16 +221,16 @@ def test_pairwise_meet_check_matches_definition(flagship):
         bad = list(outside)
         bad[i] |= extra
         assert naive_meet_pairwise_in(z, bad) is False
-        assert _meet_pairwise_in(z, bad) is False, (i, j)
+        assert _union_outside(z, bad) is None, (i, j)
 
 
 def test_pairwise_meet_check_with_a_center():
     z = 0b11
-    assert _meet_pairwise_in(z, [0b00111, 0b01011, 0b10011])
-    assert _meet_pairwise_in(z, [])
+    assert _union_outside(z, [0b00111, 0b01011, 0b10011]) == 0b11100
+    assert _union_outside(z, []) == 0
     for masks in ([0b00111, 0b01111], [0b00111, 0b01011, 0b10111]):
         assert naive_meet_pairwise_in(z, masks) is False
-        assert _meet_pairwise_in(z, masks) is False
+        assert _union_outside(z, masks) is None
 
 
 def test_case_evaluation_vacuous_for_ca(s3):
@@ -358,14 +359,14 @@ def case_b_over_every_prime(G, a):
     Ca = centralizer(G, a)
     qm = center_quotient(G)
     Q = qm.quotient
-    img = qm.image(Ca)
+    img = mask_of(qm.projection[Ca.members()])
     zsize = center(G).size
     outside = {centralizer(G, x).size for x in range(G.order) if not Ca.contains(x)}
     for q in primes_dividing(Q.order):
         if is_p_group(Q) == q:
             continue
         hq = hughes_subgroup(Q, q)
-        if (hq.size < Q.order and hq.mask == img.mask and Q.order == q * hq.size
+        if (hq.size < Q.order and hq.mask == img and Q.order == q * hq.size
                 and outside == {q * zsize} and is_ca_group(subgroup_as_group(Ca)[0])):
             return q
     return None
@@ -402,13 +403,19 @@ def test_classify_forward_guard(monkeypatch, flagship):
     import nacent.classify as mod
     from nacent.classify import CaseCheck
 
-    fake = tuple(CaseCheck(name, False, {}, {}) for name in ("A", "B", "C"))
+    fake = (CaseCheck("A", False, {"quotient_p_group": False}, {}),
+            CaseCheck("B", False, {"ca_image_prime_index": True, "hughes_is_ca_image": False,
+                                   "outside_order_p": False, "ca_group": True}, {}),
+            CaseCheck("C", False, {"ca_image_normal": True, "cyclic_complement_witness": False,
+                                   "ca_group": True}, {}))
     monkeypatch.setattr(mod, "evaluate_cases", lambda g, a: fake)
     rep = mod.full_report(flagship)
     assert rep.category == CATEGORY_TWO_NACENT
     assert rep.case is None
     assert rep.violations == [
-        "forward: 'heisenberg_frobenius(7,3)': |nacent| = 2 but no structural case matches"]
+        "forward: 'heisenberg_frobenius(7,3)': |nacent| = 2 but no structural case matches "
+        "(A: quotient_p_group; B: hughes_is_ca_image, outside_order_p; "
+        "C: cyclic_complement_witness)"]
     assert rep.case_data["iff"]["forward_ok"] is False
     assert rep.case_data["iff"]["converse_ok"] is True
     assert rep.case_data["iff"]["matched"] == []

@@ -294,6 +294,26 @@ def test_unreadable_order_guard_env_is_one_short_error(capsys, monkeypatch, raw)
     assert len(line) <= 120
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", f"heisenberg({'9' * 1500})"],
+    ["analyze", f"dicyclic({'9' * 4300})"],
+    ["analyze", f"agl1({'9' * 4300})"],
+    ["analyze", f"semidirect_cyclic({'9' * 4300},{'9' * 4300})"],
+    ["analyze", f"symmetric({'9' * 4300})"],
+    ["analyze", f"cyclic(1,{'9' * 4300})"],
+    ["analyze", f"semidirect_cyclic(1,{'9' * 4300})"],
+    ["verify", "--max-order", "9" * 4300],
+], ids=["heisenberg", "dicyclic", "agl1", "semidirect_cyclic", "symmetric", "cyclic-arity",
+        "semidirect_cyclic-k", "max-order"])
+def test_huge_parameter_is_one_short_error(capsys, argv):
+    # an order or parameter past the 4300 digits str() converts is quoted
+    # by its leading digits, not in full and not through a traceback
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_INPUT and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and len(line) <= 120
+
+
 def test_parallelism_capped_by_specs(capsys, monkeypatch):
     # no process is started: the pool records its size and maps in this one
     sizes = []

@@ -44,9 +44,9 @@ from nacent.errors import NotNilpotent
 from nacent.groups import _extend_closure
 from nacent.partitions import (
     Partition,
-    _centralizer_images,
     _component_orbits,
     center_quotient,
+    centralizer_images,
     normal_closure_mask,
 )
 from nacent.predicates import (
@@ -60,8 +60,8 @@ from nacent.subgroups import (
     center,
     center_mask,
     centralizer_table,
+    conjugate,
     conjugates,
-    conjugation_rows,
     coset_leaders,
     generated_mask,
     indices_of,
@@ -306,9 +306,14 @@ def test_conjugation_matches_oracle(flagship):
         table = table_of(G)
         inv = naive_inverses(table)
         n = G.order
-        rows = conjugation_rows(G, [n - 1, 0, 1 % n], by=G.generators)
+        # an outer product, the generators down the rows
+        rows = conjugate(G, [n - 1, 0, 1 % n], np.array(G.generators)[:, None])
         assert rows.tolist() == [[table[table[inv[g]][h]][g] for h in (n - 1, 0, 1 % n)]
                                  for g in G.generators], spec
+        # paired arrays, as the bulk step of `centralizer_table` calls it
+        hs, gs = range(n), [(3 * h + 1) % n for h in range(n)]
+        assert conjugate(G, np.array(hs, dtype=G.table.dtype), gs).tolist() == [
+            table[table[inv[g]][h]][g] for h, g in zip(hs, gs)], spec
         # centralizers (normal and not) and the cyclic subgroups of the generators
         limit = None if n <= 48 else 6
         ct = centralizer_table(G)
@@ -594,18 +599,21 @@ def test_nonsimple_and_elementary_match_oracle(flagship):
 
 
 def test_centralizer_images_match_image_mask():
-    # the images read at the least member of each center coset, against the
-    # projection of every member; the case-A groups have |Z| = 4 and 3
+    # the images read at the least member of each center coset, one per
+    # centralizer class in class order, against the coset label of every
+    # member; class 0, C(z) = G, maps onto all of G/Z; the case-A groups
+    # have |Z| = 4 and 3
     checked = 0
     cases = [(s.name, build(s.name)) for s in builtin_catalog(64)]
     cases += [("case A, order 128", case_a_group_p2()), ("case A, order 243", case_a_group_p3())]
     for spec, G in cases:
         if is_abelian(G):
             continue
-        qm = center_quotient(G)
-        whole = (1 << G.order) - 1
-        want = {qm.image_mask(Subgroup(G, m)) for m in centralizer_table(G).masks if m != whole}
-        got = _centralizer_images(G, qm)
-        assert len(got) == len(want) and set(got) == want, spec
-        checked += qm.quotient is not G
+        label = naive_coset_labels(table_of(G), indices_of(center_mask(G), G.order).tolist())
+        want = tuple(mask_of(label[x] for x in indices_of(m, G.order).tolist())
+                     for m in centralizer_table(G).masks)
+        got = centralizer_images(G)
+        assert got == want, spec
+        assert got[0] == (1 << center_quotient(G).quotient.order) - 1, spec
+        checked += center_mask(G) != 1
     assert checked >= 50
