@@ -66,18 +66,23 @@ CATEGORY_TWO_NACENT = "two_nacent"
 CATEGORY_MANY_NACENT = "many_nacent"
 
 
-def _classes_by_side(ct: CentralizerTable, ca_mask: int) -> tuple[list[int], list[int]]:
-    """The classes inside C(a) other than class 0 (the center's, C(x) = G),
-    and the classes outside C(a), each in ascending order of witness.
+def _sides(G: FiniteGroup, ct: CentralizerTable,
+           a: int) -> tuple[Subgroup, Subgroup, list[int], list[int]]:
+    """C(a), its image C(a)/Z in G/Z, the classes inside C(a) other than
+    class 0 (the center's, C(x) = G), and the classes outside C(a), each
+    in ascending order of witness.
 
     x lies in C(a) iff a lies in C(x), so a class of equal centralizers lies
     wholly inside C(a) or wholly outside it, on the side of its witness.
     """
+    cls = ct.elem_class[a]
+    Ca = Subgroup(G, ct.masks[cls])
+    img_ca = Subgroup(center_quotient(G).quotient, centralizer_images(G)[cls])
     inner: list[int] = []
     outer: list[int] = []
     for c, w in enumerate(ct.witnesses[1:], 1):
-        (inner if ca_mask >> w & 1 else outer).append(c)
-    return inner, outer
+        (inner if Ca.mask >> w & 1 else outer).append(c)
+    return Ca, img_ca, inner, outer
 
 
 # ---------------------------------------------------------------------------
@@ -104,70 +109,57 @@ def evaluate_cases(G: FiniteGroup, a: int) -> tuple[CaseCheck, ...]:
     both directions of the characterization.
     """
     ct = centralizer_table(G)
-    Ca = Subgroup(G, ct.masks[ct.elem_class[a]])
-    Q = center_quotient(G).quotient
-    images = centralizer_images(G)
-    img_ca = Subgroup(Q, images[ct.elem_class[a]])
+    Ca, img_ca, _, outer = _sides(G, ct, a)
+    Q = img_ca.parent
     zsize = center_mask(G).bit_count()
-    _, outer = _classes_by_side(ct, Ca.mask)
     ca_is_ca = is_ca_group(Ca)
 
-    def outside_small(p: int) -> bool:
-        return all(ct.masks[c].bit_count() == p * zsize for c in outer)
-
-    results = []
+    def hughes_checks(r: int) -> dict[str, bool]:
+        # the Hughes subgroup H_r(Q) is the image of C(a), every centralizer
+        # outside C(a) has order r over the center, and C(a) is a CA-group
+        return {
+            "hughes_is_ca_image": hughes_subgroup(Q, r).mask == img_ca.mask,
+            "outside_order_p": all(ct.masks[c].bit_count() == r * zsize for c in outer),
+            "ca_group": ca_is_ca,
+        }
 
     # case A: central quotient is a non-abelian p-group of exponent > p,
-    # its Hughes subgroup is the image of C(a) at index p, and every
-    # centralizer outside C(a) collapses to order p over the center.
-    checks: dict[str, bool] = {}
-    data: dict[str, Any] = {}
+    # and the image of C(a) has index p in it and passes the Hughes checks.
     p = is_p_group(Q)
-    checks["quotient_p_group"] = p is not None and not is_abelian(Q)
-    if checks["quotient_p_group"]:
-        data["p"] = p
-        checks["exponent_gt_p"] = exponent(Q) > p
-        hp = hughes_subgroup(Q, p)
-        checks["hughes_is_ca_image"] = hp.mask == img_ca.mask
-        checks["hughes_index_p"] = img_ca.size > 0 and Q.order == p * img_ca.size
-        checks["outside_order_p"] = outside_small(p)
-        checks["ca_group"] = ca_is_ca
-    results.append(CaseCheck("A", all(checks.values()) and len(checks) > 1, checks, data))
+    checks_a = {"quotient_p_group": p is not None and not is_abelian(Q)}
+    data_a = {"p": p} if checks_a["quotient_p_group"] else {}
+    if checks_a["quotient_p_group"]:
+        checks_a["exponent_gt_p"] = exponent(Q) > p
+        checks_a["hughes_index_p"] = Q.order == p * img_ca.size
+        checks_a.update(hughes_checks(p))
 
     # case B: the image of C(a) has prime index q in a central quotient
-    # that is not a q-group, it is the Hughes subgroup H_q(Q), and every
-    # centralizer outside C(a) has order q over the center. Only the index
-    # can be that prime, since H_q(Q) has index q. (p is the prime Q is a
-    # p-group of, if any, from case A.)
-    checks = {}
-    data = {}
+    # that is not a q-group, and passes the Hughes checks at q. Only the
+    # index can be that prime, since H_q(Q) has index q. (p is the prime Q
+    # is a p-group of, if any, from case A.)
     q = Q.order // img_ca.size
-    checks["ca_image_prime_index"] = is_prime(q) and p != q
-    if checks["ca_image_prime_index"]:
-        data["p"] = q
-        checks["hughes_is_ca_image"] = hughes_subgroup(Q, q).mask == img_ca.mask
-        checks["outside_order_p"] = outside_small(q)
-        checks["ca_group"] = ca_is_ca
-    results.append(CaseCheck("B", all(checks.values()) and len(checks) > 1, checks, data))
+    checks_b = {"ca_image_prime_index": is_prime(q) and p != q}
+    data_b = {"p": q} if checks_b["ca_image_prime_index"] else {}
+    if checks_b["ca_image_prime_index"]:
+        checks_b.update(hughes_checks(q))
 
     # case C: central quotient is Frobenius with kernel the image of C(a)
     # and some outside centralizer image a cyclic complement. A complement
     # that `_validate_frobenius` accepts makes Q a Frobenius group whose
     # kernel, the elements in no conjugate of it, is the image of C(a).
-    checks = {}
-    data = {}
-    checks["ca_image_normal"] = is_normal(Q, img_ca)
-    if checks["ca_image_normal"]:
-        witness_x = _cyclic_complement_witness(ct, images, img_ca, outer)
-        checks["cyclic_complement_witness"] = witness_x is not None
-        if witness_x is not None:
-            data["kernel_size"] = img_ca.size
-            data["complement_size"] = Q.order // img_ca.size
-            data["x"] = witness_x
-        checks["ca_group"] = ca_is_ca
-    results.append(CaseCheck("C", len(checks) > 1 and all(checks.values()), checks, data))
+    checks_c = {"ca_image_normal": is_normal(Q, img_ca)}
+    data_c: dict[str, Any] = {}
+    if checks_c["ca_image_normal"]:
+        x = _cyclic_complement_witness(ct, centralizer_images(G), img_ca, outer)
+        checks_c["cyclic_complement_witness"] = x is not None
+        checks_c["ca_group"] = ca_is_ca
+        if x is not None:
+            data_c = {"kernel_size": img_ca.size, "complement_size": q, "x": x}
 
-    return tuple(results)
+    # a case matches when its first check lets the others run and all hold
+    return tuple(CaseCheck(name, len(checks) > 1 and all(checks.values()), checks, data)
+                 for name, checks, data in (("A", checks_a, data_a), ("B", checks_b, data_b),
+                                            ("C", checks_c, data_c)))
 
 
 def _cyclic_complement_witness(ct, images, img_ca, outer) -> int | None:
@@ -247,13 +239,10 @@ def _two_nacent_report(G: FiniteGroup, ct: CentralizerTable,
     a = matches[0][0]
     by_name = {check.name: check for _, check in matches}
     case = next(by_name[name] for name in "ACB" if name in by_name)
-    Ca = Subgroup(G, ct.masks[ct.elem_class[a]])
+    Ca, img_ca, inner, outer = _sides(G, ct, a)
     z = center_mask(G)
-    Q = center_quotient(G).quotient
-    img_ca = Subgroup(Q, centralizer_images(G)[ct.elem_class[a]])
 
     # structural facts that must hold whenever |nacent| = 2
-    inner, outer = _classes_by_side(ct, Ca.mask)
     outside = [ct.masks[c] for c in outer]
     validation = {
         "ca_normal": is_normal(G, Ca),
@@ -266,7 +255,6 @@ def _two_nacent_report(G: FiniteGroup, ct: CentralizerTable,
                             matched_cases=list(by_name), validation=validation)
     report.violations += [f"validation: {name} failed"
                           for name, flag in validation.items() if not flag]
-    cons = report.consequences
 
     # (a) counting: |Cent(G)| equals |Cent(C(a))| plus the number of
     # outside centralizers plus one, where that number is |G|/p for the
@@ -283,9 +271,6 @@ def _two_nacent_report(G: FiniteGroup, ct: CentralizerTable,
     kernel_sz = img_ca.size
     f_gp = (report.cent_count == cent_ca + g_over_p + 1) if g_over_p else None
     f_k = report.cent_count == cent_ca + kernel_sz + 1
-    cons["a"] = bool(f_k or f_gp)
-    evidence = {"a": f"|Cent(G)| = {report.cent_count}, |Cent(C(a))| = {cent_ca}, "
-                     f"|C(a)/Z| = {kernel_sz}" + (f", |G|/p = {g_over_p}" if g_over_p else "")}
     counting = {
         "cent_ca": cent_ca,
         "g_over_p": g_over_p,
@@ -294,45 +279,45 @@ def _two_nacent_report(G: FiniteGroup, ct: CentralizerTable,
         "formula_ca_over_z": f_k,
     }
 
-    # (b) commutator subgroup inside C(a)
+    # each consequence as (verdict, the orders it was decided on)
     derived = commutator_subgroup(G).mask
-    cons["b"] = derived & ~Ca.mask == 0
-    evidence["b"] = f"|G'| = {derived.bit_count()}, |G' & C(a)| = {(derived & Ca.mask).bit_count()}"
-
-    # (c) image of C(a) is the Fitting subgroup of G/Z
-    fit_q = fitting_subgroup(Q)
-    cons["c"] = fit_q.mask == img_ca.mask
-    evidence["c"] = f"|F(G/Z)| = {fit_q.size}, |C(a)/Z| = {img_ca.size}"
-
-    # (d) C(a) is the Fitting subgroup of G
+    fit_q = fitting_subgroup(img_ca.parent)
     fit = fitting_subgroup(G)
-    cons["d"] = fit.mask == Ca.mask
-    evidence["d"] = f"|F(G)| = {fit.size}, |C(a)| = {Ca.size}"
-
     # (e) C(a) splits as P x A
     try:
-        cons["e"] = decompose_p_times_abelian(Ca) is not None
-        evidence["e"] = f"C(a) of order {Ca.size} has no P x A split"
+        split = (decompose_p_times_abelian(Ca) is not None,
+                 f"C(a) of order {Ca.size} has no P x A split")
     except NotNilpotent:
-        cons["e"] = False
-        evidence["e"] = f"C(a) of order {Ca.size} is not nilpotent"
-
-    # (f) G/C(a) cyclic (requires normality first)
-    cons["normal_ca"] = validation["ca_normal"]
-    evidence["normal_ca"] = evidence["f"] = f"C(a) of order {Ca.size} is not normal"
-    if cons["normal_ca"]:
+        split = False, f"C(a) of order {Ca.size} is not nilpotent"
+    not_normal = f"C(a) of order {Ca.size} is not normal"
+    # (f) G/C(a) is cyclic, which asks for C(a) normal first
+    if validation["ca_normal"]:
         top = quotient(G, Ca).quotient
-        cons["f"] = is_cyclic(top)
-        evidence["f"] = f"G/C(a) of order {top.order} is not cyclic"
+        cyclic_top = is_cyclic(top), f"G/C(a) of order {top.order} is not cyclic"
     else:
-        cons["f"] = False
-
-    cons["ca_group"] = is_ca_group(Ca)
-    evidence["ca_group"] = (f"C(a) of order {Ca.size} has a non-abelian centralizer "
-                            f"of a non-central element")
-
-    report.violations += [f"consequence {key} failed: {evidence[key]}"
-                          for key in _CONSEQUENCE_KEYS if cons[key] is False]
+        cyclic_top = False, not_normal
+    consequences = {
+        "a": (bool(f_k or f_gp),
+              f"|Cent(G)| = {report.cent_count}, |Cent(C(a))| = {cent_ca}, "
+              f"|C(a)/Z| = {kernel_sz}" + (f", |G|/p = {g_over_p}" if g_over_p else "")),
+        # (b) commutator subgroup inside C(a)
+        "b": (derived & ~Ca.mask == 0,
+              f"|G'| = {derived.bit_count()}, |G' & C(a)| = {(derived & Ca.mask).bit_count()}"),
+        # (c) image of C(a) is the Fitting subgroup of G/Z
+        "c": (fit_q.mask == img_ca.mask, f"|F(G/Z)| = {fit_q.size}, |C(a)/Z| = {img_ca.size}"),
+        # (d) C(a) is the Fitting subgroup of G
+        "d": (fit.mask == Ca.mask, f"|F(G)| = {fit.size}, |C(a)| = {Ca.size}"),
+        "e": split,
+        "f": cyclic_top,
+        "normal_ca": (validation["ca_normal"], not_normal),
+        # every case requires C(a) to be a CA-group, so this holds once matched
+        "ca_group": (case.checks["ca_group"],
+                     f"C(a) of order {Ca.size} has a non-abelian centralizer "
+                     f"of a non-central element"),
+    }
+    report.consequences.update((key, verdict) for key, (verdict, _) in consequences.items())
+    report.violations += [f"consequence {key} failed: {evidence}"
+                          for key, (verdict, evidence) in consequences.items() if verdict is False]
     return counting
 
 

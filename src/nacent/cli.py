@@ -19,7 +19,7 @@ from typing import TextIO
 from .classify import VerificationReport, full_report
 from .corpus import GroupSpec, build, builtin_catalog, file_group_id
 from .errors import InvalidParams, NacentError, ParseError, excerpt_int
-from .groups import order_guard
+from .groups import order_guard, positive_int
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -102,25 +102,18 @@ def _summary_record(records: list[dict]) -> dict:
 
 
 def cmd_analyze(args, out: TextIO) -> int:
-    try:
-        specs = [GroupSpec(ref, path=ref) if os.path.exists(ref) else GroupSpec(ref)
-                 for ref in args.inputs]
-        records = _run_all(specs, args.max_order, args.parallelism)
-    except NacentError as exc:
-        return _input_error(exc)
-    return _emit(records, args.format, out)
+    specs = [GroupSpec(ref, path=ref) if os.path.exists(ref) else GroupSpec(ref)
+             for ref in args.inputs]
+    return _emit(_run_all(specs, args.max_order, args.parallelism), args.format, out)
 
 
 def cmd_verify(args, out: TextIO) -> int:
-    try:
-        # the catalog is already bounded by --max-order; explicit corpus
-        # files are only subject to the global guard
-        specs = builtin_catalog(args.max_order)
-        if args.corpus:
-            specs += _corpus_specs(args.corpus)
-        records = _run_all(specs, None, args.parallelism)
-    except NacentError as exc:
-        return _input_error(exc)
+    # the catalog is already bounded by --max-order; explicit corpus
+    # files are only subject to the global guard
+    specs = builtin_catalog(args.max_order)
+    if args.corpus:
+        specs += _corpus_specs(args.corpus)
+    records = _run_all(specs, None, args.parallelism)
     summary = _summary_record(records)
     if _emit(records + [summary], args.format, out) != EXIT_OK:
         return EXIT_INPUT
@@ -132,11 +125,7 @@ def cmd_verify(args, out: TextIO) -> int:
 
 
 def cmd_catalog(args, out: TextIO) -> int:
-    try:
-        specs = builtin_catalog(args.max_order)
-    except NacentError as exc:
-        return _input_error(exc)
-    for s in specs:
+    for s in builtin_catalog(args.max_order):
         print(s.name, file=out)
     return EXIT_OK
 
@@ -152,53 +141,55 @@ def build_parser() -> argparse.ArgumentParser:
                    help="construction spec like 'heisenberg(7)' or a group file")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
-    p.add_argument("--max-order", type=int, default=None)
-    p.add_argument("--parallelism", type=int, default=1)
+    p.add_argument("--max-order", default=None)
+    p.add_argument("--parallelism", default="1")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="run all checks over the built-in catalog")
-    p.add_argument("--max-order", type=int, default=200)
-    p.add_argument("--parallelism", type=int, default=1)
+    p.add_argument("--max-order", default="200")
+    p.add_argument("--parallelism", default="1")
     p.add_argument("--corpus", default=None, help="directory of extra group files")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("catalog", help="list the built-in constructions")
-    p.add_argument("--max-order", type=int, default=200)
+    p.add_argument("--max-order", default="200")
     p.set_defaults(func=cmd_catalog)
     return parser
 
 
-def _check_run_config(args) -> str | None:
-    try:
-        limit = order_guard()
-    except InvalidParams as exc:
-        return str(exc)
-    max_order = getattr(args, "max_order", None)
-    if max_order is not None and max_order > limit:
-        return (f"--max-order {excerpt_int(max_order)} exceeds the global order guard "
-                f"{limit} (raise NACENT_MAX_ORDER)")
-    if getattr(args, "parallelism", 1) < 1:
-        return "--parallelism must be at least 1"
-    return None
+def _check_run_config(args) -> None:
+    """Read --max-order and --parallelism by the integer rule of
+    NACENT_MAX_ORDER and write the ints back into args; InvalidParams when
+    one is no positive integer or --max-order exceeds the global guard."""
+    limit = order_guard()
+    for dest in ("max_order", "parallelism"):
+        raw = getattr(args, dest, None)
+        if raw is not None:
+            setattr(args, dest, positive_int(raw, "--" + dest.replace("_", "-")))
+    if (args.max_order or 0) > limit:
+        raise InvalidParams(f"--max-order {excerpt_int(args.max_order)} exceeds the global "
+                            f"order guard {limit} (raise NACENT_MAX_ORDER)")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    problem = _check_run_config(args)
-    if problem:
-        return _input_error(problem)
-    # the destination is opened before any group is built, so an unwritable
-    # --out fails at once; an input error found later leaves the file empty
-    if not getattr(args, "out", None):
-        return args.func(args, sys.stdout)
     try:
-        out = open(args.out, "w", encoding="utf-8")
-    except OSError as exc:
-        return _input_error(f"cannot write {args.out}: {exc.strerror}")
-    with out:
-        return args.func(args, out)
+        _check_run_config(args)
+        # the destination is opened before any group is built, so an
+        # unwritable --out fails at once; an input error found later leaves
+        # the file empty
+        if not getattr(args, "out", None):
+            return args.func(args, sys.stdout)
+        try:
+            out = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            return _input_error(f"cannot write {args.out}: {exc.strerror}")
+        with out:
+            return args.func(args, out)
+    except NacentError as exc:
+        return _input_error(exc)
 
 
 if __name__ == "__main__":

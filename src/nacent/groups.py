@@ -70,27 +70,29 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
+def positive_int(raw: str, what: str) -> int:
+    """The positive integer that raw spells in ASCII digits, with surrounding
+    whitespace ignored. Raises InvalidParams naming `what` and quoting at
+    most 40 characters of raw for anything else: a sign, an underscore, a
+    non-ASCII digit, zero, or more digits than int() converts."""
+    digits = raw.strip()
+    try:
+        value = int(digits) if digits.isascii() and digits.isdecimal() else 0
+    except ValueError:  # more digits than int() converts
+        value = 0
+    if value < 1:
+        raise InvalidParams(f"{what} must be a positive integer, got {excerpt(raw)!r}")
+    return value
+
+
 def order_guard(max_order: int | None = None) -> int:
     """The largest group order a construction materializes: `max_order`
-    when given, else the environment variable NACENT_MAX_ORDER, else 5000.
-
-    Raises InvalidParams when NACENT_MAX_ORDER is read and set to anything
-    but a positive integer in ASCII digits that int() can read, quoting at
-    most 40 characters of it.
-    """
+    when given, else the environment variable NACENT_MAX_ORDER, read by
+    `positive_int`, else 5000."""
     if max_order is not None:
         return max_order
     raw = os.environ.get("NACENT_MAX_ORDER")
-    if not raw:
-        return 5000
-    digits = raw.strip()
-    try:
-        limit = int(digits) if digits.isascii() and digits.isdecimal() else 0
-    except ValueError:  # more digits than int() converts
-        limit = 0
-    if limit < 1:
-        raise InvalidParams(f"NACENT_MAX_ORDER must be a positive integer, got {excerpt(raw)!r}")
-    return limit
+    return positive_int(raw, "NACENT_MAX_ORDER") if raw else 5000
 
 
 def table_dtype(n: int) -> np.dtype:

@@ -8,7 +8,7 @@ explicitly given component lists; nothing is assumed to exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import takewhile
 from operator import or_
 
@@ -41,7 +41,7 @@ class Partition:
     quotient: FiniteGroup
     components: tuple[Subgroup, ...]
 
-    @cached_property
+    @property
     def component_masks(self) -> frozenset[int]:
         return frozenset(c.mask for c in self.components)
 

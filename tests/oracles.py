@@ -7,7 +7,8 @@ all-triples associativity scan, which uses numpy slices because n^3
 interpreted steps are out of reach at order 1029, and the cyclic, dihedral,
 dicyclic and Heisenberg tables, which are their int64 formulas mod n or p.
 `naive_class2_table` computes each kernel product and each image under
-the action on its own, from their rules.
+the action on its own, from their rules. `family_closed_form` derives the
+report fields of the cyclic, dihedral and dicyclic families by hand.
 The last four take a group and use the
 package's subgroups and predicates: `subgroup_as_group` and
 `retabled_subgroup_facts` keep the slower route to a subgroup's own facts,
@@ -487,6 +488,40 @@ def naive_coset_labels(table, members) -> list[int]:
 def naive_right_coset_leaders(table, members) -> list[int]:
     """The least member of each right coset Hg: min(z * g) over z in H."""
     return [min(table[z][g] for z in members) for g in range(len(table))]
+
+
+def family_closed_form(spec: str) -> dict | None:
+    """The report fields of `cyclic(n)`, `dihedral(n)` and `dicyclic(n)`
+    derived by hand, or None for another spec (Belcastro and Sherman,
+    "Counting centralizers in finite groups", Math. Mag. 67, 1994).
+
+    C_n is abelian with |Z| = n, so C(x) = G for every x. The dihedral
+    group of order 2n and the dicyclic group of order 4n have a cyclic
+    subgroup R of index 2 whose non-central elements have centralizer R,
+    and an element x outside R has the abelian centralizer <x, Z>. G/Z is
+    then dihedral of order 2k with k = |R/Z|: R/Z plus the k subgroups of
+    order 2 of the other elements partition it. The partition is normal;
+    its least proper normal subgroup made of whole components has order k
+    (R/Z is one, and one holding a subgroup of order 2 outside R/Z holds
+    its conjugates too); it is elementary with K = R/Z and p = 2; and it is
+    Frobenius iff k is odd. The k subgroups of order 2 are
+    the images of k distinct centralizers <x, Z>, so |Cent| = k + 2 with R
+    and G. Z is 1 for odd dihedral n, and otherwise the group's one
+    involution in R (its unique central one): k = n, n/2 and n.
+    """
+    name, _, arg = spec.partition("(")
+    if name not in ("cyclic", "dihedral", "dicyclic"):
+        return None
+    n = int(arg.rstrip(")"))
+    if name == "cyclic":
+        return {"center_order": n, "cent_count": 1, "nacent_count": 0,
+                "category": "abelian", "partition": {"applicable": False}}
+    zsize, k = (1, n) if name == "dihedral" and n % 2 else (2, n // 2 if name == "dihedral" else n)
+    return {"center_order": zsize, "cent_count": k + 2, "nacent_count": 1, "category": "ca",
+            "partition": {"applicable": True, "exists": True, "component_count": k + 1,
+                          "component_sizes": [2] * k + [k], "is_normal": True,
+                          "nonsimple_witness_size": k, "elementary": {"k_size": k, "p": 2},
+                          "frobenius": k % 2 == 1}}
 
 
 def subgroup_as_group(H, name: str | None = None):

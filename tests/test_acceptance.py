@@ -33,7 +33,7 @@ from nacent import (
     semidirect_product,
 )
 from nacent.cli import _run_all, _summary_record
-from oracles import is_hughes_thompson_type, naive_centralizer_sets, table_of
+from oracles import family_closed_form, is_hughes_thompson_type, naive_centralizer_sets, table_of
 
 FLAGSHIPS = [("heisenberg_frobenius(7,3)", 1100), ("heisenberg_frobenius(13,3)", 7000)]
 # committed outputs of `nacent verify --max-order 200` and
@@ -249,6 +249,31 @@ def test_criterion_9_reference_outputs_byte_identical(sweep):
     report_line(9, "records equal the committed reference outputs byte for byte",
                 not bad, f"{len(catalog) + 2} lines")
     assert not bad, bad
+
+
+# family parameters past the sweep: primes, powers of two and twice an odd number
+FAMILY_NS = (3, 97, 331, 997, 8, 128, 512, 6, 90, 726, 998)
+
+
+def test_dense_families_match_closed_forms(sweep):
+    """Every cyclic, dihedral and dicyclic record of the sweep, and of the
+    families at FAMILY_NS, carries the fields `family_closed_form` derives
+    by hand, which no reference output feeds."""
+    records, _ = sweep
+    records = records + [full_report(build(f"{family}({n})")).to_dict()
+                         for family in ("cyclic", "dihedral", "dicyclic") for n in FAMILY_NS]
+    checked, bad = 0, []
+    for r in records:
+        want = family_closed_form(r["group_id"])
+        if want is None:
+            continue
+        checked += 1
+        got = {k: r[k] for k in want if k != "partition"}
+        got["partition"] = {k: r["case_data"]["partition"].get(k) for k in want["partition"]}
+        if got != want:
+            bad.append((r["group_id"], got, want))
+    assert checked == 200 + 98 + 49 + 3 * len(FAMILY_NS)
+    assert not bad, bad[:3]
 
 
 def test_order_limit_heisenberg_frobenius_19_3(analyze_fresh):

@@ -14,6 +14,7 @@ from nacent import (
     builtin_catalog,
     center,
     centralizer_table,
+    cyclic,
     full_report,
 )
 from nacent.classify import (
@@ -24,7 +25,7 @@ from nacent.classify import (
     _candidates,
     evaluate_cases,
 )
-from nacent.corpus import _class2_extension
+from nacent.corpus import _class2_extension, direct_product
 from nacent.partitions import _union_outside, center_quotient
 from nacent.predicates import (
     hughes_subgroup,
@@ -40,6 +41,7 @@ from oracles import (
     subgroup_as_group,
     table_of,
 )
+from test_acceptance import case_a_group_p2, case_a_group_p3
 from test_corpus import CLASS2_EXTENSIONS
 
 
@@ -178,6 +180,36 @@ def test_class2_extensions_match_cases_b_and_c(order, matched, cent):
     assert rep.category == CATEGORY_TWO_NACENT and rep.violations == []
     assert rep.case == "C" and rep.case_data["matched_cases"] == matched
     assert rep.cent_count == cent
+
+
+ISOCLINISM_BASES = {
+    **{spec: lambda spec=spec: build(spec) for spec in (
+        "heisenberg_frobenius(7,3)", "symmetric(4)", "alternating(5)", "sl23",
+        "direct_product(dihedral(4),symmetric(3))")},
+    "case_a(128)": case_a_group_p2,
+    "case_a(243)": case_a_group_p3,
+    **{f"class2({order})": lambda params=params: _class2_extension(*params, name="class2")
+       for order, params in CLASS2_EXTENSIONS.items()},
+}
+
+
+def isoclinism_invariants(G):
+    rep = full_report(G)
+    data = rep.case_data
+    return (rep.cent_count, rep.nacent_count, rep.category, rep.case, data.get("matched_cases"),
+            data.get("p"), rep.consequences, len(rep.violations),
+            data["partition"].get("component_count"))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("base", list(ISOCLINISM_BASES))
+def test_abelian_direct_factor_keeps_the_verdicts(base, k):
+    """X x C_k is isoclinic to X (P. Hall, J. reine angew. Math. 182, 1940):
+    (X x C_k)/Z is X/Z, and C((x, c)) = C(x) x C_k. Every verdict the
+    report reads from G/Z and the centralizers is the same, with a center
+    k times as large; cases A, B and C all occur among the bases."""
+    X = ISOCLINISM_BASES[base]()
+    assert isoclinism_invariants(direct_product(X, cyclic(k))) == isoclinism_invariants(X)
 
 
 def test_two_nacent_proof_invariants(flagship):

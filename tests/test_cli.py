@@ -303,8 +303,10 @@ def test_unreadable_order_guard_env_is_one_short_error(capsys, monkeypatch, raw)
     ["analyze", f"cyclic(1,{'9' * 4300})"],
     ["analyze", f"semidirect_cyclic(1,{'9' * 4300})"],
     ["verify", "--max-order", "9" * 4300],
+    ["verify", "--max-order", "9" * 4301],
+    ["analyze", "cyclic(3)", "--parallelism", "9" * 4301],
 ], ids=["heisenberg", "dicyclic", "agl1", "semidirect_cyclic", "symmetric", "cyclic-arity",
-        "semidirect_cyclic-k", "max-order"])
+        "semidirect_cyclic-k", "max-order", "max-order-4301-digits", "parallelism-4301-digits"])
 def test_huge_parameter_is_one_short_error(capsys, argv):
     # an order or parameter past the 4300 digits str() converts is quoted
     # by its leading digits, not in full and not through a traceback
@@ -312,6 +314,22 @@ def test_huge_parameter_is_one_short_error(capsys, argv):
     assert code == EXIT_INPUT and out == ""
     (line,) = err.splitlines()
     assert line.startswith("error: ") and len(line) <= 120
+
+
+@pytest.mark.parametrize("raw", ["\u0663", "1_0", "-5", "0"],
+                         ids=["arabic-indic-3", "underscore", "negative", "zero"])
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--max-order"], ["verify", "--max-order"], ["analyze", "cyclic(3)", "--max-order"],
+    ["verify", "--parallelism"], ["analyze", "cyclic(3)", "--parallelism"],
+], ids=["catalog-max-order", "verify-max-order", "analyze-max-order", "verify-parallelism",
+        "analyze-parallelism"])
+def test_integer_flags_follow_the_order_guard_rule(capsys, argv, raw):
+    # int() reads all four as integers; the rule of NACENT_MAX_ORDER takes
+    # positive integers in ASCII digits only
+    code, out, err = run_cli(argv + [raw], capsys)
+    assert code == EXIT_INPUT and out == ""
+    (line,) = err.splitlines()
+    assert line == f"error: {argv[-1]} must be a positive integer, got {raw!r}"
 
 
 def test_parallelism_capped_by_specs(capsys, monkeypatch):
