@@ -12,6 +12,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -65,13 +66,11 @@ def _guarded(order: int, max_order: int | None) -> None:
         raise OrderLimitExceeded(
             f"group of order {excerpt_int(order)} exceeds limit {excerpt_int(limit)}")
     if order < 1:
-        raise InvalidParams(f"group order must be positive, got {order}")
+        raise InvalidParams(f"group order must be positive, got {excerpt_int(order)}")
 
 
 def cyclic(n: int, max_order: int | None = None) -> FiniteGroup:
     """Cyclic group of order n (addition mod n)."""
-    if n < 1:
-        raise InvalidParams(f"cyclic order must be >= 1, got {n}")
     _guarded(n, max_order)
     return FiniteGroup(_rotations(n, table_dtype(n)), name=f"cyclic({n})")
 
@@ -89,8 +88,6 @@ def dihedral(n: int, max_order: int | None = None) -> FiniteGroup:
     With C the table of addition mod n and D = C with its columns negated
     mod n, so D[i, j] = i - j mod n, the table is [[C, C + n], [D + n, D]]:
     a reflection on the left turns r^j into r^-j."""
-    if n < 1:
-        raise InvalidParams(f"dihedral parameter must be >= 1, got {n}")
     _guarded(2 * n, max_order)
     dt = table_dtype(2 * n)
     rot = _rotations(n, dt)
@@ -108,8 +105,6 @@ def dicyclic(n: int, max_order: int | None = None) -> FiniteGroup:
     b a b^-1 = a^-1. With C the table of addition mod 2n, the a-exponent
     of a^i b^j times a^k b^l is C[i, k] when j = 0, C[i, -k] when j = 1,
     l = 0 and C[i, n - k] when j = l = 1; the b-exponent is j xor l."""
-    if n < 1:
-        raise InvalidParams(f"dicyclic parameter must be >= 1, got {n}")
     _guarded(4 * n, max_order)
     dt = table_dtype(4 * n)
     m = 2 * n
@@ -507,38 +502,26 @@ SEMIDIRECT_CYCLIC_SET = ((5, 2), (7, 3), (9, 3), (13, 4), (16, 2))
 
 
 def builtin_catalog(max_order: int) -> list[GroupSpec]:
-    """Deterministic list of construction specs with order <= max_order."""
+    """The specs of order <= max_order, in a fixed order: one table of
+    (spec, order) rows, a generator per family, under one filter."""
     if max_order < 1:
         raise InvalidParams(f"max_order must be >= 1, got {max_order}")
-    specs: list[str] = []
-    specs.extend(f"cyclic({n})" for n in range(1, max_order + 1))
-    specs.extend(f"dihedral({n})" for n in range(3, max_order // 2 + 1))
-    specs.extend(f"dicyclic({n})" for n in range(2, max_order // 4 + 1))
-    for n, size in ((3, 6), (4, 24)):
-        if size <= max_order:
-            specs.append(f"symmetric({n})")
-    for n, size in ((4, 12), (5, 60)):
-        if size <= max_order:
-            specs.append(f"alternating({n})")
-    for p in (3, 5, 7):
-        if p ** 3 <= max_order:
-            specs.append(f"heisenberg({p})")
-    for p, q in ((7, 3), (13, 3)):
-        if p ** 3 * q <= max_order:
-            specs.append(f"heisenberg_frobenius({p},{q})")
-    for q in (2, 3, 5, 7, 11, 13):
-        if q * (q - 1) <= max_order:
-            specs.append(f"agl1({q})")
-    if 24 <= max_order:
-        specs.append("sl23")
-    for n, k in SEMIDIRECT_CYCLIC_SET:
-        if n * k <= max_order:
-            specs.append(f"semidirect_cyclic({n},{k})")
-    for i, (left, m) in enumerate(DIRECT_PRODUCT_PRIMARIES):
-        for right, k in DIRECT_PRODUCT_PRIMARIES[i:]:
-            if m * k <= max_order:
-                specs.append(f"direct_product({left},{right})")
-    return [GroupSpec(name=s) for s in specs]
+    rows = chain(
+        ((f"cyclic({n})", n) for n in range(1, max_order + 1)),
+        ((f"dihedral({n})", 2 * n) for n in range(3, max_order + 1)),
+        ((f"dicyclic({n})", 4 * n) for n in range(2, max_order + 1)),
+        ((f"symmetric({n})", size) for n, size in ((3, 6), (4, 24))),
+        ((f"alternating({n})", size) for n, size in ((4, 12), (5, 60))),
+        ((f"heisenberg({p})", p ** 3) for p in (3, 5, 7)),
+        ((f"heisenberg_frobenius({p},{q})", p ** 3 * q) for p, q in ((7, 3), (13, 3))),
+        ((f"agl1({q})", q * (q - 1)) for q in (2, 3, 5, 7, 11, 13)),
+        [("sl23", 24)],
+        ((f"semidirect_cyclic({n},{k})", n * k) for n, k in SEMIDIRECT_CYCLIC_SET),
+        ((f"direct_product({left},{right})", m * k)
+         for i, (left, m) in enumerate(DIRECT_PRODUCT_PRIMARIES)
+         for right, k in DIRECT_PRODUCT_PRIMARIES[i:]),
+    )
+    return [GroupSpec(name=s) for s, order in rows if order <= max_order]
 
 
 # ---------------------------------------------------------------------------

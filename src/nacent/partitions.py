@@ -266,15 +266,10 @@ def _validate_frobenius(Q: FiniteGroup, K: Subgroup, H: Subgroup) -> bool:
     if H.mask & K.mask != 1 or H.size * K.size != Q.order:
         return False
     conj_masks = conjugates(Q, H.mask)
-    # H has |Q:N(H)| conjugates, so |K| = |Q:H| of them iff N(H) = H
-    if len(conj_masks) != K.size:
-        return False
-    union = 0
-    for m in conj_masks:
-        if m != H.mask and m & H.mask != 1:
-            return False
-        union |= m & ~1
-    return union == full & ~K.mask
+    # H has |Q:N(H)| conjugates, so |K| = |Q:H| of them iff N(H) = H; they
+    # are distinct, and H^a & H^b = (H^(ab^-1) & H)^b, so they meet pairwise
+    # trivially iff each meets H trivially
+    return len(conj_masks) == K.size and _union_outside(1, conj_masks) == full & ~K.mask
 
 
 def is_frobenius_partition(partition: Partition) -> bool:

@@ -8,6 +8,8 @@ consume it.
 
 import json
 import time
+from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +35,14 @@ from nacent import (
     semidirect_product,
 )
 from nacent.cli import _run_all, _summary_record
-from oracles import family_closed_form, is_hughes_thompson_type, naive_centralizer_sets, table_of
+from oracles import (
+    family_closed_form,
+    is_hughes_thompson_type,
+    naive_center,
+    naive_centralizer_sets,
+    naive_is_abelian_subset,
+    table_of,
+)
 
 FLAGSHIPS = [("heisenberg_frobenius(7,3)", 1100), ("heisenberg_frobenius(13,3)", 7000)]
 # committed outputs of `nacent verify --max-order 200` and
@@ -274,6 +283,56 @@ def test_dense_families_match_closed_forms(sweep):
             bad.append((r["group_id"], got, want))
     assert checked == 200 + 98 + 49 + 3 * len(FAMILY_NS)
     assert not bad, bad[:3]
+
+
+# the catalog(2000) specs that `family_closed_form` does not cover
+OTHER_SPECS = [s.name for s in builtin_catalog(2000) if family_closed_form(s.name) is None]
+
+
+@pytest.fixture(scope="module")
+def other_groups():
+    return {name: build(name) for name in OTHER_SPECS}
+
+
+def test_other_catalog_records_match_oracles(other_groups):
+    """Every catalog(2000) record outside the dense families carries the
+    center order, centralizer counts and category that the naive oracles
+    recompute from its table: the category is abelian when no centralizer
+    is non-abelian, and otherwise CA, two-nacent or many-nacent for one,
+    two or more non-abelian ones, G itself among them."""
+    kinds = Counter(name.partition("(")[0] for name in OTHER_SPECS)
+    assert kinds == {"direct_product": 36, "agl1": 6, "semidirect_cyclic": 5, "heisenberg": 3,
+                     "symmetric": 2, "alternating": 2, "heisenberg_frobenius": 1, "sl23": 1}
+    assert max(G.order for G in other_groups.values()) == 1029
+    bad = []
+    for name, G in other_groups.items():
+        table = table_of(G)
+        cents = naive_centralizer_sets(table)
+        nac = sum(not naive_is_abelian_subset(table, c) for c in cents)
+        want = {"center_order": len(naive_center(table)), "cent_count": len(cents),
+                "nacent_count": nac,
+                "category": ("abelian", "ca", "two_nacent", "many_nacent")[min(nac, 3)]}
+        r = full_report(G).to_dict()
+        if {k: r[k] for k in want} != want:
+            bad.append((name, {k: r[k] for k in want}, want))
+    assert not bad, bad[:3]
+
+
+@cache
+def catalog_names(max_order: int) -> frozenset[str]:
+    return frozenset(s.name for s in builtin_catalog(max_order)) if max_order else frozenset()
+
+
+def test_each_spec_enters_the_catalog_at_its_order(sweep, other_groups):
+    """The catalog lists a spec from the order of the group it builds on,
+    and not below: the order written in each catalog row is the built one."""
+    records, _ = sweep
+    orders = {r["group_id"]: r["order"] for r in records}
+    orders.update((name, G.order) for name, G in other_groups.items())
+    bad = [name for name, n in orders.items()
+           if name not in catalog_names(n) or name in catalog_names(n - 1)]
+    assert len(orders) == 404
+    assert not bad, bad
 
 
 def test_order_limit_heisenberg_frobenius_19_3(analyze_fresh):

@@ -133,6 +133,12 @@ def test_unwritable_out_is_input_error(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+def test_zero_parameter_is_one_error_line(capsys):
+    code, out, err = run_cli(["analyze", "dihedral(0)"], capsys)
+    assert code == EXIT_INPUT and out == ""
+    assert err.splitlines() == ["error: group order must be positive, got 0"]
+
+
 def test_input_error_leaves_out_empty(tmp_path, capsys):
     dest = tmp_path / "x.jsonl"
     code, out, err = run_cli(["analyze", "--out", str(dest), "nosuchgroup(3)"], capsys)

@@ -393,6 +393,25 @@ def test_order_guard_comes_before_the_primality_test(monkeypatch):
             build(spec)
 
 
+@pytest.mark.parametrize("spec", ["cyclic(0)", "dihedral(0)", "dicyclic(0)"])
+def test_zero_parameter_is_invalid(spec):
+    # the families have no check of their own: _guarded refuses order 0
+    with pytest.raises(InvalidParams, match="group order must be positive, got 0"):
+        build(spec)
+
+
+@pytest.mark.parametrize("make, arg", [
+    (cyclic, -10**5000), (dihedral, -10**5000), (dicyclic, -10**5000),
+    (heisenberg, -10**2000), (lambda p: heisenberg_frobenius(p, 3), -10**2000),
+], ids=["cyclic", "dihedral", "dicyclic", "heisenberg", "heisenberg_frobenius"])
+def test_huge_non_positive_order_is_invalid_params(make, arg):
+    # an order past the 4300 digits str() converts is quoted by its
+    # leading digits, not through a ValueError
+    with pytest.raises(InvalidParams) as exc:
+        make(arg)
+    assert len(str(exc.value)) <= 120
+
+
 def nested_spec(depth):
     """cyclic(1) multiplied by cyclic(1) `depth` times, one nesting level each."""
     spec = "cyclic(1)"
