@@ -266,7 +266,7 @@ def _class2_extension(p: int, B, S, lam: int, m: int, name: str) -> FiniteGroup:
     time, each row digit a column and each column digit an axis of add and
     mul tables mod p, so the kernel is never tabled. The callers guard the
     order; an action that is no automorphism breaks associativity, which
-    Light's test rejects."""
+    validation rejects."""
     d = B.shape[0]
     nk = p ** (d + 1)
     dt = table_dtype(nk * m)

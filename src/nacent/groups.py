@@ -16,10 +16,11 @@ from .errors import InvalidParams, InvalidPermutation, NotAGroup, OrderLimitExce
 # in int16) per buffer.
 BLOCK_CELLS = 4_000_000
 
-# Associativity is verified exactly at every order by Light's test: the
-# elements s with (x*s)*y = x*(s*y) for all x, y form a submagma, so checking
-# s over a generating set covers every triple (Clifford and Preston, The
-# Algebraic Theory of Semigroups I, 1961, section 1.2).
+# Associativity is verified exactly at every order by a pass over the
+# spanning tree of the generator walk and a commute check of its seeds
+# against the generators (see `_validate_table`). Light's test (Clifford and
+# Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2) runs only
+# on a rejected table, to name a failing triple.
 
 
 class FiniteGroup:
@@ -27,8 +28,9 @@ class FiniteGroup:
 
     Elements are the indices 0..n-1, the identity is element 0 and
     ``table[i, j]`` is the index of the product i*j. ``generators`` is the
-    generating set found while checking associativity: greedy, by least
-    element not yet generated, then pruned to be irredundant.
+    generating set found while validating the table: greedy, by least
+    element not yet generated, then pruned to be irredundant; the greedy
+    walk's spanning tree is what associativity is proven on.
     `element_orders(G)` gives the order of every element, computed on first
     use. ``table`` and ``inverses`` are stored in `table_dtype(n)`, the
     narrowest signed type holding n - 1: int16 up to order 2**15, int32
@@ -330,12 +332,29 @@ def _validate_table(table: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.
 
     The identity and the entry range are checked in the type the table
     arrives in; only then is it narrowed, which changes no entry. An
-    identity at 0, associativity (Light's test) and a right inverse for
-    every element make a finite monoid in which every element has a right
-    inverse, which is a group, so its table is a Latin square and that is not
-    scanned. When any of these checks fails, `_check_latin_square` runs first,
-    so a rejected table names the first law it breaks in the order identity,
-    Latin square, associativity, inverse.
+    identity at 0, associativity and a right inverse for every element make
+    a finite monoid in which every element has a right inverse, which is a
+    group, so its table is a Latin square and that is not scanned.
+
+    Associativity is proven by two passes whose cost does not grow with the
+    number of generators. The greedy walk of `_loop_generators` reaches
+    each b != 0 as b = p*t, p reached before b and t a greedy seed; its
+    seeds are the children of 0 in that tree. Write L_b for row b read as a
+    map. `_tree_pass` checks L_b = L_p o L_t on every edge, so every L_b is
+    a product of the L_t. `_commute_pass` checks that each L_t commutes with
+    right multiplication by every final generator u, hence so does every
+    product P of the L_t. Words in the final generators move 0 to every
+    element, so P is determined by P(0), as the centralizer of a transitive
+    permutation group acts semiregularly (Dixon and Mortimer, Permutation
+    Groups, 1996, Thm 4.2A). Since L_b(0) = b, the products of the L_t are
+    exactly the n maps L_b, and L_c o L_b is the one with value
+    c*(b*0) = c*b at 0: c*(b*y) = (c*b)*y for all c, b and y. Both passes
+    check instances of the associative law, so a group passes them.
+
+    When the passes fail, `_check_associativity` names a failing triple.
+    A rejected table is then scanned by `_check_latin_square`, whose
+    verdict comes first, so it names the first law it breaks in the order
+    identity, Latin square, associativity, inverse.
     """
     n = table.shape[0]
     idx = np.arange(n)
@@ -349,8 +368,11 @@ def _validate_table(table: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.
         if _unsigned(table).max() >= n:
             raise NotAGroup("entry-range", (), f"an entry lies outside 0..{n - 1}")
         table = table.astype(table_dtype(n), copy=False)
-        gens = _loop_generators(table)
-        _check_associativity(table, gens)
+        parent = np.zeros(n, dtype=np.intp)
+        gens = _loop_generators(table, parent)
+        seeds = (parent == 0).nonzero()[0][1:]
+        if not (_tree_pass(table, parent, seeds) and _commute_pass(table, seeds, gens)):
+            _check_associativity(table, gens)
         return table, gens, _inverses(table)
     except NotAGroup:
         _check_latin_square(table)
@@ -390,46 +412,57 @@ def _check_latin_square(table: np.ndarray) -> None:
                 raise NotAGroup("latin-square", (i,), f"{kind} {i} is not a permutation")
 
 
-def _extend_closure(table: np.ndarray, reached: np.ndarray, gens, seeds) -> list[int]:
+def _extend_closure(table: np.ndarray, reached: np.ndarray, gens, seeds,
+                    parent: np.ndarray | None = None) -> list[int]:
     """Grow `reached` in place to its closure under right multiplication by
     `gens` and `seeds`, given that it is closed under `gens`; return the
-    seeds that had to be added, in order.
+    seeds that had to be added, in order. When `parent` is given, each
+    element y reached here gets parent[y] = r, where y = r*c for an element
+    r reached before y and one of the columns c.
 
     A worklist, as an orbit is computed (Holt, Eick and O'Brien, Handbook
     of Computational Group Theory, 2005, ch. 3). Each seed not yet reached,
     in the given order, is added: its column of the table is applied to
-    every element reached so far. Then each element taken off the list has
-    every column so far applied to it. A product not yet reached is marked
-    and goes on the list, so each element goes on it once. Each column is
-    copied out of the table once per call, in the table's type, and
-    `reached` is marked through a byte view of it. No group law is assumed;
-    in a group the closure of {0} is the subgroup generated.
+    every element reached so far. Then each element on the list has every
+    column so far applied to it. A product not yet reached is marked and
+    appended to the list, so each element goes on it once. The seeds stop
+    once every element is reached. Each column is copied out of the table
+    once per call, in the table's type, and `reached` is marked through a
+    byte view of it. No group law is assumed; in a group the closure of {0}
+    is the subgroup generated.
     """
     seen = memoryview(reached.view(np.uint8))
+    up = {} if parent is None else memoryview(parent)  # parents not asked for are dropped
     cols = [memoryview(table[:, g].copy()) for g in gens]
+    unreached = reached.size - int(np.count_nonzero(reached))
     added = []
     for x in np.asarray(seeds, dtype=np.int64).tolist():
+        if not unreached:
+            break
         if seen[x]:
             continue
         col = table[:, x].copy()
+        old = reached.nonzero()[0]
         todo = []
-        for y in col[reached].tolist():
+        for r, y in zip(old.tolist(), col[old].tolist()):
             if not seen[y]:
                 seen[y] = 1
+                up[y] = r
                 todo.append(y)
         cols.append(memoryview(col))
         added.append(x)
-        while todo:
-            r = todo.pop()
+        for r in todo:  # the list grows while it is read
             for c in cols:
                 y = c[r]
                 if not seen[y]:
                     seen[y] = 1
+                    up[y] = r
                     todo.append(y)
+        unreached -= len(todo)
     return added
 
 
-def _loop_generators(table: np.ndarray) -> tuple[int, ...]:
+def _loop_generators(table: np.ndarray, parent: np.ndarray | None = None) -> tuple[int, ...]:
     """A generating set, greedy, then pruned to be irredundant.
 
     The greedy pass adds the least unreached element until all are reached;
@@ -437,12 +470,15 @@ def _loop_generators(table: np.ndarray) -> tuple[int, ...]:
     reach every element. The last is not tested: it lies outside what those
     before it reach, so it is always kept. Reached means in the closure of
     {0} under right multiplication by the generators; only the identity at
-    0 is assumed, not the group laws.
+    0 is assumed, not the group laws. When `parent` is given, zeros of
+    length n, the greedy walk records in it the spanning tree of its
+    `_extend_closure` call: b = parent[b] * t for a greedy seed t, and the
+    seeds are the children of 0.
     """
     n = table.shape[0]
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
-    gens = _extend_closure(table, reached, (), np.arange(n))
+    gens = _extend_closure(table, reached, (), np.arange(n), parent)
     for x in gens[:-1]:
         rest = [g for g in gens if g != x]
         reached[1:] = False
@@ -452,14 +488,62 @@ def _loop_generators(table: np.ndarray) -> tuple[int, ...]:
     return tuple(gens)
 
 
+def _tree_pass(table: np.ndarray, parent: np.ndarray, seeds: np.ndarray) -> bool:
+    """True iff (p*t)*y = p*(t*y) for every y and every edge b = p*t of the
+    spanning tree `parent` of the greedy walk, for each seed t with
+    p*t = b: row b equals row p gathered at row t.
+
+    The edges are found by one gather of the parents' rows at the seeds,
+    grouped by seed, children in ascending order. They are compared in row
+    blocks through two buffers allocated once, as `_check_associativity`
+    compares: the parents' rows of a block are gathered, each seed's run of
+    them is gathered at the seed's row, and the children's rows are
+    gathered to compare. That is about n**2 cells gathered across rows,
+    whatever the number of seeds.
+    """
+    n = table.shape[0]
+    at, kids = np.nonzero((table[parent[1:, None], seeds] == np.arange(1, n)[:, None]).T)
+    kids += 1
+    ups = parent[kids]  # kids[k] = ups[k] * seeds[at[k]], at ascending
+    bounds = np.searchsorted(at, np.arange(seeds.size + 1)).tolist()
+    runs = list(zip(seeds.tolist(), bounds, bounds[1:]))  # (seed, first, last + 1)
+    block = max(1, min(n, BLOCK_CELLS // (4 * n)))
+    right_buf = np.empty((block, n), dtype=table.dtype)
+    diff_buf = np.empty((block, n), dtype=table.dtype)
+    for lo in range(0, kids.size, block):
+        hi = min(kids.size, lo + block)
+        right, diff = right_buf[:hi - lo], diff_buf[:hi - lo]
+        np.take(table, ups[lo:hi], axis=0, out=diff, mode="clip")  # p*y
+        for t, start, end in runs:
+            a, b = max(start, lo) - lo, min(end, hi) - lo
+            if a < b:
+                np.take(diff[a:b], table[t], axis=1, out=right[a:b], mode="clip")  # p*(t*y)
+        np.take(table, kids[lo:hi], axis=0, out=diff, mode="clip")  # (p*t)*y
+        np.bitwise_xor(diff, right, out=diff)
+        if diff.any():
+            return False
+    return True
+
+
+def _commute_pass(table: np.ndarray, seeds: np.ndarray, gens: tuple[int, ...]) -> bool:
+    """True iff t*(x*u) = (t*x)*u for every seed t, every generator u and
+    every x: |seeds| * |gens| * n cells in one pair of gathers."""
+    xu, tx = table[:, gens], table[seeds]
+    return bool((np.take(tx, xu, axis=1) == np.take(xu, tx, axis=0)).all())
+
+
 def _check_associativity(table: np.ndarray, gens: tuple[int, ...]) -> None:
     """Light's test: (x*s)*y = x*(s*y) for all x, y and every generator s.
 
-    The passing s form a submagma containing 0 and the generators, hence
-    every element reached from them, which is all of them: the check is
-    exact. Compared in row blocks gathered into two buffers allocated once,
-    with no transposed copy of the table: the second buffer takes the XOR of
-    the two sides, which is zero exactly where they agree. The entries are
+    Runs only on a table the tree or commute pass of `_validate_table` has
+    rejected, as `_check_latin_square` does, to name a failing triple; it
+    always finds one there, since both passes check instances of the
+    associative law. The passing s form a submagma containing 0 and the
+    generators, hence every element reached from them, which is all of
+    them: the check is exact. Compared in row blocks gathered into two
+    buffers allocated once, with no transposed copy of the table: the
+    second buffer takes the XOR of the two sides, which is zero exactly
+    where they agree. The entries are
     known to be in range, so `mode="clip"` changes no index; it keeps
     `np.take` from buffering `out`, as it does under the default
     `mode="raise"`.

@@ -8,7 +8,7 @@ explicitly given component lists; nothing is assumed to exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import takewhile
 from operator import or_
 
@@ -41,7 +41,7 @@ class Partition:
     quotient: FiniteGroup
     components: tuple[Subgroup, ...]
 
-    @property
+    @cached_property
     def component_masks(self) -> frozenset[int]:
         return frozenset(c.mask for c in self.components)
 
@@ -116,21 +116,26 @@ def _centralizer_partition_masks(G: FiniteGroup) -> tuple[int, ...] | None:
     non-central x, keeping only images not contained in a larger one
     (an image nested inside another can never satisfy the uniqueness
     law, and discarding it recovers exactly the kernel-plus-outside
-    component set in the two-non-abelian-centralizer situation).
-    Returns None when the maximal images still overlap; raises
+    component set in the two-non-abelian-centralizer situation). When the
+    images meet pairwise trivially, as in every CA group, none is nested
+    in another, since each holds its own xZ != Z, and the filter is
+    skipped. Returns None when the maximal images still overlap; raises
     AbelianGroup for abelian input.
     """
     if is_abelian(G):
         raise AbelianGroup(f"{G.name!r} is abelian; its centralizer images are trivial")
-    by_size = sorted(centralizer_images(G)[1:], key=_size_then_mask, reverse=True)
-    kept: list[tuple[int, int]] = []  # (size, mask), descending size
-    for m in by_size:
-        size = m.bit_count()
-        # kept is in descending size, so the larger images are a prefix
-        if any(m & ~km == 0 for _, km in takewhile(lambda k: k[0] > size, kept)):
-            continue
-        kept.append((size, m))
-    masks = sorted((m for _, m in kept), key=_size_then_mask)
+    images = centralizer_images(G)[1:]
+    if _union_outside(1, images) is None:
+        by_size = sorted(images, key=_size_then_mask, reverse=True)
+        kept: list[tuple[int, int]] = []  # (size, mask), descending size
+        for m in by_size:
+            size = m.bit_count()
+            # kept is in descending size, so the larger images are a prefix
+            if any(m & ~km == 0 for _, km in takewhile(lambda k: k[0] > size, kept)):
+                continue
+            kept.append((size, m))
+        images = [m for _, m in kept]
+    masks = sorted(images, key=_size_then_mask)
     Q = center_quotient(G).quotient
     if not is_partition(Q, [Subgroup(Q, m) for m in masks]):
         return None

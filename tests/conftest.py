@@ -99,10 +99,12 @@ def awkward_size(least, *counts):
 def forced_blocks(monkeypatch):
     """`force(n, *counts)` shrinks the blocks of every whole-table pass for a
     table of order n: row blocks of k rows, where k divides neither n nor any
-    of `counts` (the semidirect fill blocks |K| rows). Each pass then runs
-    over several blocks with a short last one. `BLOCK_CELLS` is patched in
-    every module that reads it: to 4 k n in `groups` and `corpus`, whose
-    passes over table rows take BLOCK_CELLS // (4 n) rows, and to k n in
+    of `counts` (the semidirect fill blocks |K| rows; the tree pass of
+    validation blocks the n - 1 children of its spanning tree). Each pass
+    then runs over several blocks with a short last one. `BLOCK_CELLS` is
+    patched in every module that reads it: to 4 k n in `groups` and
+    `corpus`, whose passes over table rows (the tree pass, Light's test on a
+    rejected table) take BLOCK_CELLS // (4 n) rows, and to k n in
     `subgroups`, so that a table of order above k leaves the one-block
     centralizer path (n^2 <= BLOCK_CELLS)."""
     def force(n, *counts):

@@ -16,6 +16,7 @@ from nacent import (
     centralizer_table,
     cyclic,
     full_report,
+    is_abelian,
 )
 from nacent.classify import (
     CATEGORY_ABELIAN,
@@ -210,6 +211,22 @@ def test_abelian_direct_factor_keeps_the_verdicts(base, k):
     k times as large; cases A, B and C all occur among the bases."""
     X = ISOCLINISM_BASES[base]()
     assert isoclinism_invariants(direct_product(X, cyclic(k))) == isoclinism_invariants(X)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_abelian_direct_factor_keeps_the_catalog_verdicts(k):
+    """X x C_k against X for every non-abelian catalog group X of order at
+    most 64, as `test_abelian_direct_factor_keeps_the_verdicts` does for
+    its bases."""
+    checked = 0
+    for spec in builtin_catalog(64):
+        X = build(spec.name)
+        if is_abelian(X):
+            continue
+        assert isoclinism_invariants(direct_product(X, cyclic(k))) == isoclinism_invariants(X), \
+            spec.name
+        checked += 1
+    assert checked == 78
 
 
 def test_two_nacent_proof_invariants(flagship):

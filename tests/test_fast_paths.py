@@ -457,8 +457,9 @@ def test_semidirect_tables_match_oracle(flagship):
 
 
 def test_forced_blocks_accept_and_match_oracles(forced_blocks):
-    # Light's test, the semidirect fill, the representatives' comparison, the
-    # centralizer scatter and the abelian test each run over several blocks
+    # the tree pass of validation, the semidirect fill, the representatives'
+    # comparison, the centralizer scatter and the abelian test each run over
+    # several blocks
     for spec in SMALL + ["cyclic(600)", "heisenberg_frobenius(7,3)"]:
         table = table_of(build(spec))
         forced_blocks(len(table))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import nacent.corpus
+import nacent.groups
 from nacent import (
     FiniteGroup,
     InvalidPermutation,
@@ -23,6 +24,7 @@ from nacent import (
     is_cyclic,
     quotient,
 )
+from nacent.groups import _loop_generators, _tree_pass
 from oracles import (
     centralizer,
     naive_is_associative,
@@ -214,6 +216,80 @@ def test_associativity_checks_the_short_last_block(forced_blocks):
     assert exc.value.law == "associativity"
     i, j, k = exc.value.witness
     assert i >= 56 and table[table[i][j]][k] != table[i][table[j][k]]
+
+
+def tree_pass(table):
+    """`_tree_pass` over the spanning tree of the greedy walk on `table`,
+    whose seeds are the children of 0; also the tree."""
+    table = np.asarray(table, dtype=np.int16)
+    parent = np.zeros(len(table), dtype=np.intp)
+    _loop_generators(table, parent)
+    return _tree_pass(table, parent, (parent == 0).nonzero()[0][1:]), parent
+
+
+def z30_short_last_block():
+    z30 = [[(a + b) % 30 for b in range(30)] for a in range(30)]
+    table = loop_times_cyclic(z30, 2)
+    for r in (58, 59):
+        table[r][4], table[r][5] = table[r][5], table[r][4]
+    return table
+
+
+def cyclic600_intercalate():
+    table = table_of(build("cyclic(600)"))
+    for a in (1, 301):
+        table[a][2], table[a][302] = table[a][302], table[a][2]
+    return table
+
+
+NONASSOCIATIVE = {
+    "loop": lambda: NONASSOC_LOOP,
+    **{f"loop_times_cyclic({m})": lambda m=m: loop_times_cyclic(NONASSOC_LOOP, m)
+       for m in (1, 7, 103, 120)},
+    "z30_short_last_block": z30_short_last_block,
+    "cyclic600_intercalate": cyclic600_intercalate,
+}
+
+
+@pytest.mark.parametrize("name", list(NONASSOCIATIVE))
+def test_tree_pass_rejects_on_its_own(name, forced_blocks):
+    # in one row block, then in blocks of k rows, k dividing neither n nor
+    # the n - 1 children, so the last block is short
+    table = NONASSOCIATIVE[name]()
+    for forced in (False, True):
+        if forced:
+            forced_blocks(len(table), len(table) - 1)
+        assert not tree_pass(table)[0], (name, forced)
+
+
+def test_tree_pass_checks_the_short_last_block(forced_blocks):
+    # Z_60 with two entries of its last row swapped: the walk from its one
+    # seed 1 is the chain b = (b - 1)*1, whose only failing edge is the last,
+    # b = 59; in blocks of 7 rows the 59 children end in a block of 3
+    table = table_of(build("cyclic(60)"))
+    table[59][3], table[59][4] = table[59][4], table[59][3]
+    passed, parent = tree_pass(table)
+    assert parent.tolist() == [0, *range(59)]
+    assert [b for b in range(1, 60)
+            if table[b] != [table[b - 1][table[1][y]] for y in range(60)]] == [59]
+    assert not passed
+    forced_blocks(60, 59)
+    assert nacent.groups.BLOCK_CELLS == 4 * 7 * 60
+    assert not tree_pass(table)[0]
+
+
+def test_accepted_tables_skip_lights_test(monkeypatch):
+    # the tree and commute passes prove every group; Light's test runs only
+    # to name the triple of a rejected table, as it does for the loop
+    def spy(table, gens):
+        raise AssertionError(f"Light's test ran on a table of order {len(table)}")
+
+    monkeypatch.setattr(nacent.groups, "_check_associativity", spy)
+    build("heisenberg_frobenius(7,3)")
+    for spec in builtin_catalog(200):
+        build(spec.name)
+    with pytest.raises(AssertionError, match="order 5"):
+        from_cayley_table(NONASSOC_LOOP)
 
 
 def test_validation_peak_memory(flagship):

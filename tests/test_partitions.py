@@ -20,11 +20,14 @@ from nacent import (
     is_partition,
     quotient,
 )
-from nacent.partitions import Partition, center_quotient
+from nacent.partitions import Partition, _centralizer_partition_masks, center_quotient
 from nacent.subgroups import Subgroup, generated_mask, whole_subgroup
 from oracles import (
     centralizer,
+    naive_center,
+    naive_centralizer_sets,
     naive_class_join_normals,
+    naive_coset_labels,
     table_of,
 )
 from test_fast_paths import witness_sizes
@@ -304,3 +307,27 @@ def test_frobenius_definitional_properties(s3):
             if k == 0:
                 continue
             assert centralizer(G, int(k)).mask & ~K.mask == 0
+
+
+def test_partition_masks_are_the_maximal_images(flagship):
+    """The components are the maximal images C(x)/Z over non-central x, as
+    bitsets over the coset labels of Z, and there are none exactly when two
+    maximal images meet outside Z: checked both where the images meet
+    pairwise trivially and the nested-image filter is skipped, and where
+    it runs."""
+    groups = [build(spec.name) for spec in builtin_catalog(64)] + [flagship]
+    kinds = set()
+    for G in groups:
+        if is_abelian(G):
+            continue
+        table = table_of(G)
+        label = naive_coset_labels(table, sorted(naive_center(table)))
+        images = {sum(1 << i for i in {label[x] for x in c})
+                  for c in naive_centralizer_sets(table) if len(c) < G.order}
+        maximal = [m for m in images if not any(m != o and m & ~o == 0 for o in images)]
+        disjoint = all(a & b == 1 for a in maximal for b in maximal if a != b)
+        got = _centralizer_partition_masks(G)
+        assert (None if got is None else frozenset(got)) == (
+            frozenset(maximal) if disjoint else None), G.name
+        kinds.add((len(maximal) < len(images), disjoint))
+    assert kinds == {(False, True), (True, True), (True, False)}

@@ -1,7 +1,8 @@
 """Property-based invariants over randomly generated small groups, powers
 against repeated multiplication, partition verdicts under shuffled
-components, the generating set of any small table with an identity, and
-the outcome of parsing any string made of spec fragments."""
+components, the generating set of any small table with an identity, the
+validation verdict on tables with an identity, loops and perturbed catalog
+tables, and the outcome of parsing any string made of spec fragments."""
 
 import ast
 import re
@@ -11,8 +12,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from nacent import (
+    FiniteGroup,
+    NotAGroup,
     Subgroup,
     build,
+    builtin_catalog,
     center,
     element_orders,
     exponent,
@@ -24,10 +28,16 @@ from nacent import (
 )
 from nacent.corpus import parse_spec_string
 from nacent.errors import ParseError
-from nacent.groups import _loop_generators
+from nacent.groups import _commute_pass, _loop_generators, _tree_pass
 from nacent.partitions import Partition
 from nacent.subgroups import conjugates, generated_mask
-from oracles import centralizer, naive_generators, naive_normalizer, table_of
+from oracles import (
+    centralizer,
+    naive_generators,
+    naive_is_associative,
+    naive_normalizer,
+    table_of,
+)
 from test_fast_paths import LONG_CYCLES, SMALL, catalog_partitions
 
 
@@ -134,6 +144,86 @@ def test_generators_match_oracle_on_any_table(table):
     """The generating set reaches by right multiplication alone, as the
     oracle does, whatever the other entries of the table."""
     assert _loop_generators(table) == naive_generators(table.tolist())
+
+
+@st.composite
+def loops(draw):
+    """A Latin square of order 2 to 8 whose row and column 0 are the
+    identity: a loop, most often not associative. Filled cell by cell in
+    row order, each cell trying the symbols its row and column leave free
+    in a drawn order, with backtracking."""
+    n = draw(st.integers(2, 8))
+    rnd = draw(st.randoms(use_true_random=False))
+    table = np.zeros((n, n), dtype=np.int16)
+    table[0] = table[:, 0] = np.arange(n)
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        free = sorted(set(range(n)) - set(table[i, :j].tolist()) - set(table[:i, j].tolist()))
+        rnd.shuffle(free)
+        for v in free:
+            table[i, j] = v
+            if fill(k + 1):
+                return True
+        return False
+
+    assert fill(0)
+    return table
+
+
+@cache
+def intercalates(spec):
+    """The catalog table of `spec` and its 2 x 2 subsquares off row and
+    column 0: rows a < b and columns c < d with a*c = b*d and a*d = b*c."""
+    table = table_of(build(spec))
+    n = len(table)
+    where = [{v: j for j, v in enumerate(row)} for row in table]
+    return table, [(a, b, c, d) for a in range(1, n) for b in range(a + 1, n)
+                   for c in range(1, n) for d in [where[b][table[a][c]]]
+                   if d > c and table[a][d] == table[b][c]]
+
+
+@cache
+def swappable():
+    """The catalog specs of order at most 24 with an intercalate."""
+    return [spec.name for spec in builtin_catalog(24) if intercalates(spec.name)[1]]
+
+
+@st.composite
+def swapped_catalog_tables(draw):
+    """The table of a catalog group of order at most 24 with one intercalate
+    swapped: a loop that is most often not associative."""
+    table, squares = intercalates(draw(st.sampled_from(swappable())))
+    a, b, c, d = draw(st.sampled_from(squares))
+    out = np.array(table, dtype=np.int16)
+    out[[a, a, b, b], [c, d, c, d]] = out[[a, a, b, b], [d, c, d, c]]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_with_identity() | loops() | swapped_catalog_tables())
+def test_validation_matches_oracle_on_any_table(table):
+    """The tree and commute passes accept exactly the associative tables, and
+    FiniteGroup exactly those that also hold a 0 in every row; a rejection
+    under the associative law names a triple that breaks it."""
+    rows = table.tolist()
+    associative = naive_is_associative(rows) is None
+    parent = np.zeros(len(rows), dtype=np.intp)
+    gens = _loop_generators(table, parent)
+    seeds = (parent == 0).nonzero()[0][1:]
+    assert (_tree_pass(table, parent, seeds) and _commute_pass(table, seeds, gens)) == associative
+    try:
+        FiniteGroup(table)
+        accepted = True
+    except NotAGroup as exc:
+        accepted = False
+        if exc.law == "associativity":
+            i, j, k = exc.witness
+            assert rows[rows[i][j]][k] != rows[i][rows[j][k]]
+    assert accepted == (associative and all(0 in row for row in rows))
 
 
 cached_build = cache(build)
