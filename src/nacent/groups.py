@@ -16,12 +16,6 @@ from .errors import InvalidParams, InvalidPermutation, NotAGroup, OrderLimitExce
 # in int16) per buffer.
 BLOCK_CELLS = 4_000_000
 
-# Associativity is verified exactly at every order by a pass over the
-# spanning tree of the generator walk and a commute check of its seeds
-# against the generators (see `_validate_table`). Light's test (Clifford and
-# Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2) runs only
-# on a rejected table, to name a failing triple.
-
 
 class FiniteGroup:
     """A finite group given by its Cayley table.
@@ -137,18 +131,19 @@ def from_cayley_table(table: Sequence[Sequence[int]] | np.ndarray,
     of the remaining elements is preserved. The table is narrowed to
     `table_dtype(n)` once its entries are known to lie in 0..n-1, and
     relabeled in that type in row blocks. Raises NotAGroup naming the first
-    violated law, OrderLimitExceeded past the order guard.
+    violated law, OrderLimitExceeded past the order guard, which is read
+    off the shape before any entry is converted.
     """
     arr = np.asarray(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotAGroup("shape", (), f"expected a square table, got {arr.shape}")
-    arr = _integer_table(arr)
     n = arr.shape[0]
     if n == 0:
         raise NotAGroup("shape", (), "empty table")
     limit = order_guard(max_order)
     if n > limit:
         raise OrderLimitExceeded(f"table order {n} exceeds limit {limit}")
+    arr = _integer_table(arr)
     if arr.min() < 0 or arr.max() >= n:
         i, j = np.unravel_index(int(np.argmax((arr < 0) | (arr >= n))), arr.shape)
         raise NotAGroup("entry-range", (int(i), int(j)), f"entry {arr[i, j]} outside 0..{n - 1}")
@@ -349,12 +344,12 @@ def _validate_table(table: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.
     Groups, 1996, Thm 4.2A). Since L_b(0) = b, the products of the L_t are
     exactly the n maps L_b, and L_c o L_b is the one with value
     c*(b*0) = c*b at 0: c*(b*y) = (c*b)*y for all c, b and y. Both passes
-    check instances of the associative law, so a group passes them.
+    check instances of the associative law, so a group passes them, and the
+    first that fails returns the triple it failed at.
 
-    When the passes fail, `_check_associativity` names a failing triple.
     A rejected table is then scanned by `_check_latin_square`, whose
     verdict comes first, so it names the first law it breaks in the order
-    identity, Latin square, associativity, inverse.
+    identity, Latin square, associativity.
     """
     n = table.shape[0]
     idx = np.arange(n)
@@ -371,8 +366,11 @@ def _validate_table(table: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.
         parent = np.zeros(n, dtype=np.intp)
         gens = _loop_generators(table, parent)
         seeds = (parent == 0).nonzero()[0][1:]
-        if not (_tree_pass(table, parent, seeds) and _commute_pass(table, seeds, gens)):
-            _check_associativity(table, gens)
+        triple = _tree_pass(table, parent, seeds) or _commute_pass(table, seeds, gens)
+        if triple:
+            x, y, z = triple
+            raise NotAGroup("associativity", triple, f"({x}*{y})*{z} = {table[table[x, y], z]}"
+                            f" but {x}*({y}*{z}) = {table[x, table[y, z]]}")
         return table, gens, _inverses(table)
     except NotAGroup:
         _check_latin_square(table)
@@ -488,18 +486,22 @@ def _loop_generators(table: np.ndarray, parent: np.ndarray | None = None) -> tup
     return tuple(gens)
 
 
-def _tree_pass(table: np.ndarray, parent: np.ndarray, seeds: np.ndarray) -> bool:
-    """True iff (p*t)*y = p*(t*y) for every y and every edge b = p*t of the
+def _tree_pass(table: np.ndarray, parent: np.ndarray,
+               seeds: np.ndarray) -> tuple[int, int, int] | None:
+    """None iff (p*t)*y = p*(t*y) for every y and every edge b = p*t of the
     spanning tree `parent` of the greedy walk, for each seed t with
-    p*t = b: row b equals row p gathered at row t.
+    p*t = b: row b equals row p gathered at row t. Otherwise the first
+    failing (p, t, y), in the order of the edges, then of y.
 
     The edges are found by one gather of the parents' rows at the seeds,
     grouped by seed, children in ascending order. They are compared in row
-    blocks through two buffers allocated once, as `_check_associativity`
-    compares: the parents' rows of a block are gathered, each seed's run of
-    them is gathered at the seed's row, and the children's rows are
-    gathered to compare. That is about n**2 cells gathered across rows,
-    whatever the number of seeds.
+    blocks through two buffers allocated once: the parents' rows of a block
+    are gathered, each seed's run of them is gathered at the seed's row, and
+    the children's rows are gathered and XORed in, which leaves zero exactly
+    where the two sides agree. That is about n**2 cells gathered across
+    rows, whatever the number of seeds. The entries are known to be in
+    range, so `mode="clip"` changes no index; it keeps `np.take` from
+    buffering `out`, as it does under the default `mode="raise"`.
     """
     n = table.shape[0]
     at, kids = np.nonzero((table[parent[1:, None], seeds] == np.arange(1, n)[:, None]).T)
@@ -521,73 +523,37 @@ def _tree_pass(table: np.ndarray, parent: np.ndarray, seeds: np.ndarray) -> bool
         np.take(table, kids[lo:hi], axis=0, out=diff, mode="clip")  # (p*t)*y
         np.bitwise_xor(diff, right, out=diff)
         if diff.any():
-            return False
-    return True
+            i, y = divmod(int(np.flatnonzero(diff)[0]), n)
+            return int(ups[lo + i]), int(seeds[at[lo + i]]), y
+    return None
 
 
-def _commute_pass(table: np.ndarray, seeds: np.ndarray, gens: tuple[int, ...]) -> bool:
-    """True iff t*(x*u) = (t*x)*u for every seed t, every generator u and
-    every x: |seeds| * |gens| * n cells in one pair of gathers."""
+def _commute_pass(table: np.ndarray, seeds: np.ndarray,
+                  gens: tuple[int, ...]) -> tuple[int, int, int] | None:
+    """None iff t*(x*u) = (t*x)*u for every seed t, every generator u and
+    every x: |seeds| * |gens| * n cells in one pair of gathers. Otherwise
+    the first failing (t, x, u), in the order of t, then x, then u."""
     xu, tx = table[:, gens], table[seeds]
-    return bool((np.take(tx, xu, axis=1) == np.take(xu, tx, axis=0)).all())
-
-
-def _check_associativity(table: np.ndarray, gens: tuple[int, ...]) -> None:
-    """Light's test: (x*s)*y = x*(s*y) for all x, y and every generator s.
-
-    Runs only on a table the tree or commute pass of `_validate_table` has
-    rejected, as `_check_latin_square` does, to name a failing triple; it
-    always finds one there, since both passes check instances of the
-    associative law. The passing s form a submagma containing 0 and the
-    generators, hence every element reached from them, which is all of
-    them: the check is exact. Compared in row blocks gathered into two
-    buffers allocated once, with no transposed copy of the table: the
-    second buffer takes the XOR of the two sides, which is zero exactly
-    where they agree. The entries are
-    known to be in range, so `mode="clip"` changes no index; it keeps
-    `np.take` from buffering `out`, as it does under the default
-    `mode="raise"`.
-    """
-    n = table.shape[0]
-    block = max(1, min(n, BLOCK_CELLS // (4 * n)))
-    left_buf = np.empty((block, n), dtype=table.dtype)
-    diff_buf = np.empty((block, n), dtype=table.dtype)
-    for s in gens:
-        col_s, row_s = table[:, s], table[s]
-        for start in range(0, n, block):
-            b = min(block, n - start)
-            left, diff = left_buf[:b], diff_buf[:b]
-            np.take(table, col_s[start:start + b], axis=0, out=left, mode="clip")  # (x*s)*y
-            np.take(table[start:start + b], row_s, axis=1, out=diff, mode="clip")  # x*(s*y)
-            np.bitwise_xor(diff, left, out=diff)
-            if diff.any():
-                i, k = (int(v) for v in np.argwhere(diff)[0])
-                x = start + i
-                raise NotAGroup(
-                    "associativity", (x, s, k),
-                    f"({x}*{s})*{k} = {left[i, k]} but {x}*({s}*{k}) = {left[i, k] ^ diff[i, k]}")
+    bad = np.take(tx, xu, axis=1) != np.take(xu, tx, axis=0)
+    if bad.any():
+        i, x, j = np.argwhere(bad)[0].tolist()
+        return int(seeds[i]), x, gens[j]
+    return None
 
 
 def _inverses(table: np.ndarray) -> np.ndarray:
-    """The right inverse of every element of a finite monoid.
+    """The inverse x**(n-1) of every element x of a finite associative
+    monoid with identity 0, taken for all elements at once by `_power`.
 
-    x**(n-1), taken for all elements at once by `_power`, is the
-    inverse of x in a group of order n; wherever x * x**(n-1) = 0 it is a
-    right inverse, whatever the table. Only when that fails for some x is
-    each row scanned for its first 0 (entries are known to be in range, so a
-    row holds a 0 iff its least entry is 0), to name the first element
-    without one.
+    Raises NotAGroup when some x * x**(n-1) != 0. That happens only when
+    some row holds no 0, as a monoid of order n whose elements are all units
+    is a group, so `_check_latin_square` names that row.
     """
     every = np.arange(table.shape[0])
     inv = np.zeros_like(every, dtype=table.dtype)
     inv[:] = _power(table, every, every.size - 1)  # a scalar 0 when n = 1
-    if (table[every, inv] == 0).all():
-        return inv
-    inv = table.argmin(axis=1).astype(table.dtype)
-    bad = np.nonzero(table[every, inv] != 0)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise NotAGroup("inverse", (i,), f"{i} has no right inverse")
+    if not (table[every, inv] == 0).all():
+        raise NotAGroup("inverse", (), "an element has no right inverse")
     return inv
 
 

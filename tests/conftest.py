@@ -103,8 +103,8 @@ def forced_blocks(monkeypatch):
     validation blocks the n - 1 children of its spanning tree). Each pass
     then runs over several blocks with a short last one. `BLOCK_CELLS` is
     patched in every module that reads it: to 4 k n in `groups` and
-    `corpus`, whose passes over table rows (the tree pass, Light's test on a
-    rejected table) take BLOCK_CELLS // (4 n) rows, and to k n in
+    `corpus`, whose passes over table rows (the tree pass, the Latin-square
+    scan of a rejected table) take BLOCK_CELLS // (4 n) rows, and to k n in
     `subgroups`, so that a table of order above k leaves the one-block
     centralizer path (n^2 <= BLOCK_CELLS)."""
     def force(n, *counts):

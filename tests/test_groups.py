@@ -24,7 +24,7 @@ from nacent import (
     is_cyclic,
     quotient,
 )
-from nacent.groups import _loop_generators, _tree_pass
+from nacent.groups import _commute_pass, _loop_generators, _tree_pass
 from oracles import (
     centralizer,
     naive_is_associative,
@@ -145,6 +145,22 @@ def test_integral_float_tables_are_accepted():
         assert G.table.tolist() == [[0, 1], [1, 0]]
 
 
+def test_order_guard_comes_before_entry_conversion():
+    # the guard reads the shape, so a float table past it is refused before
+    # any entry is converted, whatever its entries
+    with pytest.raises(OrderLimitExceeded):
+        from_cayley_table([[0.5] * 3] * 3, max_order=2)
+    big = np.full((3000, 3000), 0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderLimitExceeded):
+            from_cayley_table(big, max_order=2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
 def test_tables_stored_in_int16(flagship):
     groups = [build(spec.name) for spec in builtin_catalog(48)] + [flagship]
     groups.append(quotient(flagship, center(flagship)).quotient)
@@ -175,7 +191,7 @@ NONASSOC_LOOP = [
 def test_rejects_broken_associativity():
     with pytest.raises(NotAGroup) as exc:
         from_cayley_table(NONASSOC_LOOP)
-    assert exc.value.law in ("associativity", "inverse")
+    assert exc.value.law == "associativity"
     assert "fails" in str(exc.value)
 
 
@@ -186,48 +202,33 @@ def loop_times_cyclic(loop, m):
             for a1 in range(n) for b1 in range(m)]
 
 
-@pytest.mark.parametrize("m", [1, 7, 103, 120])
-def test_associativity_exact_past_old_sample_limit(m, forced_blocks):
-    # orders 5 to 600: the check is exact at every order, not sampled, in one
-    # row block and then over several with a short last one
-    table = loop_times_cyclic(NONASSOC_LOOP, m)
-    for forced in (False, True):
-        if forced:
-            forced_blocks(len(table))
-        with pytest.raises(NotAGroup) as exc:
-            from_cayley_table(table, max_order=1000)
-        assert exc.value.law == "associativity", forced
-        i, j, k = exc.value.witness
-        assert table[table[i][j]][k] != table[i][table[j][k]], forced
-    assert naive_is_associative(table) is not None
+def breaks_the_law(table, triple):
+    """Whether triple is some (x, y, z) with (x*y)*z != x*(y*z) in table."""
+    if triple is None:
+        return False
+    x, y, z = triple
+    return table[table[x][y]][z] != table[x][table[y][z]]
 
 
-def test_associativity_checks_the_short_last_block(forced_blocks):
-    # Z_30 x Z_2 on a*2 + b with the Z_2 subsquare at rows {58, 59}, columns
-    # {4, 5} swapped: Light's test over the generators (1, 2) fails only for
-    # x in 56..59, which with blocks of 7 rows is the short last block
-    z30 = [[(a + b) % 30 for b in range(30)] for a in range(30)]
-    table = loop_times_cyclic(z30, 2)
-    for r in (58, 59):
-        table[r][4], table[r][5] = table[r][5], table[r][4]
-    forced_blocks(len(table))
-    with pytest.raises(NotAGroup) as exc:
-        from_cayley_table(table)
-    assert exc.value.law == "associativity"
-    i, j, k = exc.value.witness
-    assert i >= 56 and table[table[i][j]][k] != table[i][table[j][k]]
+def walk(table):
+    """The table in int16, the spanning tree of its greedy walk, the walk's
+    seeds (the children of 0) and the final generators."""
+    table = np.asarray(table, dtype=np.int16)
+    parent = np.zeros(len(table), dtype=np.intp)
+    gens = _loop_generators(table, parent)
+    return table, parent, (parent == 0).nonzero()[0][1:], gens
 
 
 def tree_pass(table):
-    """`_tree_pass` over the spanning tree of the greedy walk on `table`,
-    whose seeds are the children of 0; also the tree."""
-    table = np.asarray(table, dtype=np.int16)
-    parent = np.zeros(len(table), dtype=np.intp)
-    _loop_generators(table, parent)
-    return _tree_pass(table, parent, (parent == 0).nonzero()[0][1:]), parent
+    """`_tree_pass` over the spanning tree of the greedy walk on `table`;
+    also the tree."""
+    table, parent, seeds, _ = walk(table)
+    return _tree_pass(table, parent, seeds), parent
 
 
 def z30_short_last_block():
+    # Z_30 x Z_2 on a*2 + b with the Z_2 subsquare at rows {58, 59},
+    # columns {4, 5} swapped
     z30 = [[(a + b) % 30 for b in range(30)] for a in range(30)]
     table = loop_times_cyclic(z30, 2)
     for r in (58, 59):
@@ -236,6 +237,8 @@ def z30_short_last_block():
 
 
 def cyclic600_intercalate():
+    # Z_600 with one 2x2 subsquare {1, 301} x {2, 302} swapped: still a
+    # loop, and only triples through those four cells fail
     table = table_of(build("cyclic(600)"))
     for a in (1, 301):
         table[a][2], table[a][302] = table[a][302], table[a][2]
@@ -253,43 +256,59 @@ NONASSOCIATIVE = {
 
 @pytest.mark.parametrize("name", list(NONASSOCIATIVE))
 def test_tree_pass_rejects_on_its_own(name, forced_blocks):
-    # in one row block, then in blocks of k rows, k dividing neither n nor
-    # the n - 1 children, so the last block is short
+    # orders 5 to 600, checked exactly, not sampled: the tree pass alone
+    # returns a failing triple, and validation reports one, in one row
+    # block, then in blocks of k rows, k dividing neither n nor the n - 1
+    # children, so the last block is short
     table = NONASSOCIATIVE[name]()
+    assert naive_is_associative(table) is not None
     for forced in (False, True):
         if forced:
             forced_blocks(len(table), len(table) - 1)
-        assert not tree_pass(table)[0], (name, forced)
+        assert breaks_the_law(table, tree_pass(table)[0]), (name, forced)
+        with pytest.raises(NotAGroup) as exc:
+            from_cayley_table(table, max_order=1000)
+        assert exc.value.law == "associativity", (name, forced)
+        assert breaks_the_law(table, exc.value.witness), (name, forced)
 
 
 def test_tree_pass_checks_the_short_last_block(forced_blocks):
     # Z_60 with two entries of its last row swapped: the walk from its one
     # seed 1 is the chain b = (b - 1)*1, whose only failing edge is the last,
-    # b = 59; in blocks of 7 rows the 59 children end in a block of 3
+    # b = 59 = 58*1, first at y = 3; in blocks of 7 rows the 59 children end
+    # in a block of 3
     table = table_of(build("cyclic(60)"))
     table[59][3], table[59][4] = table[59][4], table[59][3]
-    passed, parent = tree_pass(table)
+    triple, parent = tree_pass(table)
     assert parent.tolist() == [0, *range(59)]
     assert [b for b in range(1, 60)
             if table[b] != [table[b - 1][table[1][y]] for y in range(60)]] == [59]
-    assert not passed
+    assert triple == (58, 1, 3) and breaks_the_law(table, triple)
     forced_blocks(60, 59)
     assert nacent.groups.BLOCK_CELLS == 4 * 7 * 60
-    assert not tree_pass(table)[0]
+    assert tree_pass(table)[0] == (58, 1, 3)
 
 
-def test_accepted_tables_skip_lights_test(monkeypatch):
-    # the tree and commute passes prove every group; Light's test runs only
-    # to name the triple of a rejected table, as it does for the loop
-    def spy(table, gens):
-        raise AssertionError(f"Light's test ran on a table of order {len(table)}")
+# an order-6 loop whose tree pass holds: only the commute pass rejects it
+COMMUTE_ONLY_LOOP = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 4, 3, 5, 0, 2],
+    [2, 5, 1, 4, 3, 0],
+    [3, 2, 4, 0, 5, 1],
+    [4, 0, 5, 2, 1, 3],
+    [5, 3, 0, 1, 2, 4],
+]
 
-    monkeypatch.setattr(nacent.groups, "_check_associativity", spy)
-    build("heisenberg_frobenius(7,3)")
-    for spec in builtin_catalog(200):
-        build(spec.name)
-    with pytest.raises(AssertionError, match="order 5"):
-        from_cayley_table(NONASSOC_LOOP)
+
+def test_commute_pass_alone_names_the_witness():
+    # (2*1)*2 = 0 but 2*(1*2) = 4
+    table, parent, seeds, gens = walk(COMMUTE_ONLY_LOOP)
+    assert _tree_pass(table, parent, seeds) is None
+    assert _commute_pass(table, seeds, gens) == (2, 1, 2)
+    assert breaks_the_law(COMMUTE_ONLY_LOOP, (2, 1, 2))
+    with pytest.raises(NotAGroup) as exc:
+        from_cayley_table(COMMUTE_ONLY_LOOP)
+    assert (exc.value.law, exc.value.witness) == ("associativity", (2, 1, 2))
 
 
 def test_validation_peak_memory(flagship):
@@ -337,19 +356,6 @@ def test_relabel_peak_memory(flagship, forced_blocks):
     assert np.array_equal(G.table, flagship.table)
     forced_blocks(flagship.order)
     assert np.array_equal(from_cayley_table(wide).table, flagship.table)
-
-
-def test_associativity_exact_on_one_intercalate():
-    # Z_600 with one 2x2 subsquare {1, 301} x {2, 302} swapped: still a loop,
-    # and only triples through those four cells fail
-    table = table_of(build("cyclic(600)"))
-    for a in (1, 301):
-        table[a][2], table[a][302] = table[a][302], table[a][2]
-    with pytest.raises(NotAGroup) as exc:
-        from_cayley_table(table, max_order=1000)
-    assert exc.value.law == "associativity"
-    i, j, k = exc.value.witness
-    assert table[table[i][j]][k] != table[i][table[j][k]]
 
 
 def test_rejects_no_identity():

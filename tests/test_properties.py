@@ -207,14 +207,20 @@ def swapped_catalog_tables(draw):
 @given(tables_with_identity() | loops() | swapped_catalog_tables())
 def test_validation_matches_oracle_on_any_table(table):
     """The tree and commute passes accept exactly the associative tables, and
-    FiniteGroup exactly those that also hold a 0 in every row; a rejection
-    under the associative law names a triple that breaks it."""
+    FiniteGroup exactly those that also hold a 0 in every row; a pass that
+    fails, and a rejection under the associative law, name a triple that
+    breaks it."""
     rows = table.tolist()
     associative = naive_is_associative(rows) is None
     parent = np.zeros(len(rows), dtype=np.intp)
     gens = _loop_generators(table, parent)
     seeds = (parent == 0).nonzero()[0][1:]
-    assert (_tree_pass(table, parent, seeds) and _commute_pass(table, seeds, gens)) == associative
+    triples = [_tree_pass(table, parent, seeds), _commute_pass(table, seeds, gens)]
+    assert (triples == [None, None]) == associative
+    for triple in triples:
+        if triple is not None:
+            i, j, k = triple
+            assert rows[rows[i][j]][k] != rows[i][rows[j][k]]
     try:
         FiniteGroup(table)
         accepted = True
