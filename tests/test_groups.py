@@ -256,20 +256,49 @@ NONASSOCIATIVE = {
 
 @pytest.mark.parametrize("name", list(NONASSOCIATIVE))
 def test_tree_pass_rejects_on_its_own(name, forced_blocks):
-    # orders 5 to 600, checked exactly, not sampled: the tree pass alone
-    # returns a failing triple, and validation reports one, in one row
-    # block, then in blocks of k rows, k dividing neither n nor the n - 1
-    # children, so the last block is short
+    # in one row block, then in blocks of k rows, k dividing neither n nor
+    # the n - 1 children, so the last block is short
     table = NONASSOCIATIVE[name]()
     assert naive_is_associative(table) is not None
     for forced in (False, True):
         if forced:
             forced_blocks(len(table), len(table) - 1)
         assert breaks_the_law(table, tree_pass(table)[0]), (name, forced)
+
+
+def validation_witnesses(table, forced_blocks):
+    """The associativity witnesses `from_cayley_table` reports for `table`
+    in one row block and then in forced blocks with a short last one;
+    asserts that each breaks the law."""
+    witnesses = []
+    for forced in (False, True):
+        if forced:
+            forced_blocks(len(table), len(table) - 1)
         with pytest.raises(NotAGroup) as exc:
             from_cayley_table(table, max_order=1000)
-        assert exc.value.law == "associativity", (name, forced)
-        assert breaks_the_law(table, exc.value.witness), (name, forced)
+        assert exc.value.law == "associativity", forced
+        assert breaks_the_law(table, exc.value.witness), forced
+        witnesses.append(exc.value.witness)
+    return witnesses
+
+
+@pytest.mark.parametrize("m", [1, 7, 103, 120])
+def test_associativity_exact_past_old_sample_limit(m, forced_blocks):
+    # orders 5 to 600: the check is exact at every order, not sampled
+    table = loop_times_cyclic(NONASSOC_LOOP, m)
+    validation_witnesses(table, forced_blocks)
+    assert naive_is_associative(table) is not None
+
+
+def test_associativity_checks_the_short_last_block(forced_blocks):
+    # the tree's only failing edges are 58 = 56*2 and 59 = 57*2, children of
+    # the last block when it is short
+    for i, _, _ in validation_witnesses(z30_short_last_block(), forced_blocks):
+        assert i >= 56
+
+
+def test_associativity_exact_on_one_intercalate(forced_blocks):
+    validation_witnesses(cyclic600_intercalate(), forced_blocks)
 
 
 def test_tree_pass_checks_the_short_last_block(forced_blocks):
